@@ -37,8 +37,8 @@
  *                 incremental op reduction
  *
  * Every run also measures the incremental-replan demo: two controller
- * epochs on one long-lived PhoenixCost scheme with the incremental +
- * sharded options on, a single zone failing between them. The second
+ * epochs on one long-lived PhoenixCost scheme with the incremental
+ * options on, a single zone failing between them. The second
  * epoch must be bit-identical to a from-scratch scheme on the same
  * state while spending a fraction of its heap pushes and best-fit
  * probes (the planner serves its ranking from cache; packing
@@ -60,7 +60,6 @@
 #include "bench/bench_common.h"
 #include "core/schemes.h"
 #include "exp/grid.h"
-#include "exp/pool.h"
 #include "util/table.h"
 
 using namespace phoenix;
@@ -156,29 +155,6 @@ smokeCheck(const exp::SweepAggregate &agg, const SmokeBound &bound,
     return ok;
 }
 
-/**
- * Zone-sharded Phoenix cell: estimator partitioned over 8 shards,
- * capacity index split into 8 zones, shards run on the pool. Outputs
- * and op counters are bit-identical to the plain Phoenix cells (the
- * BitIdentity suite proves it); only wall-clock may differ.
- */
-exp::SchemeSpec
-shardedSpec(core::Objective objective, int jobs)
-{
-    core::PlannerOptions planner_opts;
-    planner_opts.shardCount = 8;
-    planner_opts.shardRunner = exp::shardRunner(jobs);
-    core::PackingOptions packing_opts;
-    packing_opts.zoneShards = 8;
-    packing_opts.shardRunner = exp::shardRunner(jobs);
-    const std::string name = objective == core::Objective::Fair
-                                 ? "PhoenixFair-sharded"
-                                 : "PhoenixCost-sharded";
-    return exp::schemeSpec<core::PhoenixScheme>(name, objective,
-                                                planner_opts,
-                                                packing_opts);
-}
-
 double
 combinedOps(const core::SchemeResult &r)
 {
@@ -195,8 +171,8 @@ combinedOps(const core::SchemeResult &r)
  * <= 1/10 of the cold scheme's heap pushes + best-fit probes.
  */
 bool
-runIncrementalDemo(size_t nodes, size_t zones, int jobs,
-                   util::Table &table, exp::Report &report)
+runIncrementalDemo(size_t nodes, size_t zones, util::Table &table,
+                   exp::Report &report)
 {
     using Clock = std::chrono::steady_clock;
     const Environment env = buildEnvironment(sizedConfig(nodes));
@@ -206,12 +182,8 @@ runIncrementalDemo(size_t nodes, size_t zones, int jobs,
     // cached ranking still valid after the zone's capacity vanished.
     core::PlannerOptions planner_opts;
     planner_opts.incremental = true;
-    planner_opts.shardCount = 8;
-    planner_opts.shardRunner = exp::shardRunner(jobs);
     core::PackingOptions packing_opts;
     packing_opts.incremental = true;
-    packing_opts.zoneShards = 8;
-    packing_opts.shardRunner = exp::shardRunner(jobs);
     core::PhoenixScheme warm(core::Objective::Cost, planner_opts,
                              packing_opts);
     core::PhoenixScheme fresh(core::Objective::Cost);
@@ -348,9 +320,8 @@ main(int argc, char **argv)
     auto options = bench::parseOptions(
         static_cast<int>(pass.size()), pass.data(), "fig8b");
     bench::applyObs(options);
-    // Per-cell obs deltas (core.shards_planned, core.dirty_zones,
-    // core.replans_incremental, core.reconcile_seconds) are part of
-    // this figure's report: metrics stay on regardless of --metrics.
+    // Per-cell obs deltas (core.replans_incremental,
+    // core.reconcile_seconds) are part of this figure's report: metrics stay on regardless of --metrics.
     obs::setMetricsEnabled(true);
     if (options.jobs == 0)
         options.jobs = 1; // timing fidelity; see file header
@@ -403,12 +374,6 @@ main(int argc, char **argv)
             const auto all = exp::paperSchemeSpecs(false);
             spec.schemes = {all[0], all[1], all[4]};
         }
-        // Zone-sharded Phoenix cells ride along at every size: same
-        // outputs and counters as the plain cells, A/B wall-clock.
-        spec.schemes.push_back(
-            shardedSpec(core::Objective::Fair, options.jobs));
-        spec.schemes.push_back(
-            shardedSpec(core::Objective::Cost, options.jobs));
         spec.failureRates = {0.5};
         spec.trials = options.trialsOr(1);
         spec.seedBase = options.seedOr(1234);
@@ -462,8 +427,8 @@ main(int argc, char **argv)
         zones_override > 0
             ? zones_override
             : std::max<size_t>(2, demo_nodes / (smoke ? 20 : 50));
-    const bool demo_ok = runIncrementalDemo(
-        demo_nodes, demo_zones, options.jobs, table, report);
+    const bool demo_ok =
+        runIncrementalDemo(demo_nodes, demo_zones, table, report);
 
     table.print(std::cout);
     const double rss = peakRssMiB();

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The one-command CI gate: tier-1 build + full ctest (which includes
-# the fuzz/recovery/serve/fig8b smoke gates), then the suite again under
-# ASan and UBSan via scripts/sanitize.sh. Any failure — a test, a
+# the fuzz/recovery/serve/fig8b smoke gates), the whole-epoch benchmark
+# smoke test, then the suite again under ASan and UBSan via
+# scripts/sanitize.sh. Any failure — a test, a
 # smoke-gate bound, a sanitizer report — fails the script.
 #
 #   scripts/ci.sh            # full gate
@@ -9,7 +10,7 @@
 #
 # The TSan configuration (scripts/sanitize.sh thread) is not part of
 # the default gate — it roughly triples runtime — but is the tree that
-# exercises the exp pool sharding and the obs registry's lock-free
+# exercises the exp work-stealing pool and the obs registry's lock-free
 # counters (Obs.ConcurrentRegistryHammer); run it when touching either.
 set -euo pipefail
 
@@ -41,6 +42,11 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS" \
 step "smoke gates: fuzz, constraint_fuzz, recovery, serve, fig8b, soak, constrained_soak, forecast"
 ctest --test-dir "$BUILD" --output-on-failure \
     -R '^(fuzz_smoke|constraint_fuzz_smoke|recovery_smoke|serve_smoke|fig8b_smoke|soak_smoke|constrained_soak_smoke|forecast_smoke)$'
+
+# The whole-epoch benchmark (epochbench/) builds its own binary against
+# src/, so an API change that breaks it fails here rather than later.
+step "epochbench smoke: every workload at toy scale"
+python3 epochbench/smoke_test.py
 
 # Million-node gate, opt-in: export FIG8B_1M=1 to run the 1M-node
 # Phoenix cells + the 100k incremental-replan demo (~minutes, GBs of

@@ -4,7 +4,7 @@
 # them (or back to the plain build/) never forces a full reconfigure.
 #
 #   scripts/sanitize.sh                 # address (ASan+LSan where available)
-#   scripts/sanitize.sh thread          # TSan: exercises src/exp sharding
+#   scripts/sanitize.sh thread          # TSan: exercises the src/exp pool
 #   scripts/sanitize.sh undefined       # UBSan
 #   scripts/sanitize.sh address -R fuzz # extra args forwarded to ctest
 #

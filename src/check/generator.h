@@ -87,13 +87,11 @@ struct GeneratorOptions
     int topologyZones = 3;
 
     /** Probability that the failure step is zone-local: every failed
-     * node shares one residue id % zoneFailureZones — the blast shape
-     * the zone-sharded capacity index routes and the incremental
-     * replanner's dirty-zone hints describe. */
+     * node shares one residue id % zoneFailureZones, so the incremental
+     * replanner reconciles a blast radius of one zone rather than a
+     * scattered set of nodes. */
     double zoneFailureProbability = 0.3;
-    /** Zone count used to pick zone-local failure targets (must match
-     * the oracle's shard knob to make the failure single-zone for the
-     * schemes under test). */
+    /** Zone count used to pick zone-local failure targets. */
     int zoneFailureZones = 3;
 };
 

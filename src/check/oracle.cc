@@ -915,36 +915,6 @@ checkCase(const CheckCase &c, const OracleOptions &options)
             report(result.violations, "flat-vs-reference", name,
                    "planned assignments diverge");
 
-        if (options.shards <= 1)
-            continue;
-
-        // Sharded plan + zone-sharded capacity index: identical
-        // outputs AND identical deterministic op counters (summed in
-        // shard order, probed once per best-fit call).
-        {
-            PlannerOptions sharded_planner;
-            sharded_planner.shardCount = options.shards;
-            PackingOptions sharded_packing;
-            sharded_packing.zoneShards =
-                static_cast<size_t>(options.shards);
-            PhoenixScheme sharded(objective, sharded_planner,
-                                  sharded_packing);
-            const SchemeResult sh = sharded.apply(c.apps, post);
-            if (sh.plan != flat.plan ||
-                !sameActions(sh.pack.actions, flat.pack.actions) ||
-                sh.pack.state.assignment() !=
-                    flat.pack.state.assignment())
-                report(result.violations, "sharded-vs-flat", name,
-                       "sharded outputs diverge from flat");
-            else if (sh.planOps.heapPushes !=
-                         flat.planOps.heapPushes ||
-                     sh.pack.ops.bestFitProbes !=
-                         flat.pack.ops.bestFitProbes ||
-                     sh.pack.ops.kvOps != flat.pack.ops.kvOps)
-                report(result.violations, "sharded-vs-flat", name,
-                       "sharded op counters diverge from flat");
-        }
-
         // Incremental replan: warm the scheme on the pre-failure seed
         // placement, then replan the post-failure state — the cache
         // reuse + exact index reconcile across that diff must be
@@ -956,11 +926,8 @@ checkCase(const CheckCase &c, const OracleOptions &options)
 
             PlannerOptions inc_planner;
             inc_planner.incremental = true;
-            inc_planner.shardCount = options.shards;
             PackingOptions inc_packing;
             inc_packing.incremental = true;
-            inc_packing.zoneShards =
-                static_cast<size_t>(options.shards);
             PhoenixScheme warm(objective, inc_planner, inc_packing);
             (void)warm.apply(c.apps, seed_state);
             const SchemeResult inc = warm.apply(c.apps, post);
@@ -988,11 +955,8 @@ checkCase(const CheckCase &c, const OracleOptions &options)
 
             PlannerOptions staged_planner;
             staged_planner.incremental = true;
-            staged_planner.shardCount = options.shards;
             PackingOptions staged_packing;
             staged_packing.incremental = true;
-            staged_packing.zoneShards =
-                static_cast<size_t>(options.shards);
             PhoenixScheme staged(objective, staged_planner,
                                  staged_packing);
             (void)staged.apply(c.apps, projection);

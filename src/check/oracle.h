@@ -104,12 +104,6 @@ struct OracleOptions
     /** Run the kube-lifecycle oracle for lifecycle-flagged cases. */
     bool lifecycle = true;
 
-    /** Shard count for the sharded/incremental schemes-under-test:
-     * plan shards, capacity-index zones, and the warm scheme's reuse
-     * path are all run at this width and asserted bit-identical to the
-     * flat planner. <= 1 skips those comparisons. */
-    int shards = 3;
-
     /**
      * Fault-injection knob for testing the checker itself: when > 0,
      * additionally assert used(node) <= fraction * capacity — a

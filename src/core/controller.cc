@@ -115,8 +115,7 @@ PhoenixController::poll()
         // the observed state byte-for-byte applies in O(actions) — no
         // plan/pack compute. The hook guarantees byte-identity with a
         // cold replan (fingerprint match over the full planner input,
-        // optionally re-verified), so the dirty-node hint is left
-        // accumulating for the next cold apply.
+        // optionally re-verified).
         const SchemeResult *warm =
             forecast_ ? forecast_->matchWarm(cluster_.apps(),
                                              cluster_.observedState())
@@ -126,9 +125,6 @@ PhoenixController::poll()
             record.planSeconds = 0.0;
             applyResult(*warm, record);
         } else {
-            // Blast-radius hint for the scheme (advisory: incremental
-            // replanning reconciles against the full observed state).
-            scheme_->noteDirtyNodes(cluster_.drainDirtyNodes());
             const SchemeResult result = scheme_->apply(
                 cluster_.apps(), cluster_.observedState());
             record.planSeconds =

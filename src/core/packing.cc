@@ -278,14 +278,10 @@ class FlatBook
         }
 
         // Capacity index: reconcile the previous epoch's index when
-        // incremental and the topology still matches, else build cold
-        // (zone-parallel when sharded).
+        // incremental and the node count still matches, else build cold.
         const size_t node_count = state.nodeCount();
-        const size_t zones = std::max<size_t>(options.zoneShards, 1);
         const bool warm = options.incremental && warmValid_ &&
-                          warmNodeCount_ == node_count &&
-                          zoneCount_ == zones;
-        zoneCount_ = zones;
+                          warmNodeCount_ == node_count;
         if (warm)
             reconcileIndex(state);
         else
@@ -300,9 +296,8 @@ class FlatBook
     void
     kvUpdate(double before, double after, NodeId node)
     {
-        auto &kv = zones_[static_cast<size_t>(node) % zoneCount_];
-        kv.erase(before, node);
-        kv.insert(after, node);
+        index_.erase(before, node);
+        index_.insert(after, node);
         if (trackMirror_)
             bookKey_[node] = after;
         ops_->kvOps += 2;
@@ -312,94 +307,28 @@ class FlatBook
     bestFit(double size) const
     {
         ++ops_->bestFitProbes;
-        if (zoneCount_ == 1) {
-            const auto hit = zones_[0].firstAtLeast(size);
-            if (!hit)
-                return std::nullopt;
-            return hit->second;
-        }
-        // The global best fit is the (key, node)-minimum over the
-        // per-zone best fits: the partition covers every node exactly
-        // once, so min over zone minima == global minimum.
-        std::optional<KvPair> best;
-        for (const auto &kv : zones_) {
-            const auto hit = kv.firstAtLeast(size);
-            if (hit && (!best || *hit < *best))
-                best = hit;
-        }
-        if (!best)
+        const auto hit = index_.firstAtLeast(size);
+        if (!hit)
             return std::nullopt;
-        return best->second;
+        return hit->second;
     }
 
     template <typename Visit>
     void
     forEachDescending(Visit visit) const
     {
-        if (zoneCount_ == 1) {
-            zones_[0].scanDescending([&](const auto &entry) {
-                return visit(entry.first, entry.second);
-            });
-            return;
-        }
-        // K-way merge, descending: repeatedly visit the largest pair
-        // among the zone cursors. Node ids are unique, so (key, node)
-        // pairs are totally ordered and the merged sequence is
-        // byte-identical to a single index's scan.
-        auto &cursors = cursorScratch_;
-        cursors.resize(zoneCount_);
-        for (size_t z = 0; z < zoneCount_; ++z)
-            cursors[z] = zones_[z].cursorLast();
-        for (;;) {
-            size_t best = zoneCount_;
-            for (size_t z = 0; z < zoneCount_; ++z) {
-                if (!cursors[z].valid)
-                    continue;
-                if (best == zoneCount_ ||
-                    zones_[best].cursorPair(cursors[best]) <
-                        zones_[z].cursorPair(cursors[z]))
-                    best = z;
-            }
-            if (best == zoneCount_)
-                return;
-            const KvPair &entry = zones_[best].cursorPair(cursors[best]);
-            if (!visit(entry.first, entry.second))
-                return;
-            zones_[best].cursorRetreat(cursors[best]);
-        }
+        index_.scanDescending([&](const auto &entry) {
+            return visit(entry.first, entry.second);
+        });
     }
 
     template <typename Visit>
     void
     forEachAtLeast(double bound, Visit visit) const
     {
-        if (zoneCount_ == 1) {
-            zones_[0].scanAtLeast(bound, [&](const auto &entry) {
-                return visit(entry.first, entry.second);
-            });
-            return;
-        }
-        auto &cursors = cursorScratch_;
-        cursors.resize(zoneCount_);
-        for (size_t z = 0; z < zoneCount_; ++z)
-            cursors[z] = zones_[z].cursorAtLeast(bound);
-        for (;;) {
-            size_t best = zoneCount_;
-            for (size_t z = 0; z < zoneCount_; ++z) {
-                if (!cursors[z].valid)
-                    continue;
-                if (best == zoneCount_ ||
-                    zones_[z].cursorPair(cursors[z]) <
-                        zones_[best].cursorPair(cursors[best]))
-                    best = z;
-            }
-            if (best == zoneCount_)
-                return;
-            const KvPair &entry = zones_[best].cursorPair(cursors[best]);
-            if (!visit(entry.first, entry.second))
-                return;
-            zones_[best].cursorAdvance(cursors[best]);
-        }
+        index_.scanAtLeast(bound, [&](const auto &entry) {
+            return visit(entry.first, entry.second);
+        });
     }
 
     size_t
@@ -531,11 +460,8 @@ class FlatBook
     }
 
   private:
-    using KvPair = util::BucketedKv<NodeId>::Pair;
-
     /** From-scratch capacity index: configure + insert every healthy
-     * node, zone-parallel when sharded (zones own disjoint node sets,
-     * so the workers race on nothing). */
+     * node. */
     void
     coldBuildIndex(const ClusterState &state,
                    const PackingOptions &options)
@@ -555,30 +481,17 @@ class FlatBook
             bookKey_.assign(node_count, 0.0);
         }
 
-        zones_.resize(zoneCount_);
-        for (auto &kv : zones_)
-            kv.configure(max_capacity, healthy / zoneCount_ + 1);
-        const auto fill = [&](size_t z) {
-            util::BucketedKv<NodeId> &kv = zones_[z];
-            for (NodeId id = static_cast<NodeId>(z); id < node_count;
-                 id += zoneCount_) {
-                if (!state.isHealthy(id))
-                    continue;
-                const double key = state.remaining(id);
-                kv.insert(key, id);
-                if (trackMirror_) {
-                    inBook_[id] = 1;
-                    bookKey_[id] = key;
-                }
+        index_.configure(max_capacity, healthy + 1);
+        for (NodeId id = 0; id < node_count; ++id) {
+            if (!state.isHealthy(id))
+                continue;
+            const double key = state.remaining(id);
+            index_.insert(key, id);
+            if (trackMirror_) {
+                inBook_[id] = 1;
+                bookKey_[id] = key;
             }
-        };
-        if (zoneCount_ > 1 && options.shardRunner) {
-            options.shardRunner(zoneCount_, fill);
-        } else {
-            for (size_t z = 0; z < zoneCount_; ++z)
-                fill(z);
         }
-        // One op per indexed node, exactly like the serial build.
         ops_->kvOps += healthy;
     }
 
@@ -587,8 +500,7 @@ class FlatBook
      * since the previous epoch's planned state touch the index. The
      * per-node mirror holds the exact key stored in the index (kept
      * current by kvUpdate), so the result is identical to a cold
-     * build — the hints from dirty-zone tracking are advisory;
-     * correctness never depends on them. */
+     * build. */
     void
     reconcileIndex(const ClusterState &state)
     {
@@ -599,20 +511,19 @@ class FlatBook
                 const double key = state.remaining(id);
                 if (inBook_[id]) {
                     if (bookKey_[id] != key) {
-                        auto &kv = zones_[id % zoneCount_];
-                        kv.erase(bookKey_[id], id);
-                        kv.insert(key, id);
+                        index_.erase(bookKey_[id], id);
+                        index_.insert(key, id);
                         bookKey_[id] = key;
                         ops_->kvOps += 2;
                     }
                 } else {
-                    zones_[id % zoneCount_].insert(key, id);
+                    index_.insert(key, id);
                     inBook_[id] = 1;
                     bookKey_[id] = key;
                     ++ops_->kvOps;
                 }
             } else if (inBook_[id]) {
-                zones_[id % zoneCount_].erase(bookKey_[id], id);
+                index_.erase(bookKey_[id], id);
                 inBook_[id] = 0;
                 ++ops_->kvOps;
             }
@@ -644,11 +555,8 @@ class FlatBook
         return base + pod.replica;
     }
 
-    /** Per-zone capacity indexes (zone = node id % zoneCount_; a
-     * single zone when unsharded). */
-    std::vector<util::BucketedKv<NodeId>> zones_;
-    size_t zoneCount_ = 1;
-    mutable std::vector<util::BucketedKv<NodeId>::Cursor> cursorScratch_;
+    /** Capacity index: healthy nodes keyed by remaining capacity. */
+    util::BucketedKv<NodeId> index_;
     /** Incremental-replan mirror: whether a node is in the index and
      * under which exact key. */
     bool trackMirror_ = false;
@@ -907,8 +815,8 @@ class Packer
      * feasible-capacity entries in the same (key, node) order until
      * one node has vacancy in every scope the pod belongs to. The
      * walk lives in shared Packer code and the allocator is probed by
-     * key only, so both bookkeeping policies (and the sharded merge)
-     * visit and count identically.
+     * key only, so both bookkeeping policies visit and count
+     * identically.
      */
     std::optional<NodeId>
     bestFitFor(const PodRef &pod, double size)

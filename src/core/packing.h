@@ -89,21 +89,6 @@ struct PackingOptions
     bool referenceImpl = false;
 
     /**
-     * Zone-sharded capacity index: > 1 splits the flat bookkeeping's
-     * BucketedKv into zoneShards instances routed by node id % zones
-     * and builds them zone-parallel. Queries decompose exactly over
-     * the partition — best-fit takes the min over per-zone best-fits,
-     * scans k-way-merge per-zone cursors — and node ids are unique, so
-     * the merged visit order is byte-identical to the single index and
-     * every packing decision (and op counter) is unchanged. Ignored
-     * under referenceImpl.
-     */
-    size_t zoneShards = 0;
-
-    /** Zone executor for the sharded index build; null = serial. */
-    ShardRunner shardRunner;
-
-    /**
      * Incremental replan: keep the capacity index alive across pack()
      * calls and reconcile it against the observed state with an exact
      * per-node diff (erase/insert only nodes whose remaining capacity
@@ -112,7 +97,7 @@ struct PackingOptions
      * build would, so outputs are bit-identical; only kvOps and
      * reconcile time shrink — proportional to the blast radius, not
      * the cluster. Falls back to a cold build whenever the node count
-     * or zone count changes. Ignored under referenceImpl.
+     * changes. Ignored under referenceImpl.
      */
     bool incremental = false;
 };

@@ -467,7 +467,6 @@ Planner::priorityEstimatorInto(const std::vector<Application> &apps,
                                AppRank &out) const
 {
     ops_.reset();
-    lastShardsPlanned_ = 0;
     lastEstimatorReused_ = false;
 
     const bool incremental =
@@ -491,52 +490,16 @@ Planner::priorityEstimatorInto(const std::vector<Application> &apps,
     if (!options_.referenceImpl && scratch_.csr.size() < apps.size())
         scratch_.csr.resize(apps.size());
 
-    const size_t shards =
-        !options_.referenceImpl && options_.shardCount > 1 && !apps.empty()
-            ? std::min(options_.shardCount, apps.size())
-            : 1;
-    if (shards <= 1) {
-        for (size_t a = 0; a < apps.size(); ++a) {
-            auto &rank = out[a];
-            rank.clear();
-            rank.reserve(apps[a].services.size());
-            if (options_.referenceImpl) {
-                referenceAppOrder(apps[a], options_, rank, ops_);
-            } else {
-                flatAppOrder(apps[a], options_, scratch_.csr[a],
-                             scratch_, rank, ops_);
-            }
-        }
-    } else {
-        // Shard s owns apps {s, s + shards, ...} on its own scratch
-        // arena; scratch_.csr is shared but indexed per app, so the
-        // workers touch disjoint entries. Counters are summed in
-        // shard order afterwards — integer sums over a permutation of
-        // the same per-app contributions, so the totals are identical
-        // to the monolithic pass.
-        while (shardScratch_.size() < shards)
-            shardScratch_.push_back(std::make_unique<PlanScratch>());
-        shardOps_.assign(shards, OpCounters());
-        const auto work = [&](size_t s) {
-            PlanScratch &scratch = *shardScratch_[s];
-            OpCounters &ops = shardOps_[s];
-            for (size_t a = s; a < apps.size(); a += shards) {
-                auto &rank = out[a];
-                rank.clear();
-                rank.reserve(apps[a].services.size());
-                flatAppOrder(apps[a], options_, scratch_.csr[a],
-                             scratch, rank, ops);
-            }
-        };
-        if (options_.shardRunner) {
-            options_.shardRunner(shards, work);
+    for (size_t a = 0; a < apps.size(); ++a) {
+        auto &rank = out[a];
+        rank.clear();
+        rank.reserve(apps[a].services.size());
+        if (options_.referenceImpl) {
+            referenceAppOrder(apps[a], options_, rank, ops_);
         } else {
-            for (size_t s = 0; s < shards; ++s)
-                work(s);
+            flatAppOrder(apps[a], options_, scratch_.csr[a], scratch_, rank,
+                         ops_);
         }
-        for (const OpCounters &ops : shardOps_)
-            ops_ += ops;
-        lastShardsPlanned_ = shards;
     }
 
     if (incremental) {

@@ -15,8 +15,6 @@
 #define PHOENIX_CORE_PLANNER_H
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,15 +24,6 @@
 #include "util/heap.h"
 
 namespace phoenix::core {
-
-/**
- * Executes fn(shard) for every shard in [0, count). core stays
- * dependency-free: the exp layer supplies a pool-backed runner
- * (exp::shardRunner); a null runner means "run the shards serially on
- * the calling thread", which produces the same results.
- */
-using ShardRunner =
-    std::function<void(size_t, const std::function<void(size_t)> &)>;
 
 /** Per-application activation order: AppRank[a] lists ms ids of app a
  * from most to least important. */
@@ -201,22 +190,6 @@ struct PlannerOptions
     bool referenceImpl = false;
 
     /**
-     * Zone-sharded PriorityEstimator: > 1 partitions the applications
-     * into shards (app position % shardCount) and runs the per-app
-     * ordering shard-parallel, each shard on its own scratch arena.
-     * Per-app orders are independent, and the per-shard op counters
-     * are integer-summed in shard order, so the result — ranking AND
-     * counters — is bit-identical to the monolithic pass; the
-     * sequential global ranking then acts as the deterministic
-     * cross-zone reconciliation (it merges the per-app orders by the
-     * global objective key). Ignored under referenceImpl.
-     */
-    size_t shardCount = 0;
-
-    /** Shard executor; null runs shards serially (same results). */
-    ShardRunner shardRunner;
-
-    /**
      * Incremental replan: keep the per-app rankings and the global
      * ranked list alive across planInto() calls and reuse them when
      * provably unchanged — the app-structure fingerprint must match
@@ -321,24 +294,15 @@ class Planner
      * cache (options.incremental only). */
     bool lastIncrementalReuse() const { return lastRankReused_; }
 
-    /** Shards the last priorityEstimatorInto() actually ran (0 when
-     * monolithic or served from the incremental cache). */
-    size_t lastShardsPlanned() const { return lastShardsPlanned_; }
-
   private:
     uint64_t fingerprintApps(
         const std::vector<sim::Application> &apps) const;
 
     PlannerOptions options_;
     // plan() stays const for callers; the scratch arena and counters
-    // are implementation state (the planner is externally
-    // single-threaded; shard workers touch only their own arena).
+    // are implementation state (the planner is single-threaded).
     mutable PlanScratch scratch_;
     mutable OpCounters ops_;
-    /** Per-shard arenas + counters for the sharded estimator. */
-    mutable std::vector<std::unique_ptr<PlanScratch>> shardScratch_;
-    mutable std::vector<OpCounters> shardOps_;
-    mutable size_t lastShardsPlanned_ = 0;
 
     // Incremental-replan cache (options.incremental): the estimator
     // result lives in scratch_.appRank keyed by the app fingerprint;

@@ -64,43 +64,14 @@ class TagOnlyObjective : public OperatorObjective
 PhoenixScheme::PhoenixScheme(Objective objective,
                              PlannerOptions planner_options,
                              PackingOptions packing_options)
-    : objective_(objective), plannerOptions_(planner_options),
-      packingOptions_(packing_options), planner_(planner_options),
+    : objective_(objective), planner_(planner_options),
       packer_(packing_options)
 {
     auto &registry = obs::Registry::global();
     obs_.replansIncremental =
         &registry.counter("core.replans_incremental");
-    obs_.shardsPlanned = &registry.counter("core.shards_planned");
-    obs_.dirtyZones = &registry.counter("core.dirty_zones");
     obs_.reconcileSeconds =
         &registry.histogram("core.reconcile_seconds");
-}
-
-void
-PhoenixScheme::noteDirtyNodes(const std::vector<NodeId> &nodes)
-{
-    if (nodes.empty())
-        return;
-    // Count distinct capacity-index zones touched by the delta (every
-    // node is its own zone when the index is unsharded). The hint list
-    // arrives sorted and deduplicated, but zone residues are not
-    // monotone in node id, so count distinct residues explicitly.
-    const size_t zones = packingOptions_.zoneShards;
-    size_t dirty;
-    if (zones > 1) {
-        std::vector<uint8_t> seen(zones, 0);
-        dirty = 0;
-        for (NodeId id : nodes) {
-            if (!seen[id % zones]) {
-                seen[id % zones] = 1;
-                ++dirty;
-            }
-        }
-    } else {
-        dirty = nodes.size();
-    }
-    obs_.dirtyZones->add(dirty);
 }
 
 SchemeResult
@@ -122,8 +93,6 @@ PhoenixScheme::apply(const std::vector<Application> &apps,
     result.planSeconds = seconds(plan_start);
     if (planner_.lastIncrementalReuse())
         obs_.replansIncremental->inc();
-    if (planner_.lastShardsPlanned() > 0)
-        obs_.shardsPlanned->add(planner_.lastShardsPlanned());
 
     const auto pack_start = Clock::now();
     result.pack = packer_.pack(apps, current, result.plan);

@@ -74,12 +74,10 @@ class ResilienceScheme
                                const sim::ClusterState &current) = 0;
 
     /**
-     * Advisory hint delivered by the controller before apply(): the
-     * nodes whose observed state changed since the previous epoch
-     * (kube::KubeCluster::drainDirtyNodes). Correctness never depends
-     * on it — incremental replanning reconciles against the full
-     * observed state — so the default ignores it; PhoenixScheme uses
-     * it to surface blast-radius observability (core.dirty_zones).
+     * No-op with no caller in the library: incremental replanning
+     * reconciles against the full observed state, so no scheme needs
+     * a changed-node hint. Kept only so decorators built against the
+     * older interface still compile; slated for removal.
      */
     virtual void
     noteDirtyNodes(const std::vector<sim::NodeId> &nodes)
@@ -108,14 +106,8 @@ class PhoenixScheme : public ResilienceScheme
     SchemeResult apply(const std::vector<sim::Application> &apps,
                        const sim::ClusterState &current) override;
 
-    void noteDirtyNodes(
-        const std::vector<sim::NodeId> &nodes) override;
-
   private:
     Objective objective_;
-    // Kept for the dirty-zone observability (zoneShards bucketing).
-    PlannerOptions plannerOptions_;
-    PackingOptions packingOptions_;
     // Long-lived so their scratch arenas survive across apply() calls
     // (one controller epoch after another): steady-state planning and
     // packing allocate nothing for bookkeeping, and the incremental
@@ -127,8 +119,6 @@ class PhoenixScheme : public ResilienceScheme
     struct
     {
         obs::Counter *replansIncremental = nullptr;
-        obs::Counter *shardsPlanned = nullptr;
-        obs::Counter *dirtyZones = nullptr;
         obs::LogHistogram *reconcileSeconds = nullptr;
     } obs_;
 };

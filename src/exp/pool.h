@@ -87,22 +87,6 @@ class WorkStealingPool
 int parallelFor(int jobs, size_t count,
                 const std::function<void(size_t)> &fn);
 
-/**
- * Pool-backed executor for the planner/packer shard hooks
- * (core::ShardRunner is structurally this signature; core itself stays
- * thread-free). Shards write only their own arenas and results are
- * merged in shard order, so the outputs are identical whichever thread
- * runs which shard.
- */
-inline std::function<void(size_t, const std::function<void(size_t)> &)>
-shardRunner(int jobs)
-{
-    return [jobs](size_t count,
-                  const std::function<void(size_t)> &fn) {
-        parallelFor(jobs, count, fn);
-    };
-}
-
 } // namespace phoenix::exp
 
 #endif // PHOENIX_EXP_POOL_H

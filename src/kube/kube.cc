@@ -93,7 +93,6 @@ KubeCluster::addNode(double capacity, uint32_t zone)
     nodes_.push_back(rec);
     nodeUsed_.push_back(0.0);
     nodeEvictionEpisodes_.push_back(0);
-    markDirty(id);
     scheduleHeartbeat(id);
     return id;
 }
@@ -138,7 +137,6 @@ void
 KubeCluster::stopKubelet(NodeId node)
 {
     nodes_[node].kubeletRunning = false;
-    markDirty(node);
 }
 
 void
@@ -150,7 +148,6 @@ KubeCluster::startKubelet(NodeId node)
     rec.kubeletRunning = true;
     if (!rec.partitioned)
         rec.lastHeartbeat = events_.now() + rec.clockSkew;
-    markDirty(node);
     scheduleHeartbeat(node);
 }
 
@@ -161,7 +158,6 @@ KubeCluster::partitionNode(NodeId node)
     if (rec.partitioned)
         return;
     rec.partitioned = true;
-    markDirty(node);
 }
 
 void
@@ -173,7 +169,6 @@ KubeCluster::healPartition(NodeId node)
     rec.partitioned = false;
     // No lastHeartbeat bump here: the next in-flight heartbeat (within
     // heartbeatPeriod) is the first status the controller sees again.
-    markDirty(node);
 }
 
 void
@@ -184,7 +179,6 @@ KubeCluster::degradeNode(NodeId node, double factor)
     if (rec.degradeFactor == factor)
         return;
     rec.degradeFactor = factor;
-    markDirty(node);
 }
 
 void
@@ -212,17 +206,6 @@ KubeCluster::endApiOutage()
     apiOutage_ = false;
 }
 
-std::vector<NodeId>
-KubeCluster::drainDirtyNodes()
-{
-    std::vector<NodeId> drained = std::move(dirtyNodes_);
-    dirtyNodes_.clear();
-    std::sort(drained.begin(), drained.end());
-    drained.erase(std::unique(drained.begin(), drained.end()),
-                  drained.end());
-    return drained;
-}
-
 void
 KubeCluster::nodeControllerTick()
 {
@@ -238,7 +221,6 @@ KubeCluster::nodeControllerTick()
             events_.now() - rec.lastHeartbeat <= config_.nodeGracePeriod;
         if (rec.ready && !fresh) {
             rec.ready = false;
-            markDirty(rec.id);
             PHOENIX_INFO("node " << rec.id << " NotReady at t="
                                  << events_.now());
             PHOENIX_COUNT(*obs_.nodeNotReady, 1);
@@ -248,7 +230,6 @@ KubeCluster::nodeControllerTick()
             evictPodsOn(rec.id);
         } else if (!rec.ready && fresh && rec.kubeletRunning) {
             rec.ready = true;
-            markDirty(rec.id);
             PHOENIX_INFO("node " << rec.id << " Ready at t="
                                  << events_.now());
             PHOENIX_COUNT(*obs_.nodeReady, 1);
@@ -298,16 +279,12 @@ KubeCluster::transition(Pod &pod, PodPhase to, NodeId node)
         recordViolation(std::string("illegal pod transition ") +
                         phaseName(pod.phase) + " -> " + phaseName(to));
     }
-    if (occupiesNode(pod.phase)) {
+    if (occupiesNode(pod.phase))
         nodeUsed_[pod.node] -= pod.cpu;
-        markDirty(pod.node);
-    }
     pod.phase = to;
     pod.node = node;
-    if (occupiesNode(to)) {
+    if (occupiesNode(to))
         nodeUsed_[node] += pod.cpu;
-        markDirty(node);
-    }
     PHOENIX_COUNT(*obs_.transitions[static_cast<size_t>(to)], 1);
     PHOENIX_TRACE_INSTANT(
         "kube", transitionEventName(to), events_.now(),

@@ -338,16 +338,6 @@ class KubeCluster : public sim::FaultTarget
     /** Total pods evicted back to Pending by node failures. */
     size_t evictedPodCount() const { return evictedPods_; }
 
-    /**
-     * Nodes whose observed state changed since the last drain: added,
-     * kubelet stopped/started, Ready flipped, or a pod transitioned on
-     * them. Returned sorted and deduplicated; the internal list is
-     * cleared. The controller feeds this to
-     * ResilienceScheme::noteDirtyNodes as an advisory blast-radius
-     * hint for incremental replanning.
-     */
-    std::vector<sim::NodeId> drainDirtyNodes();
-
   private:
     struct NodeRec
     {
@@ -421,9 +411,6 @@ class KubeCluster : public sim::FaultTarget
     /** Full invariant sweep; no-op unless config.validateInvariants. */
     void validateAfterEvent();
 
-    /** Record a node-state change for drainDirtyNodes(). */
-    void markDirty(sim::NodeId node) { dirtyNodes_.push_back(node); }
-
     sim::EventQueue &events_;
     KubeConfig config_;
     util::Rng rng_;
@@ -441,8 +428,6 @@ class KubeCluster : public sim::FaultTarget
     /** Incremental Starting+Running+Terminating usage per node. */
     std::vector<double> nodeUsed_;
     std::vector<size_t> nodeEvictionEpisodes_;
-    /** Unsorted changed-node log, drained by drainDirtyNodes(). */
-    std::vector<sim::NodeId> dirtyNodes_;
     size_t evictedPods_ = 0;
     size_t invariantViolations_ = 0;
     /** API-outage freeze: observation surface captured at begin. */

@@ -181,84 +181,6 @@ class BucketedKv
         }
     }
 
-    /**
-     * Explicit scan position for k-way merges across several
-     * BucketedKv instances (the zone-sharded capacity index walks one
-     * cursor per zone and repeatedly advances the minimum/maximum).
-     * A cursor is invalidated by any mutation of the container.
-     */
-    struct Cursor
-    {
-        size_t block = 0;
-        size_t offset = 0;
-        bool valid = false;
-    };
-
-    /** Cursor at the first pair with key >= bound (invalid if none). */
-    Cursor
-    cursorAtLeast(double bound) const
-    {
-        Cursor c;
-        const Pair probe(bound, Value());
-        const size_t b = blockFor(probe);
-        if (b == blocks_.size())
-            return c;
-        const auto &block = blocks_[b];
-        // maxima_[b] >= probe, so the bound lands inside this block.
-        c.block = b;
-        c.offset = static_cast<size_t>(
-            std::lower_bound(block.begin(), block.end(), probe) -
-            block.begin());
-        c.valid = true;
-        return c;
-    }
-
-    /** Cursor at the last (largest) pair (invalid when empty). */
-    Cursor
-    cursorLast() const
-    {
-        Cursor c;
-        if (blocks_.empty())
-            return c;
-        c.block = blocks_.size() - 1;
-        c.offset = blocks_.back().size() - 1;
-        c.valid = true;
-        return c;
-    }
-
-    const Pair &
-    cursorPair(const Cursor &c) const
-    {
-        return blocks_[c.block][c.offset];
-    }
-
-    /** Step ascending; invalidates past the last pair. */
-    void
-    cursorAdvance(Cursor &c) const
-    {
-        if (++c.offset == blocks_[c.block].size()) {
-            c.offset = 0;
-            if (++c.block == blocks_.size())
-                c.valid = false;
-        }
-    }
-
-    /** Step descending; invalidates before the first pair. */
-    void
-    cursorRetreat(Cursor &c) const
-    {
-        if (c.offset == 0) {
-            if (c.block == 0) {
-                c.valid = false;
-                return;
-            }
-            --c.block;
-            c.offset = blocks_[c.block].size() - 1;
-        } else {
-            --c.offset;
-        }
-    }
-
   private:
     // Split at 256 pairs (4 KiB of 16-byte pairs): big enough that
     // block-vector bookkeeping stays negligible, small enough that the

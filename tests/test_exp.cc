@@ -105,40 +105,6 @@ TEST(Pool, ParallelForCoversAllIndexes)
     }
 }
 
-TEST(Pool, ShardRunnerPlanMatchesSerial)
-{
-    // The pool-backed shard executor must leave the sharded planner's
-    // outputs and counters exactly where the serial executor (and the
-    // monolithic pass) leave them: shards only partition independent
-    // per-app work, and per-shard counters merge in shard order.
-    const adaptlab::Environment env =
-        adaptlab::buildEnvironment(tinyEnv(7));
-
-    core::PhoenixScheme mono(core::Objective::Fair);
-    const core::SchemeResult base = mono.apply(env.apps, env.cluster);
-
-    for (int jobs : {1, 4}) {
-        core::PlannerOptions planner_opts;
-        planner_opts.shardCount = 3;
-        planner_opts.shardRunner = shardRunner(jobs);
-        core::PackingOptions packing_opts;
-        packing_opts.zoneShards = 3;
-        packing_opts.shardRunner = shardRunner(jobs);
-        core::PhoenixScheme sharded(core::Objective::Fair,
-                                    planner_opts, packing_opts);
-        const core::SchemeResult got =
-            sharded.apply(env.apps, env.cluster);
-        ASSERT_EQ(got.plan, base.plan) << "jobs=" << jobs;
-        EXPECT_EQ(got.pack.state.assignment(),
-                  base.pack.state.assignment())
-            << "jobs=" << jobs;
-        EXPECT_EQ(got.planOps.heapPushes, base.planOps.heapPushes)
-            << "jobs=" << jobs;
-        EXPECT_EQ(got.pack.ops.kvOps, base.pack.ops.kvOps)
-            << "jobs=" << jobs;
-    }
-}
-
 TEST(CellSeed, OldAdditiveFormulaCollides)
 {
     // The pre-engine derivation was seed_base + t*7919 + rate*1000.

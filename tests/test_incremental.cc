@@ -1,10 +1,10 @@
 /**
  * @file
  * Delta-bookkeeping tests for incremental replanning: a long-lived
- * PhoenixScheme with the incremental + sharded options enabled, fed by
- * KubeCluster's dirty-node tracking across realistic failure
- * histories, must produce output bit-identical to a from-scratch
- * scheme applied to the same observed state at every epoch.
+ * PhoenixScheme with the incremental options enabled, fed KubeCluster's
+ * observed state across realistic failure histories, must produce
+ * output bit-identical to a from-scratch scheme applied to the same
+ * observed state at every epoch.
  *
  * Three histories exercise the reconcile paths:
  *  - a kubelet flap inside the grace period (observed state never
@@ -76,16 +76,14 @@ expectSameActions(const std::vector<Action> &got,
 }
 
 /**
- * One controller epoch: drain the cluster's dirty-node hints into the
- * warm (incremental) scheme, apply it to the observed state, and
- * assert its outputs are bit-identical to a cold from-scratch scheme
- * on the same state.
+ * One controller epoch: apply the warm (incremental) scheme to the
+ * observed state and assert its outputs are bit-identical to a cold
+ * from-scratch scheme on the same state.
  */
 void
 epochIdentity(PhoenixScheme &warm, KubeCluster &cluster,
               Objective objective, const char *when)
 {
-    warm.noteDirtyNodes(cluster.drainDirtyNodes());
     const sim::ClusterState state = cluster.observedState();
     const auto &apps = cluster.apps();
 
@@ -106,10 +104,8 @@ makeWarm(Objective objective)
 {
     PlannerOptions planner_opts;
     planner_opts.incremental = true;
-    planner_opts.shardCount = 2;
     PackingOptions packing_opts;
     packing_opts.incremental = true;
-    packing_opts.zoneShards = 3;
     return PhoenixScheme(objective, planner_opts, packing_opts);
 }
 
@@ -165,7 +161,7 @@ TEST(Incremental, ConstrainedZoneFailRecoverDoesNotDrift)
 {
     // Explicit zones + placement policies: a full zone failing and
     // recovering must not drift constrained placements between the
-    // warm (incremental + sharded) scheme and a cold one — the
+    // warm (incremental) scheme and a cold one — the
     // vacancy allocator rebuilds per epoch, but the capacity index it
     // filters is the carried-over incremental one.
     sim::EventQueue events;

@@ -290,33 +290,6 @@ TEST_P(BitIdentity, FlatMatchesReferenceImplementation)
         // ...while the flat path never copies/sorts successor lists.
         EXPECT_EQ(a.planOps.childSortElems, 0u) << what;
 
-        // Zone-sharded plan→pack: partitioned estimator arenas + zoned
-        // capacity index must be byte-identical to the monolithic flat
-        // path in every output AND every op counter (queries decompose
-        // exactly over the partition).
-        PlannerOptions shard_planner = planner_opts;
-        shard_planner.shardCount = 1 + static_cast<size_t>(seed % 4);
-        PackingOptions shard_packing = packing_opts;
-        shard_packing.zoneShards = 1 + static_cast<size_t>(seed % 5);
-        PhoenixScheme sharded(objective, shard_planner, shard_packing);
-        const SchemeResult s = sharded.apply(env.apps, failed);
-        ASSERT_EQ(s.plan, a.plan) << what << " sharded";
-        expectSameActions(s.pack.actions, a.pack.actions, what);
-        EXPECT_EQ(s.pack.state.assignment(),
-                  a.pack.state.assignment())
-            << what << " sharded";
-        EXPECT_EQ(s.pack.placed, a.pack.placed) << what << " sharded";
-        EXPECT_EQ(s.pack.complete, a.pack.complete)
-            << what << " sharded";
-        EXPECT_EQ(s.planOps.heapPushes, a.planOps.heapPushes)
-            << what << " sharded";
-        EXPECT_EQ(s.planOps.heapPops, a.planOps.heapPops)
-            << what << " sharded";
-        EXPECT_EQ(s.pack.ops.bestFitProbes, a.pack.ops.bestFitProbes)
-            << what << " sharded";
-        EXPECT_EQ(s.pack.ops.kvOps, a.pack.ops.kvOps)
-            << what << " sharded";
-
         // Incremental replan: a warm second pass (caches primed by the
         // first) must reproduce the monolithic outputs exactly — only
         // its op counters may shrink.
@@ -324,7 +297,6 @@ TEST_P(BitIdentity, FlatMatchesReferenceImplementation)
         inc_planner.incremental = true;
         PackingOptions inc_packing = packing_opts;
         inc_packing.incremental = true;
-        inc_packing.zoneShards = 1 + static_cast<size_t>(seed % 3);
         PhoenixScheme warm(objective, inc_planner, inc_packing);
         (void)warm.apply(env.apps, failed);
         const SchemeResult w = warm.apply(env.apps, failed);
@@ -347,8 +319,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BitIdentity, ::testing::Range(0, 50));
  * topologies with anti-affinity groups, PDBs, and zone-spread caps
  * route packing through the vacancy allocator's feasibility walk, and
  * that walk must visit (and count) identically under the reference
- * containers, the flat hot path, the zone-sharded index, and a warm
- * incremental replan.
+ * containers, the flat hot path, and a warm incremental replan.
  */
 class ConstrainedBitIdentity : public ::testing::TestWithParam<int>
 {
@@ -401,31 +372,12 @@ TEST_P(ConstrainedBitIdentity, ConstrainedPackingIsBitIdentical)
         EXPECT_EQ(a.pack.ops.bestFitProbes, b.pack.ops.bestFitProbes)
             << what;
 
-        // Zone-sharded plan->pack over the constrained feasibility
-        // walk: same outputs, same probe counts.
-        PlannerOptions shard_planner;
-        shard_planner.shardCount = 1 + static_cast<size_t>(seed % 4);
-        PackingOptions shard_packing;
-        shard_packing.zoneShards = 1 + static_cast<size_t>(seed % 5);
-        PhoenixScheme sharded(objective, shard_planner, shard_packing);
-        const SchemeResult s = sharded.apply(c.apps, failed);
-        ASSERT_EQ(s.plan, a.plan) << what << " sharded";
-        expectSameActions(s.pack.actions, a.pack.actions, what);
-        EXPECT_EQ(s.pack.state.assignment(),
-                  a.pack.state.assignment())
-            << what << " sharded";
-        EXPECT_EQ(s.pack.complete, a.pack.complete)
-            << what << " sharded";
-        EXPECT_EQ(s.pack.ops.bestFitProbes, a.pack.ops.bestFitProbes)
-            << what << " sharded";
-
         // Warm incremental replan: caches primed by a first pass must
         // not drift constrained placements on the second.
         PlannerOptions inc_planner;
         inc_planner.incremental = true;
         PackingOptions inc_packing;
         inc_packing.incremental = true;
-        inc_packing.zoneShards = 1 + static_cast<size_t>(seed % 3);
         PhoenixScheme warm(objective, inc_planner, inc_packing);
         (void)warm.apply(c.apps, failed);
         const SchemeResult w = warm.apply(c.apps, failed);

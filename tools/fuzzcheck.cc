@@ -43,10 +43,6 @@ usage(std::ostream &out, int code)
            "fuzzing\n"
            "  --inject-fault F   enable the deliberately-tight capacity\n"
            "                     invariant (used(node) <= F * capacity)\n"
-           "  --shards N         shard/zone width for the sharded and\n"
-           "                     incremental schemes-under-test, and the\n"
-           "                     generator's zone-local failures\n"
-           "                     (default 3; <= 1 skips those checks)\n"
            "  --constraints P    emit placement policies (anti-affinity\n"
            "                     groups, PDBs, minZoneSpread) with\n"
            "                     probability P per draw (default 0)\n"
@@ -136,11 +132,6 @@ main(int argc, char **argv)
         } else if (arg == "--inject-fault") {
             options.oracle.injectTightCapacityFraction =
                 std::atof(next().c_str());
-        } else if (arg == "--shards") {
-            const int shards = std::atoi(next().c_str());
-            options.oracle.shards = shards;
-            options.gen.zoneFailureZones = shards;
-            options.gen.topologyZones = shards;
         } else if (arg == "--constraints") {
             const double p = std::atof(next().c_str());
             options.gen.antiAffinityProbability = p;
