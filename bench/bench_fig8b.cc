@@ -27,22 +27,10 @@
  *                 (N >= 1,000,000 restricts the grid to the Phoenix
  *                 schemes; the baselines' bookkeeping does not reach
  *                 that scale)
- *   --zones Z     failure-domain count for the incremental-replan
- *                 demo (default max(2, nodes/50): ~rack-sized zones)
  *   --1m-smoke    opt-in 1,000,000-node gate for ctest: requires
  *                 FIG8B_1M=1 in the environment (exits 77 — the ctest
  *                 SKIP code — otherwise), runs the 1M-node Phoenix
- *                 cells plus the 100k incremental demo, and asserts
- *                 the recorded op-counter bounds and the >= 10x
- *                 incremental op reduction
- *
- * Every run also measures the incremental-replan demo: two controller
- * epochs on one long-lived PhoenixCost scheme with the incremental
- * options on, a single zone failing between them. The second
- * epoch must be bit-identical to a from-scratch scheme on the same
- * state while spending a fraction of its heap pushes and best-fit
- * probes (the planner serves its ranking from cache; packing
- * reconciles the capacity index instead of rebuilding it).
+ *                 cells, and asserts the recorded op-counter bounds
  *
  * This harness measures wall-clock planning time, so unlike the other
  * grids it defaults to --jobs 1: concurrent cells would contend for
@@ -52,8 +40,6 @@
 
 #include <sys/resource.h>
 
-#include <algorithm>
-#include <chrono>
 #include <iostream>
 #include <vector>
 
@@ -155,129 +141,6 @@ smokeCheck(const exp::SweepAggregate &agg, const SmokeBound &bound,
     return ok;
 }
 
-double
-combinedOps(const core::SchemeResult &r)
-{
-    return static_cast<double>(r.planOps.heapPushes +
-                               r.pack.ops.heapPushes +
-                               r.pack.ops.bestFitProbes);
-}
-
-/**
- * Incremental-replan demo: one long-lived warm scheme across two
- * epochs with a single-zone failure in between, against a cold
- * from-scratch scheme on the identical second-epoch state. Returns
- * whether the outputs were bit-identical AND the warm epoch spent
- * <= 1/10 of the cold scheme's heap pushes + best-fit probes.
- */
-bool
-runIncrementalDemo(size_t nodes, size_t zones, util::Table &table,
-                   exp::Report &report)
-{
-    using Clock = std::chrono::steady_clock;
-    const Environment env = buildEnvironment(sizedConfig(nodes));
-
-    // The demo uses the Cost objective: its keys are capacity-blind,
-    // so the planner's rejection-free grant replay can prove the
-    // cached ranking still valid after the zone's capacity vanished.
-    core::PlannerOptions planner_opts;
-    planner_opts.incremental = true;
-    core::PackingOptions packing_opts;
-    packing_opts.incremental = true;
-    core::PhoenixScheme warm(core::Objective::Cost, planner_opts,
-                             packing_opts);
-    core::PhoenixScheme fresh(core::Objective::Cost);
-
-    // Epoch 1 primes the caches; its packed state is what the cluster
-    // looks like once the agent executed the plan.
-    const core::SchemeResult first = warm.apply(env.apps, env.cluster);
-
-    // One failure domain (nodes with id % zones == 0) goes dark.
-    sim::ClusterState failed = first.pack.state;
-    size_t failed_nodes = 0;
-    for (size_t id = 0; id < nodes; id += zones) {
-        failed.failNode(static_cast<sim::NodeId>(id));
-        ++failed_nodes;
-    }
-
-    const auto inc_start = Clock::now();
-    const core::SchemeResult inc = warm.apply(env.apps, failed);
-    const double inc_seconds =
-        std::chrono::duration<double>(Clock::now() - inc_start).count();
-    const auto ref_start = Clock::now();
-    const core::SchemeResult ref = fresh.apply(env.apps, failed);
-    const double ref_seconds =
-        std::chrono::duration<double>(Clock::now() - ref_start).count();
-
-    const bool identical =
-        inc.plan == ref.plan &&
-        inc.pack.state.assignment() == ref.pack.state.assignment() &&
-        inc.pack.placed == ref.pack.placed &&
-        inc.pack.complete == ref.pack.complete;
-    const double inc_ops = combinedOps(inc);
-    const double ref_ops = combinedOps(ref);
-    const double ratio = ref_ops / std::max(inc_ops, 1.0);
-
-    table.row()
-        .cell(nodes)
-        .cell("PhoenixCost-incr")
-        .cell(inc.planSeconds, 4)
-        .cell(inc.packSeconds, 4)
-        .cell(inc_seconds, 4)
-        .cell(inc.planOps.heapPushes + inc.pack.ops.heapPushes, 0)
-        .cell(inc.pack.ops.bestFitProbes, 0)
-        .cell(inc.planOps.childSortElems, 0)
-        .cell(identical ? "ok" : "MISMATCH");
-    table.row()
-        .cell(nodes)
-        .cell("PhoenixCost-scratch")
-        .cell(ref.planSeconds, 4)
-        .cell(ref.packSeconds, 4)
-        .cell(ref_seconds, 4)
-        .cell(ref.planOps.heapPushes + ref.pack.ops.heapPushes, 0)
-        .cell(ref.pack.ops.bestFitProbes, 0)
-        .cell(ref.planOps.childSortElems, 0)
-        .cell("ok");
-
-    std::cout << "Incremental demo (" << nodes << " nodes, " << zones
-              << " zones, " << failed_nodes
-              << " failed): ops " << ref_ops << " -> " << inc_ops
-              << " (" << ratio << "x), kv " << ref.pack.ops.kvOps
-              << " -> " << inc.pack.ops.kvOps << ", reconcile "
-              << ref.pack.reconcileSeconds << "s -> "
-              << inc.pack.reconcileSeconds << "s, epoch "
-              << ref_seconds << "s -> " << inc_seconds << "s, outputs "
-              << (identical ? "bit-identical" : "MISMATCH") << "\n";
-
-    report.meta("incremental_demo_nodes",
-                static_cast<int64_t>(nodes));
-    report.meta("incremental_demo_zones",
-                static_cast<int64_t>(zones));
-    report.meta("incremental_demo_failed_nodes",
-                static_cast<int64_t>(failed_nodes));
-    report.meta("incremental_demo_ops_scratch", ref_ops);
-    report.meta("incremental_demo_ops_incremental", inc_ops);
-    report.meta("incremental_demo_ops_ratio", ratio);
-    report.meta("incremental_demo_kv_ops_scratch",
-                static_cast<int64_t>(ref.pack.ops.kvOps));
-    report.meta("incremental_demo_kv_ops_incremental",
-                static_cast<int64_t>(inc.pack.ops.kvOps));
-    report.meta("incremental_demo_reconcile_seconds_scratch",
-                ref.pack.reconcileSeconds);
-    report.meta("incremental_demo_reconcile_seconds_incremental",
-                inc.pack.reconcileSeconds);
-    report.meta("incremental_demo_identical",
-                static_cast<int64_t>(identical ? 1 : 0));
-
-    if (!identical)
-        std::cerr << "incremental demo: outputs diverged from "
-                     "from-scratch\n";
-    if (ratio < 10.0)
-        std::cerr << "incremental demo: op reduction " << ratio
-                  << "x below the 10x requirement\n";
-    return identical && ratio >= 10.0;
-}
-
 } // namespace
 
 int
@@ -289,7 +152,6 @@ main(int argc, char **argv)
     // Harness-specific flags are stripped before the shared parser
     // (which exits on anything it does not know).
     size_t nodes_override = 0;
-    size_t zones_override = 0;
     bool smoke_1m = false;
     std::vector<char *> pass;
     pass.push_back(argv[0]);
@@ -297,9 +159,6 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         if (arg == "--nodes" && i + 1 < argc) {
             nodes_override = static_cast<size_t>(
-                std::strtoull(argv[++i], nullptr, 10));
-        } else if (arg == "--zones" && i + 1 < argc) {
-            zones_override = static_cast<size_t>(
                 std::strtoull(argv[++i], nullptr, 10));
         } else if (arg == "--1m-smoke") {
             smoke_1m = true;
@@ -320,8 +179,8 @@ main(int argc, char **argv)
     auto options = bench::parseOptions(
         static_cast<int>(pass.size()), pass.data(), "fig8b");
     bench::applyObs(options);
-    // Per-cell obs deltas (core.replans_incremental,
-    // core.reconcile_seconds) are part of this figure's report: metrics stay on regardless of --metrics.
+    // Per-cell obs deltas (core.reconcile_seconds) are part of this
+    // figure's report: metrics stay on regardless of --metrics.
     obs::setMetricsEnabled(true);
     if (options.jobs == 0)
         options.jobs = 1; // timing fidelity; see file header
@@ -412,24 +271,6 @@ main(int argc, char **argv)
         report.addSweep("nodes_" + std::to_string(nodes), aggregates);
     }
 
-    // Incremental-replan demo: AC scale is the 100k-node single-zone
-    // epoch; the smoke gate uses its 1,000-node environment, and an
-    // explicit --nodes below 100k demos at that size.
-    const size_t demo_nodes =
-        smoke ? 1000ul
-              : std::min<size_t>(
-                    nodes_override > 0 ? nodes_override : 100000ul,
-                    100000ul);
-    // Rack-sized zones (~50 nodes): a single-zone failure then
-    // displaces few enough pods that the fixed repacking cost does not
-    // dilute the saved planning work below the 10x gate.
-    const size_t demo_zones =
-        zones_override > 0
-            ? zones_override
-            : std::max<size_t>(2, demo_nodes / (smoke ? 20 : 50));
-    const bool demo_ok =
-        runIncrementalDemo(demo_nodes, demo_zones, table, report);
-
     table.print(std::cout);
     const double rss = peakRssMiB();
     std::cout << "Peak RSS: " << rss << " MiB\n";
@@ -444,7 +285,7 @@ main(int argc, char **argv)
     report.addTable("fig8b_times", table);
     bench::finishReport(report, options);
 
-    if ((smoke || smoke_1m) && !(smoke_ok && demo_ok)) {
+    if ((smoke || smoke_1m) && !smoke_ok) {
         std::cerr << (smoke ? "FIG8B_SMOKE" : "FIG8B_1M")
                   << ": gate violated\n";
         return 1;

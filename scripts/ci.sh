@@ -49,8 +49,8 @@ step "epochbench smoke: every workload at toy scale"
 python3 epochbench/smoke_test.py
 
 # Million-node gate, opt-in: export FIG8B_1M=1 to run the 1M-node
-# Phoenix cells + the 100k incremental-replan demo (~minutes, GBs of
-# RSS). Left out of the default gate by design.
+# Phoenix cells (~minutes, GBs of RSS). Left out of the default gate by
+# design.
 if [[ "${FIG8B_1M:-}" == "1" ]]; then
   step "million-node gate: fig8b_1m_smoke"
   FIG8B_1M=1 ctest --test-dir "$BUILD" --output-on-failure \

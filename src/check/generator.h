@@ -87,9 +87,9 @@ struct GeneratorOptions
     int topologyZones = 3;
 
     /** Probability that the failure step is zone-local: every failed
-     * node shares one residue id % zoneFailureZones, so the incremental
-     * replanner reconciles a blast radius of one zone rather than a
-     * scattered set of nodes. */
+     * node shares one residue id % zoneFailureZones, so the case loses
+     * one correlated failure domain rather than a scattered set of
+     * nodes. */
     double zoneFailureProbability = 0.3;
     /** Zone count used to pick zone-local failure targets. */
     int zoneFailureZones = 3;

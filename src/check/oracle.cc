@@ -915,30 +915,6 @@ checkCase(const CheckCase &c, const OracleOptions &options)
             report(result.violations, "flat-vs-reference", name,
                    "planned assignments diverge");
 
-        // Incremental replan: warm the scheme on the pre-failure seed
-        // placement, then replan the post-failure state — the cache
-        // reuse + exact index reconcile across that diff must be
-        // byte-identical to a cold plan (op counters legally differ).
-        {
-            ClusterState seed_state = c.emptyCluster();
-            core::DefaultScheme seeder;
-            seed_state = seeder.apply(c.apps, seed_state).pack.state;
-
-            PlannerOptions inc_planner;
-            inc_planner.incremental = true;
-            PackingOptions inc_packing;
-            inc_packing.incremental = true;
-            PhoenixScheme warm(objective, inc_planner, inc_packing);
-            (void)warm.apply(c.apps, seed_state);
-            const SchemeResult inc = warm.apply(c.apps, post);
-            if (inc.plan != flat.plan ||
-                !sameActions(inc.pack.actions, flat.pack.actions) ||
-                inc.pack.state.assignment() !=
-                    flat.pack.state.assignment())
-                report(result.violations, "incremental-vs-flat", name,
-                       "warm replan diverges from cold plan");
-        }
-
         // Forecast warm-plan soundness: a scheme that just planned a
         // *projection* (the post state with one more node failed —
         // the shape the forecast subsystem pre-stages against) must
@@ -953,12 +929,7 @@ checkCase(const CheckCase &c, const OracleOptions &options)
             if (!healthy.empty())
                 projection.failNode(healthy.front());
 
-            PlannerOptions staged_planner;
-            staged_planner.incremental = true;
-            PackingOptions staged_packing;
-            staged_packing.incremental = true;
-            PhoenixScheme staged(objective, staged_planner,
-                                 staged_packing);
+            PhoenixScheme staged(objective);
             (void)staged.apply(c.apps, projection);
             const SchemeResult rewarm = staged.apply(c.apps, post);
             if (rewarm.failed != flat.failed ||

@@ -17,8 +17,8 @@
  *
  * Determinism: all lookups are O(1) against dense vectors or hash
  * maps that are only ever probed by key — nothing iterates a hash
- * container — so reference/flat/incremental packers consulting
- * the allocator make byte-identical decisions. When no application
+ * container — so the reference and flat packers consulting the
+ * allocator make byte-identical decisions. When no application
  * declares a constraint the allocator is empty() and every query
  * short-circuits, leaving the unconstrained hot path untouched.
  */

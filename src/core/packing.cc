@@ -90,10 +90,9 @@ class ReferenceBook
     void
     init(const std::vector<sim::Application> &apps,
          const ClusterState &state, const GlobalRank &ranked,
-         const PackingOptions &options, OpCounters &ops)
+         OpCounters &ops)
     {
         (void)apps;
-        (void)options; // the reference oracle is always from-scratch
         ops_ = &ops;
         byRemaining_ = util::SortedKv<double, NodeId>();
         rankIndex_.clear();
@@ -231,7 +230,7 @@ class FlatBook
     void
     init(const std::vector<sim::Application> &apps,
          const ClusterState &state, const GlobalRank &ranked,
-         const PackingOptions &options, OpCounters &ops)
+         OpCounters &ops)
     {
         ops_ = &ops;
 
@@ -277,19 +276,23 @@ class FlatBook
                 overflowActive_[pod] = node;
         }
 
-        // Capacity index: reconcile the previous epoch's index when
-        // incremental and the node count still matches, else build cold.
+        // Capacity index: every healthy node keyed by remaining capacity.
         const size_t node_count = state.nodeCount();
-        const bool warm = options.incremental && warmValid_ &&
-                          warmNodeCount_ == node_count;
-        if (warm)
-            reconcileIndex(state);
-        else
-            coldBuildIndex(state, options);
-        warmValid_ = options.incremental;
-        warmNodeCount_ = node_count;
+        double max_capacity = 0.0;
+        size_t healthy = 0;
+        for (NodeId id = 0; id < node_count; ++id) {
+            max_capacity =
+                std::max(max_capacity, state.node(id).capacity);
+            healthy += state.isHealthy(id) ? 1 : 0;
+        }
+        index_.configure(max_capacity, healthy + 1);
+        for (NodeId id = 0; id < node_count; ++id) {
+            if (state.isHealthy(id))
+                index_.insert(state.remaining(id), id);
+        }
+        ops_->kvOps += healthy;
 
-        parked_.assign(state.nodeCount(), 0.0);
+        parked_.assign(node_count, 0.0);
         parkedTouched_.clear();
     }
 
@@ -298,8 +301,6 @@ class FlatBook
     {
         index_.erase(before, node);
         index_.insert(after, node);
-        if (trackMirror_)
-            bookKey_[node] = after;
         ops_->kvOps += 2;
     }
 
@@ -460,76 +461,6 @@ class FlatBook
     }
 
   private:
-    /** From-scratch capacity index: configure + insert every healthy
-     * node. */
-    void
-    coldBuildIndex(const ClusterState &state,
-                   const PackingOptions &options)
-    {
-        const size_t node_count = state.nodeCount();
-        double max_capacity = 0.0;
-        size_t healthy = 0;
-        for (NodeId id = 0; id < node_count; ++id) {
-            max_capacity =
-                std::max(max_capacity, state.node(id).capacity);
-            healthy += state.isHealthy(id) ? 1 : 0;
-        }
-
-        trackMirror_ = options.incremental;
-        if (trackMirror_) {
-            inBook_.assign(node_count, 0);
-            bookKey_.assign(node_count, 0.0);
-        }
-
-        index_.configure(max_capacity, healthy + 1);
-        for (NodeId id = 0; id < node_count; ++id) {
-            if (!state.isHealthy(id))
-                continue;
-            const double key = state.remaining(id);
-            index_.insert(key, id);
-            if (trackMirror_) {
-                inBook_[id] = 1;
-                bookKey_[id] = key;
-            }
-        }
-        ops_->kvOps += healthy;
-    }
-
-    /** Exact diff of the carried-over index against the observed
-     * state: only nodes whose health or remaining capacity changed
-     * since the previous epoch's planned state touch the index. The
-     * per-node mirror holds the exact key stored in the index (kept
-     * current by kvUpdate), so the result is identical to a cold
-     * build. */
-    void
-    reconcileIndex(const ClusterState &state)
-    {
-        const size_t node_count = state.nodeCount();
-        for (NodeId id = 0; id < node_count; ++id) {
-            const bool should = state.isHealthy(id);
-            if (should) {
-                const double key = state.remaining(id);
-                if (inBook_[id]) {
-                    if (bookKey_[id] != key) {
-                        index_.erase(bookKey_[id], id);
-                        index_.insert(key, id);
-                        bookKey_[id] = key;
-                        ops_->kvOps += 2;
-                    }
-                } else {
-                    index_.insert(key, id);
-                    inBook_[id] = 1;
-                    bookKey_[id] = key;
-                    ++ops_->kvOps;
-                }
-            } else if (inBook_[id]) {
-                index_.erase(bookKey_[id], id);
-                inBook_[id] = 0;
-                ++ops_->kvOps;
-            }
-        }
-    }
-
     /** Dense microservice index, or kUnranked when out of range. */
     size_t
     msIdx(sim::AppId app, sim::MsId ms) const
@@ -557,13 +488,6 @@ class FlatBook
 
     /** Capacity index: healthy nodes keyed by remaining capacity. */
     util::BucketedKv<NodeId> index_;
-    /** Incremental-replan mirror: whether a node is in the index and
-     * under which exact key. */
-    bool trackMirror_ = false;
-    bool warmValid_ = false;
-    size_t warmNodeCount_ = 0;
-    std::vector<uint8_t> inBook_;
-    std::vector<double> bookKey_;
     size_t rankedSize_ = 0;
     std::vector<size_t> msBase_;  //!< app position -> first msIdx
     std::vector<size_t> podBase_; //!< msIdx -> first podIdx
@@ -597,7 +521,7 @@ class Packer
     {
         result_.state = current;
         const auto started = std::chrono::steady_clock::now();
-        book_.init(apps, result_.state, ranked, options_, result_.ops);
+        book_.init(apps, result_.state, ranked, result_.ops);
         c_.vacancy.build(apps, result_.state);
         result_.reconcileSeconds =
             std::chrono::duration<double>(

@@ -53,9 +53,8 @@ struct PackResult
     /** Deterministic operation counts for this pass (not part of the
      * packing decision; excluded from canonical metric strings). */
     OpCounters ops;
-    /** Wall-clock seconds spent (re)building the capacity index and
-     * bookkeeping before the packing passes — the part incremental
-     * mode turns from O(cluster) into O(changed nodes). */
+    /** Wall-clock seconds spent building the capacity index and the
+     * bookkeeping from scratch before the packing passes. */
     double reconcileSeconds = 0.0;
 };
 
@@ -87,19 +86,6 @@ struct PackingOptions
      * benches.
      */
     bool referenceImpl = false;
-
-    /**
-     * Incremental replan: keep the capacity index alive across pack()
-     * calls and reconcile it against the observed state with an exact
-     * per-node diff (erase/insert only nodes whose remaining capacity
-     * or health changed) instead of rebuilding it from scratch. The
-     * reconciled index holds exactly the same (key, node) set a fresh
-     * build would, so outputs are bit-identical; only kvOps and
-     * reconcile time shrink — proportional to the blast radius, not
-     * the cluster. Falls back to a cold build whenever the node count
-     * changes. Ignored under referenceImpl.
-     */
-    bool incremental = false;
 };
 
 /**

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <set>
 #include <utility>
 
@@ -14,34 +13,6 @@ using sim::Application;
 using sim::Microservice;
 using sim::MsId;
 using sim::PodRef;
-
-namespace {
-
-/** Bit pattern of a double (bitwise equality, not fp equality). */
-uint64_t
-bitsOf(double value)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &value, sizeof(bits));
-    return bits;
-}
-
-/** FNV-1a accumulator for the incremental-replan fingerprints. */
-struct Fnv
-{
-    uint64_t h = 1469598103934665603ULL;
-
-    void
-    mix(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 1099511628211ULL;
-        }
-    }
-};
-
-} // namespace
 
 double
 CostObjective::key(const Application &app, const Microservice &ms,
@@ -109,20 +80,6 @@ FairObjective::key(const Application &app, const Microservice &ms,
     return app_usage_so_far + ms.totalCpu() - share;
 }
 
-bool
-FairObjective::cacheKey(uint64_t &out) const
-{
-    // key() depends only on the water-fill shares, so a digest of the
-    // shares (bitwise, computed by begin() from demands + capacity)
-    // pins everything the ranking can observe.
-    Fnv fnv;
-    fnv.mix(fairShare_.size());
-    for (double share : fairShare_)
-        fnv.mix(bitsOf(share));
-    out = fnv.h;
-    return true;
-}
-
 void
 WeightedFairObjective::begin(const std::vector<Application> &apps,
                              double capacity)
@@ -156,20 +113,6 @@ WeightedFairObjective::key(const Application &app,
             ? weights_[app.id]
             : 1.0;
     return (app_usage_so_far + ms.totalCpu() - share) / weight;
-}
-
-bool
-WeightedFairObjective::cacheKey(uint64_t &out) const
-{
-    Fnv fnv;
-    fnv.mix(fairShare_.size());
-    for (double share : fairShare_)
-        fnv.mix(bitsOf(share));
-    fnv.mix(weights_.size());
-    for (double weight : weights_)
-        fnv.mix(bitsOf(weight));
-    out = fnv.h;
-    return true;
 }
 
 namespace {
@@ -427,65 +370,11 @@ Planner::priorityEstimator(const std::vector<Application> &apps,
     return ranks;
 }
 
-uint64_t
-Planner::fingerprintApps(const std::vector<Application> &apps) const
-{
-    // Everything the per-app ordering AND the grant sequence can
-    // observe: ids, tags, per-replica sizes, replica/quorum counts,
-    // pricing, and the dependency edges. A matching fingerprint means
-    // both the cached appRank and the cached needs sequence are
-    // computed from identical inputs.
-    Fnv fnv;
-    fnv.mix(apps.size());
-    for (const Application &app : apps) {
-        fnv.mix(app.id);
-        fnv.mix(app.phoenixEnabled ? 1 : 0);
-        fnv.mix(bitsOf(app.pricePerUnit));
-        fnv.mix(app.services.size());
-        for (const Microservice &ms : app.services) {
-            fnv.mix(ms.id);
-            fnv.mix(bitsOf(ms.cpu));
-            fnv.mix(static_cast<uint64_t>(ms.criticality));
-            fnv.mix(static_cast<uint64_t>(ms.replicas));
-            fnv.mix(static_cast<uint64_t>(ms.quorum));
-        }
-        fnv.mix(app.hasDependencyGraph ? 1 : 0);
-        if (app.hasDependencyGraph) {
-            for (MsId m = 0; m < app.services.size(); ++m) {
-                const auto &succ = app.dag.successors(m);
-                fnv.mix(succ.size());
-                for (MsId child : succ)
-                    fnv.mix(child);
-            }
-        }
-    }
-    return fnv.h;
-}
-
 void
 Planner::priorityEstimatorInto(const std::vector<Application> &apps,
                                AppRank &out) const
 {
     ops_.reset();
-    lastEstimatorReused_ = false;
-
-    const bool incremental =
-        options_.incremental && !options_.referenceImpl;
-    uint64_t fingerprint = 0;
-    if (incremental) {
-        fingerprint = fingerprintApps(apps);
-        // Reuse applies only to the planner-owned buffer (the
-        // planInto() path): a caller-supplied buffer may hold anything.
-        if (estimatorCacheValid_ && fingerprint == appsFingerprint_ &&
-            &out == &scratch_.appRank) {
-            lastEstimatorReused_ = true;
-            return;
-        }
-        // Apps changed (or first run): the cached grant sequence was
-        // computed from a different structure, drop it.
-        rankCacheValid_ = false;
-    }
-
     out.resize(apps.size());
     if (!options_.referenceImpl && scratch_.csr.size() < apps.size())
         scratch_.csr.resize(apps.size());
@@ -500,11 +389,6 @@ Planner::priorityEstimatorInto(const std::vector<Application> &apps,
             flatAppOrder(apps[a], options_, scratch_.csr[a], scratch_, rank,
                          ops_);
         }
-    }
-
-    if (incremental) {
-        appsFingerprint_ = fingerprint;
-        estimatorCacheValid_ = &out == &scratch_.appRank;
     }
 }
 
@@ -525,45 +409,7 @@ Planner::globalRankInto(const std::vector<Application> &apps,
                         GlobalRank &out) const
 {
     ops_.reset();
-    lastRankReused_ = false;
     objective.begin(apps, capacity);
-
-    // Incremental replan: reuse the cached ranked list when nothing it
-    // can observe changed. Requirements, in order: the planner-owned
-    // appRank (so the cache provably describes these apps), an
-    // estimator cache hit this plan (same app fingerprint), a matching
-    // objective digest, and a capacity for which the grant walk is
-    // provably identical — bitwise-equal capacity, or a cached
-    // rejection-free walk whose recorded needs replay rejection-free
-    // against the new capacity (with no rejection, every head is
-    // granted and the pop order never reads `remaining`, so the
-    // emitted sequence is capacity-independent).
-    const bool track = options_.incremental && !options_.referenceImpl &&
-                       &app_rank == &scratch_.appRank;
-    if (track && rankCacheValid_ && lastEstimatorReused_) {
-        uint64_t objective_key = 0;
-        if (objective.cacheKey(objective_key) &&
-            objective_key == rankCacheObjectiveKey_) {
-            bool reuse = bitsOf(capacity) == rankCacheCapacityBits_;
-            if (!reuse && rankCacheRejectionFree_) {
-                double replay = capacity;
-                reuse = true;
-                for (double need : rankCacheNeeds_) {
-                    if (need > replay + 1e-9) {
-                        reuse = false;
-                        break;
-                    }
-                    replay -= need;
-                }
-            }
-            if (reuse) {
-                out = rankCache_;
-                rankCacheCapacityBits_ = bitsOf(capacity);
-                lastRankReused_ = true;
-                return;
-            }
-        }
-    }
 
     out.clear();
     double remaining = capacity;
@@ -571,10 +417,6 @@ Planner::globalRankInto(const std::vector<Application> &apps,
     auto &cursor = scratch_.cursor;
     usage.assign(apps.size(), 0.0);
     cursor.assign(apps.size(), 0);
-
-    bool rejection_free = true;
-    if (track)
-        rankCacheNeeds_.clear();
 
     // The shared grant step: commit app a's head container, advance to
     // its next one, and report whether the head was re-queued.
@@ -585,14 +427,10 @@ Planner::globalRankInto(const std::vector<Application> &apps,
         // to the full replica count when capacity allows.
         const double need = ms.quorumCpu();
 
-        if (need > remaining + 1e-9) {
-            rejection_free = false;
+        if (need > remaining + 1e-9)
             return false;
-        }
 
         remaining -= need;
-        if (track)
-            rankCacheNeeds_.push_back(need);
         out.push_back(PodRef{static_cast<sim::AppId>(a), m});
         usage[a] += need;
         objective.granted(apps[a], ms);
@@ -663,15 +501,6 @@ Planner::globalRankInto(const std::vector<Application> &apps,
             continue;
         }
         push_head(a);
-    }
-
-    if (track) {
-        uint64_t objective_key = 0;
-        rankCacheValid_ = objective.cacheKey(objective_key);
-        rankCacheObjectiveKey_ = objective_key;
-        rankCacheCapacityBits_ = bitsOf(capacity);
-        rankCacheRejectionFree_ = rejection_free;
-        rankCache_ = out;
     }
 }
 

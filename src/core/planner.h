@@ -68,22 +68,6 @@ class OperatorObjective
         (void)app;
         (void)ms;
     }
-
-    /**
-     * Incremental-replan support. An objective whose key() depends on
-     * nothing but begin()'s inputs may expose a digest of that state
-     * here (computed after begin()): when the digest and the app
-     * structure both match the previous epoch's, the planner may reuse
-     * its cached global ranking. Returning false (the default) opts
-     * out — stateful or side-effecting objectives are then always
-     * re-run, so correctness never depends on an override.
-     */
-    virtual bool
-    cacheKey(uint64_t &out) const
-    {
-        (void)out;
-        return false;
-    }
 };
 
 /**
@@ -96,14 +80,6 @@ class CostObjective : public OperatorObjective
     std::string name() const override { return "cost"; }
     double key(const sim::Application &app, const sim::Microservice &ms,
                double app_usage_so_far) const override;
-
-    /** Keys depend only on app structure (already fingerprinted). */
-    bool
-    cacheKey(uint64_t &out) const override
-    {
-        out = 1;
-        return true;
-    }
 };
 
 /**
@@ -119,7 +95,6 @@ class FairObjective : public OperatorObjective
                double capacity) override;
     double key(const sim::Application &app, const sim::Microservice &ms,
                double app_usage_so_far) const override;
-    bool cacheKey(uint64_t &out) const override;
 
   private:
     std::vector<double> fairShare_;
@@ -145,7 +120,6 @@ class WeightedFairObjective : public OperatorObjective
                double capacity) override;
     double key(const sim::Application &app, const sim::Microservice &ms,
                double app_usage_so_far) const override;
-    bool cacheKey(uint64_t &out) const override;
 
   private:
     std::vector<double> weights_;
@@ -188,20 +162,6 @@ struct PlannerOptions
      * oracle for that suite and as an A/B lever for the benches.
      */
     bool referenceImpl = false;
-
-    /**
-     * Incremental replan: keep the per-app rankings and the global
-     * ranked list alive across planInto() calls and reuse them when
-     * provably unchanged — the app-structure fingerprint must match
-     * for the estimator, and additionally the objective's cacheKey()
-     * and a capacity check (bitwise-equal capacity, or a
-     * rejection-free replay of the cached grant sequence against the
-     * new capacity) for the global ranking. Any mismatch falls back
-     * to the full recompute, so outputs are bit-identical to
-     * from-scratch on every input; only the op counters shrink.
-     * Ignored under referenceImpl.
-     */
-    bool incremental = false;
 };
 
 /**
@@ -290,34 +250,12 @@ class Planner
      * globalRank()/priorityEstimatorInto() call. */
     const OpCounters &lastOps() const { return ops_; }
 
-    /** Whether the last globalRankInto() reused the incremental
-     * cache (options.incremental only). */
-    bool lastIncrementalReuse() const { return lastRankReused_; }
-
   private:
-    uint64_t fingerprintApps(
-        const std::vector<sim::Application> &apps) const;
-
     PlannerOptions options_;
     // plan() stays const for callers; the scratch arena and counters
     // are implementation state (the planner is single-threaded).
     mutable PlanScratch scratch_;
     mutable OpCounters ops_;
-
-    // Incremental-replan cache (options.incremental): the estimator
-    // result lives in scratch_.appRank keyed by the app fingerprint;
-    // the global ranking keeps its own copy plus the grant-sequence
-    // replay data.
-    mutable bool estimatorCacheValid_ = false;
-    mutable uint64_t appsFingerprint_ = 0;
-    mutable bool lastEstimatorReused_ = false;
-    mutable bool rankCacheValid_ = false;
-    mutable uint64_t rankCacheObjectiveKey_ = 0;
-    mutable uint64_t rankCacheCapacityBits_ = 0;
-    mutable bool rankCacheRejectionFree_ = false;
-    mutable std::vector<double> rankCacheNeeds_;
-    mutable GlobalRank rankCache_;
-    mutable bool lastRankReused_ = false;
 };
 
 } // namespace phoenix::core

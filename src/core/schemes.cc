@@ -8,6 +8,7 @@
 #include "core/constraints.h"
 #include "lp/branch_bound.h"
 #include "lp/waterfill.h"
+#include "obs/obs.h"
 #include "util/log.h"
 #include "util/sorted_kv.h"
 
@@ -67,11 +68,8 @@ PhoenixScheme::PhoenixScheme(Objective objective,
     : objective_(objective), planner_(planner_options),
       packer_(packing_options)
 {
-    auto &registry = obs::Registry::global();
-    obs_.replansIncremental =
-        &registry.counter("core.replans_incremental");
     obs_.reconcileSeconds =
-        &registry.histogram("core.reconcile_seconds");
+        &obs::Registry::global().histogram("core.reconcile_seconds");
 }
 
 SchemeResult
@@ -91,13 +89,11 @@ PhoenixScheme::apply(const std::vector<Application> &apps,
                       result.plan);
     result.planOps = planner_.lastOps();
     result.planSeconds = seconds(plan_start);
-    if (planner_.lastIncrementalReuse())
-        obs_.replansIncremental->inc();
 
     const auto pack_start = Clock::now();
     result.pack = packer_.pack(apps, current, result.plan);
     result.packSeconds = seconds(pack_start);
-    obs_.reconcileSeconds->observe(result.pack.reconcileSeconds);
+    PHOENIX_OBSERVE(*obs_.reconcileSeconds, result.pack.reconcileSeconds);
     return result;
 }
 

@@ -74,10 +74,10 @@ class ResilienceScheme
                                const sim::ClusterState &current) = 0;
 
     /**
-     * No-op with no caller in the library: incremental replanning
-     * reconciles against the full observed state, so no scheme needs
-     * a changed-node hint. Kept only so decorators built against the
-     * older interface still compile; slated for removal.
+     * No-op with no caller in the library: every scheme plans from the
+     * full observed state, so none needs a changed-node hint. Kept
+     * only so decorators built against the older interface still
+     * compile; slated for removal.
      */
     virtual void
     noteDirtyNodes(const std::vector<sim::NodeId> &nodes)
@@ -110,15 +110,13 @@ class PhoenixScheme : public ResilienceScheme
     Objective objective_;
     // Long-lived so their scratch arenas survive across apply() calls
     // (one controller epoch after another): steady-state planning and
-    // packing allocate nothing for bookkeeping, and the incremental
-    // caches (options.incremental) persist between epochs.
+    // packing allocate nothing for bookkeeping.
     Planner planner_;
     PackingScheduler packer_;
     /** Observability handles (obs::Registry; additive, excluded from
      * canonical metric strings). */
     struct
     {
-        obs::Counter *replansIncremental = nullptr;
         obs::LogHistogram *reconcileSeconds = nullptr;
     } obs_;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <sstream>
 
 namespace phoenix::forecast {
 
@@ -46,7 +45,7 @@ Forecaster::Forecaster(kube::KubeCluster &cluster,
     obs_.restagedPlans = &registry.counter("forecast.restaged_plans");
     obs_.warmApplies = &registry.counter("forecast.warm_applies");
     obs_.stalePlans = &registry.counter("forecast.stale_plans");
-    obs_.proactiveExecutions =
+    obs_.proactiveApplies =
         &registry.counter("forecast.proactive_executions");
     obs_.forcedRestores = &registry.counter("forecast.forced_restores");
     obs_.risksZoneLoss = &registry.counter(
@@ -98,7 +97,8 @@ Forecaster::fingerprintState(const ClusterState &state)
 }
 
 uint64_t
-Forecaster::fingerprintApps(const std::vector<sim::Application> &apps)
+Forecaster::fingerprintApplications(
+    const std::vector<sim::Application> &apps)
 {
     Fnv fnv;
     fnv.mix(apps.size());
@@ -172,7 +172,7 @@ Forecaster::stage(Staged &s, const ClusterState &projected,
                   uint64_t observedFp)
 {
     const uint64_t fp = fingerprintState(projected);
-    const uint64_t appsFp = fingerprintApps(cluster_.apps());
+    const uint64_t appsFp = fingerprintApplications(cluster_.apps());
     if (s.valid && s.stateFp == fp && s.appsFp == appsFp)
         return; // staged plan still matches the projection
     if (fp == observedFp) {
@@ -203,11 +203,9 @@ void
 Forecaster::onArmed(Staged &s, const ClusterState &projected,
                     uint64_t observedFp)
 {
-    if (!config_.prestagePlans)
-        return;
     stage(s, projected, observedFp);
-    if (config_.proactiveExecution && s.valid && !s.executedEpisode &&
-        !s.result.pack.actions.empty() && pendingProactive_ == nullptr)
+    if (s.valid && !s.executedEpisode && !s.result.pack.actions.empty() &&
+        pendingProactive_ == nullptr)
         pendingProactive_ = &s;
 }
 
@@ -301,7 +299,7 @@ Forecaster::matchWarm(const std::vector<sim::Application> &apps,
                       const ClusterState &observed)
 {
     const uint64_t observedFp = fingerprintState(observed);
-    const uint64_t appsFp = fingerprintApps(apps);
+    const uint64_t appsFp = fingerprintApplications(apps);
 
     auto tryEntry = [&](Staged &s) -> const core::SchemeResult * {
         if (!s.valid || s.stateFp != observedFp || s.appsFp != appsFp)
@@ -357,8 +355,8 @@ Forecaster::takeProactive()
     if (s == nullptr || !s->valid)
         return nullptr;
     s->executedEpisode = true;
-    ++counters_.proactiveExecutions;
-    PHOENIX_COUNT(*obs_.proactiveExecutions, 1);
+    ++counters_.proactiveApplies;
+    PHOENIX_COUNT(*obs_.proactiveApplies, 1);
     return &s->result;
 }
 
@@ -450,35 +448,6 @@ Forecaster::risks() const
     surge.signal = surgeGate_.signal();
     all.push_back(surge);
     return all;
-}
-
-std::string
-Forecaster::statusString() const
-{
-    std::ostringstream out;
-    out << "forecast: horizon=" << config_.horizonSeconds
-        << "s prestage=" << (config_.prestagePlans ? "on" : "off")
-        << " proactive=" << (config_.proactiveExecution ? "on" : "off")
-        << "\n";
-    for (const RiskStatus &risk : risks()) {
-        out << "  " << faultClassName(risk.cls);
-        if (risk.zone != static_cast<size_t>(-1))
-            out << "[zone=" << risk.zone << "]";
-        out << " " << (risk.armed ? "ARMED" : "clear")
-            << " signal=" << risk.signal;
-        if (risk.cls != FaultClass::LoadSurge) {
-            out << " staged=" << (risk.staged ? "yes" : "no")
-                << " executed=" << (risk.executed ? "yes" : "no");
-        }
-        out << "\n";
-    }
-    out << "  plans: prestaged=" << counters_.prestagedPlans
-        << " restaged=" << counters_.restagedPlans
-        << " warm_applies=" << counters_.warmApplies
-        << " stale=" << counters_.stalePlans
-        << " proactive=" << counters_.proactiveExecutions
-        << " forced_restores=" << counters_.forcedRestores << "\n";
-    return out.str();
 }
 
 } // namespace phoenix::forecast

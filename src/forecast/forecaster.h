@@ -23,9 +23,8 @@
  * a staged plan whose projected-state fingerprint equals the observed
  * state's applies in O(actions) — and is byte-identical to what a cold
  * replan would produce, because every scheme is a pure function of
- * (apps, state) (the incremental caches are proven bit-identical to
- * from-scratch). Any mismatch falls back cold and counts
- * forecast.stale_plans. Optionally (verifyWarmPlans) every warm hit is
+ * (apps, state) (the warm-cold-divergence oracle dimension checks it).
+ * Any mismatch falls back cold and counts forecast.stale_plans. Optionally (verifyWarmPlans) every warm hit is
  * re-derived cold on a private scheme and byte-compared before use.
  *
  * Ahead of the fault, takeProactive() hands the controller the staged
@@ -45,7 +44,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/controller.h"
@@ -61,8 +59,8 @@ namespace phoenix::forecast {
  * Factory for the forecaster's private projection schemes. Must build
  * the same scheme the controller runs (warm ≡ cold relies on scheme
  * purity, not shared instances — the forecaster plans projections on
- * its own instance so the controller's incremental caches never see
- * hypothetical states).
+ * its own instance, so the controller's scheme only ever plans
+ * observed states).
  */
 using SchemeFactory =
     std::function<std::unique_ptr<core::ResilienceScheme>()>;
@@ -83,10 +81,6 @@ struct ForecastConfig
     HysteresisConfig capacityDecay{0.15, 0.05, 2};
     /** Offered-load surge gate (signal: projected/ewma - 1). */
     HysteresisConfig loadSurge{0.20, 0.08, 2};
-    /** Pre-stage warm plans for armed plan-able risks. */
-    bool prestagePlans = true;
-    /** Execute staged plans ahead of the anticipated fault. */
-    bool proactiveExecution = true;
     /** Re-derive every warm hit cold and byte-compare before use. */
     bool verifyWarmPlans = false;
 };
@@ -98,7 +92,7 @@ struct ForecastCounters
     uint64_t restagedPlans = 0;    //!< refresh after a fingerprint drift
     uint64_t warmApplies = 0;      //!< pre-staged plan applied at trigger
     uint64_t stalePlans = 0;       //!< fallback cold at trigger
-    uint64_t proactiveExecutions = 0; //!< plans executed pre-fault
+    uint64_t proactiveApplies = 0; //!< plans executed pre-fault
     uint64_t forcedRestores = 0;   //!< cold replans after a false alarm
 };
 
@@ -147,8 +141,6 @@ class Forecaster final : public core::ForecastHook
     // --- Introspection ---------------------------------------------
     const ForecastCounters &counters() const { return counters_; }
     std::vector<RiskStatus> risks() const;
-    /** Multi-line human-readable dump (phoenixd forecast-status). */
-    std::string statusString() const;
 
     // --- Shared fingerprint/equality helpers (tests + oracle) ------
     /** FNV-1a over the full planner-visible cluster state: per-node
@@ -156,7 +148,7 @@ class Forecaster final : public core::ForecastHook
     static uint64_t fingerprintState(const sim::ClusterState &state);
     /** FNV-1a over the planner-visible application structure. */
     static uint64_t
-    fingerprintApps(const std::vector<sim::Application> &apps);
+    fingerprintApplications(const std::vector<sim::Application> &apps);
     /** Byte-equality over the deterministic parts of a scheme result
      * (plan, actions, placement); wall-clock and op counts exempt. */
     static bool sameSchemeResult(const core::SchemeResult &a,
@@ -225,7 +217,7 @@ class Forecaster final : public core::ForecastHook
         obs::Counter *restagedPlans = nullptr;
         obs::Counter *warmApplies = nullptr;
         obs::Counter *stalePlans = nullptr;
-        obs::Counter *proactiveExecutions = nullptr;
+        obs::Counter *proactiveApplies = nullptr;
         obs::Counter *forcedRestores = nullptr;
         obs::Counter *risksZoneLoss = nullptr;
         obs::Counter *risksCapacityDecay = nullptr;

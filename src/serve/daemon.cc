@@ -273,7 +273,7 @@ ServeDaemon::cmdForecastStatus()
         << ",\"warm_applies\":" << counters.warmApplies
         << ",\"stale_plans\":" << counters.stalePlans
         << ",\"proactive_executions\":"
-        << counters.proactiveExecutions
+        << counters.proactiveApplies
         << ",\"forced_restores\":" << counters.forcedRestores
         << "}}";
     return out.str();

@@ -213,8 +213,8 @@ TEST(Forecast, FingerprintDistinguishesProjectionFromObserved)
     // not come true must not match the observed state.
     EXPECT_NE(Forecaster::fingerprintState(post),
               Forecaster::fingerprintState(projection));
-    EXPECT_EQ(Forecaster::fingerprintApps(c.apps),
-              Forecaster::fingerprintApps(c.apps));
+    EXPECT_EQ(Forecaster::fingerprintApplications(c.apps),
+              Forecaster::fingerprintApplications(c.apps));
 }
 
 // --- End-to-end through the recovery harness -------------------------
@@ -266,8 +266,7 @@ TEST(Forecast, RecoveryRunsAreDeterministicWithForecastOn)
     EXPECT_EQ(a.forecast.restagedPlans, b.forecast.restagedPlans);
     EXPECT_EQ(a.forecast.warmApplies, b.forecast.warmApplies);
     EXPECT_EQ(a.forecast.stalePlans, b.forecast.stalePlans);
-    EXPECT_EQ(a.forecast.proactiveExecutions,
-              b.forecast.proactiveExecutions);
+    EXPECT_EQ(a.forecast.proactiveApplies, b.forecast.proactiveApplies);
     EXPECT_EQ(a.timeToCriticalRecovery, b.timeToCriticalRecovery);
     EXPECT_EQ(a.timeToFullRecovery, b.timeToFullRecovery);
 }
