@@ -26,7 +26,7 @@
  * storyline: Phoenix restores all critical services within bounded
  * time, Default cannot until capacity returns, the forecast cells
  * recover strictly faster than reactive on the anticipated faults
- * (>= 2x on the pre-staged zone kill), and no cell violates a
+ * (>= 2x on the anticipated zone kill), and no cell violates a
  * cluster invariant.
  */
 
@@ -407,7 +407,7 @@ main(int argc, char **argv)
     bench::banner("time-to-recovery per (scenario, scheme)");
     util::Table table({"scenario", "scheme", "ttcr(s)", "ttfr(s)",
                        "min_avail", "final_avail", "max_pending",
-                       "replans", "warm", "proactive", "violations"});
+                       "replans", "proactive", "violations"});
     for (const CellResult &cell : cells) {
         const ScenarioSpec &spec = scenarios[cell.scenarioIndex];
         table.row()
@@ -419,7 +419,6 @@ main(int argc, char **argv)
             .cell(cell.recovery.finalAvailability, 2)
             .cell(cell.recovery.maxPending)
             .cell(cell.recovery.replans)
-            .cell(cell.recovery.warmReplans)
             .cell(cell.recovery.proactiveReplans)
             .cell(cell.recovery.invariantViolations);
     }
@@ -543,7 +542,7 @@ main(int argc, char **argv)
         // Forecast storyline: on both anticipated-fault scenarios the
         // forecast cell recovers strictly faster than reactive (a ttcr
         // of 0 — the fault became a non-event — counts), and on the
-        // pre-staged zone kill the margin is at least 2x.
+        // anticipated zone kill the margin is at least 2x.
         auto beats = [](const RecoveryResult &reactive,
                         const RecoveryResult &forecast) {
             if (forecast.timeToCriticalRecovery < 0.0)
@@ -566,10 +565,9 @@ main(int argc, char **argv)
                        r.timeToCriticalRecovery,
                    "decayzone forecast recovers >= 2x faster");
             expect(f.forecast.prestagedPlans >= 1,
-                   "decayzone forecast pre-staged a plan");
-            expect(f.proactiveReplans + f.warmReplans >= 1,
-                   "decayzone forecast acted on a staged plan "
-                   "(proactive execution or warm apply)");
+                   "decayzone forecast planned a projection");
+            expect(f.proactiveReplans >= 1,
+                   "decayzone forecast executed a plan proactively");
         }
         if (grayReactive && grayForecast) {
             const RecoveryResult &r = grayReactive->recovery;
@@ -577,7 +575,7 @@ main(int argc, char **argv)
             expect(beats(r, f),
                    "graydecay forecast ttcr strictly below reactive");
             expect(f.forecast.prestagedPlans >= 1,
-                   "graydecay forecast pre-staged a plan");
+                   "graydecay forecast planned a projection");
         }
         expect(spread != nullptr, "spreadzone smoke cell ran");
         if (spread) {

@@ -81,10 +81,12 @@ fi
 
 # Long forecast fuzz, opt-in: export FORECAST_FUZZ_CASES to a case
 # count (e.g. FORECAST_FUZZ_CASES=20000) to drive the warm-cold-
-# divergence oracle dimension at bulk. Without it the test self-skips
-# (exit 77). The `forecast` ctest label groups this with
-# forecast_smoke and the test_forecast suite: `ctest -L forecast`
-# runs the whole predictive-degradation battery.
+# divergence oracle dimension at bulk: a long-lived scheme that just
+# planned a projection must still return the cold plan for the real
+# state. Without it the test self-skips (exit 77). The `forecast`
+# ctest label groups this with forecast_smoke and the test_forecast
+# suite: `ctest -L forecast` runs the whole predictive-degradation
+# battery.
 if [[ -n "${FORECAST_FUZZ_CASES:-}" ]]; then
   step "long forecast fuzz gate: forecast_fuzz_long (FORECAST_FUZZ_CASES=${FORECAST_FUZZ_CASES})"
   FORECAST_FUZZ_CASES="$FORECAST_FUZZ_CASES" ctest --test-dir "$BUILD" \

@@ -146,16 +146,6 @@ OpenLoopArrivals::expectedCount(double t0, double t1) const
     return config_.baseRps * integral;
 }
 
-double
-sampleThinkTime(util::Rng &rng, const ClosedLoopConfig &config)
-{
-    const double lo = std::max(config.thinkMinSec, 0.0);
-    const double hi = config.thinkMaxSec;
-    if (hi <= lo)
-        return lo;
-    return rng.uniform(lo, hi);
-}
-
 std::vector<LoadStats>
 runLoad(const ServiceApp &sapp, const std::set<MsId> &running,
         const LoadGenConfig &config)

@@ -12,11 +12,11 @@
  *    request, and percentile extraction from the sampled population;
  *
  *  - the arrival processes behind src/serve's live request front end:
- *    piecewise-linear RateCurve shapes (diurnal, bursty), open-loop
- *    Poisson arrival streams over a time-varying rate (thinning), and
- *    closed-loop think-time sampling. All of it draws from explicitly
- *    seeded util::Rng state (one stream per request class, derived via
- *    util::cellSeed) so a serving run is reproducible bit-for-bit.
+ *    piecewise-linear RateCurve shapes (diurnal, bursty) and open-loop
+ *    Poisson arrival streams over a time-varying rate (thinning). All
+ *    of it draws from explicitly seeded util::Rng state (one stream
+ *    per request class, derived via util::cellSeed) so a serving run
+ *    is reproducible bit-for-bit.
  */
 
 #ifndef PHOENIX_APPS_LOADGEN_H
@@ -163,23 +163,6 @@ class OpenLoopArrivals
     util::Rng rng_;
     double maxRate_ = 0.0;
 };
-
-/** Closed-loop (user-population driven) stream parameters. */
-struct ClosedLoopConfig
-{
-    /** Concurrent simulated users; each runs request -> response ->
-     * think -> request. */
-    size_t users = 0;
-    /** Think-time bounds (uniform in [thinkMinSec, thinkMaxSec]). */
-    double thinkMinSec = 1.0;
-    double thinkMaxSec = 5.0;
-    uint64_t seed = 42;
-};
-
-/** One think-time draw: uniform in [thinkMinSec, thinkMaxSec], with
- * degenerate bounds (max <= min) collapsing to thinkMinSec, never
- * negative. */
-double sampleThinkTime(util::Rng &rng, const ClosedLoopConfig &config);
 
 } // namespace phoenix::apps
 

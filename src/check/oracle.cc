@@ -915,29 +915,29 @@ checkCase(const CheckCase &c, const OracleOptions &options)
             report(result.violations, "flat-vs-reference", name,
                    "planned assignments diverge");
 
-        // Forecast warm-plan soundness: a scheme that just planned a
+        // Long-lived scheme soundness: a scheme that just planned a
         // *projection* (the post state with one more node failed —
-        // the shape the forecast subsystem pre-stages against) must
-        // still produce the cold answer when asked to plan the real
-        // post state. This is the property that makes applying a
-        // pre-staged plan at trigger time equivalent to a cold
-        // replan: scheme output is a pure function of (apps, state),
-        // whatever the instance planned before.
+        // the shape the forecaster plans against) must still produce
+        // the cold answer when asked to plan the real post state.
+        // The controller's scheme and the forecaster's projection
+        // scheme live across epochs and rely on it: scheme output is
+        // a pure function of (apps, state), whatever the instance
+        // planned before.
         {
             ClusterState projection = post;
             const std::vector<NodeId> healthy = post.healthyNodes();
             if (!healthy.empty())
                 projection.failNode(healthy.front());
 
-            PhoenixScheme staged(objective);
-            (void)staged.apply(c.apps, projection);
-            const SchemeResult rewarm = staged.apply(c.apps, post);
-            if (rewarm.failed != flat.failed ||
-                rewarm.plan != flat.plan ||
-                !sameActions(rewarm.pack.actions,
+            PhoenixScheme longLived(objective);
+            (void)longLived.apply(c.apps, projection);
+            const SchemeResult again = longLived.apply(c.apps, post);
+            if (again.failed != flat.failed ||
+                again.plan != flat.plan ||
+                !sameActions(again.pack.actions,
                              flat.pack.actions) ||
-                rewarm.pack.complete != flat.pack.complete ||
-                rewarm.pack.state.assignment() !=
+                again.pack.complete != flat.pack.complete ||
+                again.pack.state.assignment() !=
                     flat.pack.state.assignment())
                 report(result.violations, "warm-cold-divergence", name,
                        "plan after projection planning diverges from "

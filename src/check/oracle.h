@@ -43,13 +43,13 @@
  *    criticality coverage) beyond an indivisibility slack — greedy
  *    packing is not point-wise monotone under fragmentation, and each
  *    scheme freely sacrifices the other metric by design.
- *  - Warm-plan soundness (warm-cold-divergence): a scheme instance
- *    that just planned a projected further-degraded state (the shape
- *    the forecast subsystem pre-stages against) must return the
- *    byte-identical cold answer for the real post-failure state —
- *    scheme output is a pure function of (apps, state) regardless of
- *    what the instance planned before. This is what makes applying a
- *    pre-staged plan equivalent to a cold replan at trigger time.
+ *  - Long-lived scheme soundness (warm-cold-divergence): a scheme
+ *    instance that just planned a projected further-degraded state
+ *    must return the byte-identical cold answer for the real
+ *    post-failure state — scheme output is a pure function of (apps,
+ *    state) regardless of what the instance planned before. The
+ *    controller's scheme and the forecaster's projection scheme (which
+ *    replans every tick) both live across epochs and rely on this.
  *  - Lifecycle: replaying the failure script against the
  *    mini-Kubernetes cluster with a Phoenix controller loop must
  *    produce zero kube invariant violations, and no pod may reach

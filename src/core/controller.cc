@@ -74,7 +74,7 @@ PhoenixController::poll()
     }
 
     // Forecast, when attached, observes every poll (models + risk
-    // gates + warm-plan staging) before the replan decision.
+    // gates + proactive candidacy) before the replan decision.
     if (forecast_)
         forecast_->tick();
     const bool forceReplan = forecast_ && forecast_->takeForceReplan();
@@ -111,30 +111,14 @@ PhoenixController::poll()
             (obs::TraceArg{"capacity_before", record.capacityBefore}),
             (obs::TraceArg{"capacity_after", record.capacityAfter}));
 
-        // Warm path: a pre-staged plan whose projected state matches
-        // the observed state byte-for-byte applies in O(actions) — no
-        // plan/pack compute. The hook guarantees byte-identity with a
-        // cold replan (fingerprint match over the full planner input,
-        // optionally re-verified).
-        const SchemeResult *warm =
-            forecast_ ? forecast_->matchWarm(cluster_.apps(),
-                                             cluster_.observedState())
-                      : nullptr;
-        if (warm) {
-            record.warm = true;
-            record.planSeconds = 0.0;
-            applyResult(*warm, record);
-        } else {
-            const SchemeResult result = scheme_->apply(
-                cluster_.apps(), cluster_.observedState());
-            record.planSeconds =
-                result.planSeconds + result.packSeconds;
-            applyResult(result, record);
-        }
+        const SchemeResult result =
+            scheme_->apply(cluster_.apps(), cluster_.observedState());
+        record.planSeconds = result.planSeconds + result.packSeconds;
+        applyResult(result, record);
     } else if (forecast_) {
         // No replan trigger: an armed risk may ask for proactive
-        // execution of its staged plan — evacuate / degrade ahead of
-        // the anticipated fault so the fault itself is a non-event.
+        // execution of its projection plan — evacuate / degrade ahead
+        // of the anticipated fault so the fault itself is a non-event.
         if (const SchemeResult *proactive = forecast_->takeProactive()) {
             ReplanRecord record;
             record.detectedAt = events_.now();

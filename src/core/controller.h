@@ -68,8 +68,6 @@ struct ReplanRecord
     double capacityAfter = 0.0;
     /** When every planned pod reached Running (t4); <0 until then. */
     sim::SimTime recoveredAt = -1.0;
-    /** Applied a pre-staged warm plan (no plan/pack compute). */
-    bool warm = false;
     /** Proactive pre-fault execution of a forecast plan (no capacity
      * change had been observed yet). */
     bool proactive = false;
@@ -81,16 +79,14 @@ struct ReplanRecord
  * the hook once per poll:
  *
  *  1. tick() — observe the cluster, update trend models / risk gates,
- *     and (re-)stage warm plans against projected post-fault states.
+ *     and derive this tick's proactive plan, if any.
  *  2. takeForceReplan() — one-shot: force a cold replan this poll
  *     (restorative replan after a risk cleared without its fault).
- *  3. On a replan trigger, matchWarm() — return a pre-staged plan
- *     byte-identical to what a cold replan would produce against
- *     @p observed, or nullptr to fall back cold.
- *  4. When no replan triggered, takeProactive() — one-shot: a staged
- *     plan to execute *now*, ahead of the anticipated fault
- *     (pre-fault evacuation / early degradation).
+ *  3. When no replan triggered, takeProactive() — one-shot: a plan to
+ *     execute *now*, ahead of the anticipated fault (pre-fault
+ *     evacuation / early degradation).
  *
+ * A triggered replan always plans cold on the observed snapshot.
  * Returned pointers stay valid until the next tick().
  */
 class ForecastHook
@@ -100,10 +96,22 @@ class ForecastHook
 
     virtual void tick() = 0;
     virtual bool takeForceReplan() = 0;
+    virtual const SchemeResult *takeProactive() = 0;
+
+    /**
+     * No-op the controller never calls: triggered replans always plan
+     * cold. Kept only so decorators built against the older interface
+     * (which offered a cached plan here) still compile, like
+     * ResilienceScheme::noteDirtyNodes; slated for removal.
+     */
     virtual const SchemeResult *
     matchWarm(const std::vector<sim::Application> &apps,
-              const sim::ClusterState &observed) = 0;
-    virtual const SchemeResult *takeProactive() = 0;
+              const sim::ClusterState &observed)
+    {
+        (void)apps;
+        (void)observed;
+        return nullptr;
+    }
 };
 
 /**

@@ -78,6 +78,12 @@ class ResilienceScheme
      * full observed state, so none needs a changed-node hint. Kept
      * only so decorators built against the older interface still
      * compile; slated for removal.
+     *
+     * The epoch benchmark's decorators, which override this, also
+     * keep two forecast leftovers alive: ForecastHook's cached-plan
+     * query (a no-op the controller never calls) and
+     * ForecastCounters' warmApplies / stalePlans (always 0). All three
+     * go in the next change that may edit that benchmark.
      */
     virtual void
     noteDirtyNodes(const std::vector<sim::NodeId> &nodes)

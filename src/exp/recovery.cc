@@ -211,8 +211,6 @@ runRecovery(const RecoveryConfig &config)
             result.deletes += record.deletes;
             result.migrations += record.migrations;
             result.restarts += record.restarts;
-            if (record.warm)
-                ++result.warmReplans;
             if (record.proactive)
                 ++result.proactiveReplans;
         }

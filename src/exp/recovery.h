@@ -56,10 +56,10 @@ struct RecoveryConfig
      */
     size_t zoneCount = 0;
     /** Attach the forecast subsystem to the controller: risks are
-     * tracked over the observed capacity stream, plans are pre-staged
-     * against projected post-fault states, and armed risks trigger
-     * proactive execution ahead of the anticipated failure. Ignored
-     * for RecoveryScheme::Default (no controller to attach to). */
+     * tracked over the observed capacity stream, and armed risks plan
+     * projected post-fault states for proactive execution ahead of
+     * the anticipated failure. Ignored for RecoveryScheme::Default
+     * (no controller to attach to). */
     bool forecast = false;
     forecast::ForecastConfig forecastConfig;
 };
@@ -115,9 +115,8 @@ struct RecoveryResult
     size_t deletes = 0;
     size_t migrations = 0;
     size_t restarts = 0;
-    /** Replans applied from a pre-staged (warm) plan / executed
-     * proactively before the fault (zero with forecast off). */
-    size_t warmReplans = 0;
+    /** Replans executed proactively before the fault (zero with
+     * forecast off). */
     size_t proactiveReplans = 0;
     /** Forecast subsystem counters (zero with forecast off). */
     forecast::ForecastCounters forecast;

@@ -1,7 +1,6 @@
 /**
  * @file
- * The forecast subsystem: predictive, proactive degradation with warm
- * pre-staged plans.
+ * The forecast subsystem: predictive, proactive degradation.
  *
  * The Forecaster implements core::ForecastHook and rides the
  * controller's poll loop. Each tick it
@@ -13,25 +12,19 @@
  *     deficit-based risk signals with hysteresis: zone-correlated loss
  *     (per-zone capacity deficit), gradual capacity decay (cluster
  *     deficit), load surge vs. SLO headroom (projected load over EWMA);
- *  3. for armed plan-able risks (zone loss, decay) runs the planner
- *     ahead of time against the projected post-fault state
- *     (kube::KubeCluster::projectedZoneLossState / projectedDecayState)
- *     and caches the result keyed by FNV-1a fingerprints of the full
- *     planner input (apps + projected cluster state).
+ *  3. walks the armed plan-able risks (zones, then decay) that have
+ *     not executed this episode, and plans the first projected
+ *     post-fault state (kube::KubeCluster::projectedZoneLossState /
+ *     projectedDecayState) whose plan has actions. That plan is this
+ *     tick's proactive candidate.
  *
- * When the anticipated fault bites, the controller asks matchWarm():
- * a staged plan whose projected-state fingerprint equals the observed
- * state's applies in O(actions) — and is byte-identical to what a cold
- * replan would produce, because every scheme is a pure function of
- * (apps, state) (the warm-cold-divergence oracle dimension checks it).
- * Any mismatch falls back cold and counts forecast.stale_plans. Optionally (verifyWarmPlans) every warm hit is
- * re-derived cold on a private scheme and byte-compared before use.
- *
- * Ahead of the fault, takeProactive() hands the controller the staged
- * plan for immediate execution: pods are evacuated off the at-risk
- * capacity (and low-criticality services shed early) so the fault
- * itself becomes a non-event. If the risk clears without its fault,
- * takeForceReplan() forces one cold restorative replan.
+ * takeProactive() hands the controller the candidate for immediate
+ * execution: pods are evacuated off the at-risk capacity (and
+ * low-criticality services shed early) so the fault itself becomes a
+ * non-event. If the risk clears without its fault, takeForceReplan()
+ * forces one cold restorative replan. The controller itself always
+ * replans cold on its observed snapshot; nothing planned here is
+ * reused for a triggered replan.
  *
  * Everything is deterministic: no RNG, no wall-clock reads — state is
  * a pure function of the simulated observation stream, so sweep cells
@@ -44,6 +37,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/controller.h"
@@ -56,11 +50,11 @@
 namespace phoenix::forecast {
 
 /**
- * Factory for the forecaster's private projection schemes. Must build
- * the same scheme the controller runs (warm ≡ cold relies on scheme
- * purity, not shared instances — the forecaster plans projections on
- * its own instance, so the controller's scheme only ever plans
- * observed states).
+ * Factory for the forecaster's private projection scheme. Must build
+ * the same scheme the controller runs, so a proactive plan is what the
+ * controller would plan for the projected state. The forecaster plans
+ * projections on its own instance; the controller's scheme only ever
+ * plans observed states.
  */
 using SchemeFactory =
     std::function<std::unique_ptr<core::ResilienceScheme>()>;
@@ -81,17 +75,14 @@ struct ForecastConfig
     HysteresisConfig capacityDecay{0.15, 0.05, 2};
     /** Offered-load surge gate (signal: projected/ewma - 1). */
     HysteresisConfig loadSurge{0.20, 0.08, 2};
-    /** Re-derive every warm hit cold and byte-compare before use. */
-    bool verifyWarmPlans = false;
 };
 
 /** Mirror of the forecast.* obs counters for programmatic access. */
 struct ForecastCounters
 {
-    uint64_t prestagedPlans = 0;   //!< first staging of a risk episode
-    uint64_t restagedPlans = 0;    //!< refresh after a fingerprint drift
-    uint64_t warmApplies = 0;      //!< pre-staged plan applied at trigger
-    uint64_t stalePlans = 0;       //!< fallback cold at trigger
+    uint64_t prestagedPlans = 0;   //!< projection plans derived
+    uint64_t warmApplies = 0;      //!< always 0; epochbench/ reads it
+    uint64_t stalePlans = 0;       //!< always 0; epochbench/ reads it
     uint64_t proactiveApplies = 0; //!< plans executed pre-fault
     uint64_t forcedRestores = 0;   //!< cold replans after a false alarm
 };
@@ -104,7 +95,6 @@ struct RiskStatus
     size_t zone = static_cast<size_t>(-1);
     bool armed = false;
     double signal = 0.0;
-    bool staged = false;
     bool executed = false;
 };
 
@@ -117,9 +107,6 @@ class Forecaster final : public core::ForecastHook
     // --- core::ForecastHook ----------------------------------------
     void tick() override;
     bool takeForceReplan() override;
-    const core::SchemeResult *
-    matchWarm(const std::vector<sim::Application> &apps,
-              const sim::ClusterState &observed) override;
     const core::SchemeResult *takeProactive() override;
 
     // --- Serving-layer surface -------------------------------------
@@ -142,49 +129,28 @@ class Forecaster final : public core::ForecastHook
     const ForecastCounters &counters() const { return counters_; }
     std::vector<RiskStatus> risks() const;
 
-    // --- Shared fingerprint/equality helpers (tests + oracle) ------
-    /** FNV-1a over the full planner-visible cluster state: per-node
-     * (healthy, capacity, zone) + the pod assignment with sizes. */
-    static uint64_t fingerprintState(const sim::ClusterState &state);
-    /** FNV-1a over the planner-visible application structure. */
-    static uint64_t
-    fingerprintApplications(const std::vector<sim::Application> &apps);
-    /** Byte-equality over the deterministic parts of a scheme result
-     * (plan, actions, placement); wall-clock and op counts exempt. */
-    static bool sameSchemeResult(const core::SchemeResult &a,
-                                 const core::SchemeResult &b);
-
   private:
-    /** One staged warm plan (per plan-able risk). */
-    struct Staged
+    /** One plan-able risk's armed episode. */
+    struct Episode
     {
-        bool valid = false;
-        /** Proactive execution already issued this armed episode. */
-        bool executedEpisode = false;
-        uint64_t stateFp = 0;
-        uint64_t appsFp = 0;
-        double stagedAt = 0.0;
-        core::SchemeResult result;
+        /** Proactive execution issued this armed episode; clearing
+         * the risk then forces one restorative replan. */
+        bool executed = false;
     };
 
     core::ResilienceScheme &projScheme();
-    core::ResilienceScheme &verifyScheme();
-    /** (Re-)stage @p s against @p projected unless the fingerprint is
-     * unchanged or the projection equals the observed state (nothing
-     * to pre-empt — the fault already happened). */
-    void stage(Staged &s, const sim::ClusterState &projected,
-               uint64_t observedFp);
-    /** Handle an armed gate's staging + proactive candidacy. */
-    void onArmed(Staged &s, const sim::ClusterState &projected,
-                 uint64_t observedFp);
+    /** Plan @p projected on the projection scheme and make it this
+     * tick's proactive candidate if it has actions. No projection
+     * means the risk fails no node: nothing to pre-empt. */
+    void offer(Episode &episode,
+               const std::optional<sim::ClusterState> &projected);
     /** Handle a cleared gate: forced restore after proactive runs. */
-    void onCleared(Staged &s);
+    void onCleared(Episode &episode);
 
     kube::KubeCluster &cluster_;
     SchemeFactory factory_;
     ForecastConfig config_;
     std::unique_ptr<core::ResilienceScheme> projScheme_;
-    std::unique_ptr<core::ResilienceScheme> verifyScheme_;
 
     TrendModel capacityModel_;
     TrendModel loadModel_;
@@ -193,8 +159,8 @@ class Forecaster final : public core::ForecastHook
     HysteresisGate surgeGate_;
     std::vector<HysteresisGate> zoneGates_;
 
-    std::vector<Staged> zoneStaged_;
-    Staged decayStaged_;
+    std::vector<Episode> zoneEpisodes_;
+    Episode decayEpisode_;
 
     /** Last tick's zone capacities (projectedCapacityFraction). */
     std::vector<kube::KubeCluster::ZoneCapacity> lastZones_;
@@ -202,11 +168,11 @@ class Forecaster final : public core::ForecastHook
     double lastReadyTotal_ = 0.0;
 
     bool forceReplan_ = false;
-    /** Proactive candidate staged this tick; consumed by
+    /** This tick's proactive candidate, planned for pending_'s risk;
+     * pending_ is null when the tick offers nothing. Consumed by
      * takeProactive(). */
-    Staged *pendingProactive_ = nullptr;
-    /** Scratch for verifyWarmPlans' cold re-derivation. */
-    core::SchemeResult verifyScratch_;
+    core::SchemeResult proactive_;
+    Episode *pending_ = nullptr;
 
     ForecastCounters counters_;
 
@@ -214,9 +180,6 @@ class Forecaster final : public core::ForecastHook
     struct ObsHandles
     {
         obs::Counter *prestagedPlans = nullptr;
-        obs::Counter *restagedPlans = nullptr;
-        obs::Counter *warmApplies = nullptr;
-        obs::Counter *stalePlans = nullptr;
         obs::Counter *proactiveApplies = nullptr;
         obs::Counter *forcedRestores = nullptr;
         obs::Counter *risksZoneLoss = nullptr;

@@ -695,21 +695,23 @@ KubeCluster::totalCapacity() const
     return total;
 }
 
+double
+KubeCluster::observedCapacity(const NodeRec &rec) const
+{
+    if (rec.degradeFactor >= 1.0)
+        return rec.capacity;
+    // Report the degraded capacity, but never below current usage:
+    // pods placed before the degrade keep running (slow-not-dead never
+    // evicts) and must stay representable in the snapshot.
+    return std::max(rec.capacity * rec.degradeFactor, usedOn(rec.id));
+}
+
 ClusterState
 KubeCluster::buildState() const
 {
     ClusterState state;
     for (const NodeRec &rec : nodes_) {
-        double observed = rec.capacity;
-        if (rec.degradeFactor < 1.0) {
-            // Report the degraded capacity, but never below current
-            // usage: pods placed before the degrade keep running
-            // (slow-not-dead never evicts) and must stay
-            // representable in the snapshot.
-            observed = std::max(rec.capacity * rec.degradeFactor,
-                                usedOn(rec.id));
-        }
-        state.addNode(observed, rec.zone);
+        state.addNode(observedCapacity(rec), rec.zone);
         if (!rec.ready)
             state.failNode(rec.id);
     }
@@ -784,6 +786,20 @@ KubeCluster::forecastZoneOf(NodeId node, size_t fallbackZoneCount) const
            std::max<size_t>(fallbackZoneCount, 1);
 }
 
+std::optional<double>
+KubeCluster::observedReadyCapacityOf(const NodeRec &rec) const
+{
+    if (!apiOutage_) {
+        if (!rec.ready)
+            return std::nullopt;
+        return observedCapacity(rec);
+    }
+    if (rec.id >= frozenState_.nodeCount() ||
+        !frozenState_.isHealthy(rec.id))
+        return std::nullopt;
+    return frozenState_.node(rec.id).capacity;
+}
+
 std::vector<KubeCluster::ZoneCapacity>
 KubeCluster::observedZoneCapacities(size_t fallbackZoneCount) const
 {
@@ -791,47 +807,55 @@ KubeCluster::observedZoneCapacities(size_t fallbackZoneCount) const
     // Static side: nameplate capacities (never frozen — labels and
     // nameplates are deployment facts, not observations). Ready side:
     // the observation surface, so outages freeze it.
-    const sim::ClusterState observed = observedState();
     for (const NodeRec &rec : nodes_) {
         const size_t z = forecastZoneOf(rec.id, fallbackZoneCount);
         if (z >= zones.size())
             continue;
         zones[z].staticCapacity += rec.capacity;
-        if (rec.id < observed.nodeCount() &&
-            observed.isHealthy(rec.id))
-            zones[z].readyCapacity += observed.node(rec.id).capacity;
+        if (const std::optional<double> ready =
+                observedReadyCapacityOf(rec))
+            zones[z].readyCapacity += *ready;
     }
     return zones;
 }
 
-sim::ClusterState
-KubeCluster::projectedZoneLossState(size_t zone,
-                                    size_t fallbackZoneCount) const
+std::optional<sim::ClusterState>
+KubeCluster::observedStateWithout(
+    const std::vector<sim::NodeId> &doomed) const
 {
-    sim::ClusterState state = observedState();
-    for (const NodeRec &rec : nodes_) {
-        if (forecastZoneOf(rec.id, fallbackZoneCount) != zone)
-            continue;
-        if (rec.id < state.nodeCount() && state.isHealthy(rec.id))
-            state.failNode(rec.id);
-    }
+    if (doomed.empty())
+        return std::nullopt;
+    std::optional<sim::ClusterState> state = observedState();
+    for (const sim::NodeId id : doomed)
+        state->failNode(id);
     return state;
 }
 
-sim::ClusterState
+std::optional<sim::ClusterState>
+KubeCluster::projectedZoneLossState(size_t zone,
+                                    size_t fallbackZoneCount) const
+{
+    std::vector<sim::NodeId> doomed;
+    for (const NodeRec &rec : nodes_) {
+        if (forecastZoneOf(rec.id, fallbackZoneCount) == zone &&
+            observedReadyCapacityOf(rec))
+            doomed.push_back(rec.id);
+    }
+    return observedStateWithout(doomed);
+}
+
+std::optional<sim::ClusterState>
 KubeCluster::projectedDecayState() const
 {
-    sim::ClusterState state = observedState();
+    std::vector<sim::NodeId> doomed;
     for (const NodeRec &rec : nodes_) {
-        if (rec.id >= state.nodeCount() || !state.isHealthy(rec.id))
-            continue;
-        // Observed below nameplate == degraded in the snapshot
-        // (buildState reports max(capacity * factor, usage)).
-        if (state.node(rec.id).capacity <
-            rec.capacity * (1.0 - 1e-12))
-            state.failNode(rec.id);
+        // Observed below nameplate == degraded (observedCapacity
+        // reports max(capacity * factor, usage)).
+        const std::optional<double> ready = observedReadyCapacityOf(rec);
+        if (ready && *ready < rec.capacity * (1.0 - 1e-12))
+            doomed.push_back(rec.id);
     }
-    return state;
+    return observedStateWithout(doomed);
 }
 
 std::set<PodRef>

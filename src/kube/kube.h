@@ -291,30 +291,32 @@ class KubeCluster : public sim::FaultTarget
 
     /**
      * Per-zone nameplate vs. observed ready capacity, indexed by
-     * forecast zone. Built from the observation surface, so an API
-     * outage freezes the ready side while the static side stays
-     * nameplate truth.
+     * forecast zone. Read from the node records, not a pod snapshot;
+     * the ready side follows the observation surface, so an API outage
+     * freezes it while the static side stays nameplate truth. Sums run
+     * in node order, so the values equal those summed from
+     * observedState().
      */
     std::vector<ZoneCapacity>
     observedZoneCapacities(size_t fallbackZoneCount) const;
 
     /**
      * Projected post-fault snapshot for an anticipated zone loss: the
-     * observed state with every node of forecast zone @p zone failed
-     * (pods on them evicted). Failing an already-failed node is a
-     * no-op, so once the zone is actually down the projection
-     * converges to the observed state itself — which is what lets a
-     * pre-staged plan match byte-for-byte at trigger time.
+     * observed state with every observed-Ready node of forecast zone
+     * @p zone failed (pods on them evicted). std::nullopt when the
+     * zone has no such node: the projection would equal the observed
+     * state, so there is nothing to pre-empt.
      */
-    sim::ClusterState projectedZoneLossState(
-        size_t zone, size_t fallbackZoneCount) const;
+    std::optional<sim::ClusterState>
+    projectedZoneLossState(size_t zone, size_t fallbackZoneCount) const;
 
     /**
      * Projected post-fault snapshot for gradual capacity decay: the
-     * observed state with every capacity-deficient node (observed
-     * below its nameplate — i.e. degraded) failed.
+     * observed state with every observed-Ready, capacity-deficient
+     * node (observed below its nameplate — i.e. degraded) failed.
+     * std::nullopt when no such node exists.
      */
-    sim::ClusterState projectedDecayState() const;
+    std::optional<sim::ClusterState> projectedDecayState() const;
 
     /** Pods currently serving traffic (Running only). */
     std::set<sim::PodRef> runningPods() const;
@@ -359,6 +361,18 @@ class KubeCluster : public sim::FaultTarget
     void scheduleHeartbeat(sim::NodeId node);
     /** Build the planner snapshot from live state. */
     sim::ClusterState buildState() const;
+    /** Capacity a node reports in the live snapshot: its nameplate, or
+     * when degraded max(capacity * factor, used). */
+    double observedCapacity(const NodeRec &rec) const;
+    /** Capacity the observation surface reports for @p rec when it is
+     * observed Ready — the frozen snapshot's during an API outage;
+     * std::nullopt when it is observed NotReady or joined after the
+     * freeze. Reads no pods. */
+    std::optional<double> observedReadyCapacityOf(const NodeRec &rec) const;
+    /** The observed state with @p doomed failed; std::nullopt when
+     * @p doomed is empty. */
+    std::optional<sim::ClusterState>
+    observedStateWithout(const std::vector<sim::NodeId> &doomed) const;
     /** Live (never frozen) ready-set fingerprint. */
     uint64_t readyFingerprint() const;
     void nodeControllerTick();

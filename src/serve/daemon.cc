@@ -263,15 +263,11 @@ ServeDaemon::cmdForecastStatus()
             out << ",\"zone\":" << risk.zone;
         out << ",\"armed\":" << (risk.armed ? "true" : "false")
             << ",\"signal\":" << util::jsonNumber(risk.signal)
-            << ",\"staged\":" << (risk.staged ? "true" : "false")
             << ",\"executed\":" << (risk.executed ? "true" : "false")
             << "}";
     }
     out << "],\"counters\":{\"prestaged_plans\":"
         << counters.prestagedPlans
-        << ",\"restaged_plans\":" << counters.restagedPlans
-        << ",\"warm_applies\":" << counters.warmApplies
-        << ",\"stale_plans\":" << counters.stalePlans
         << ",\"proactive_executions\":"
         << counters.proactiveApplies
         << ",\"forced_restores\":" << counters.forcedRestores

@@ -18,10 +18,6 @@ congestionFactor(double utilization)
     return 1.0 + 0.0025 * (rho - 0.5) / (1.0 - rho);
 }
 
-/** Closed-loop pacing charge for a request that failed inside the
- * cluster (the user waits out a timeout before thinking again). */
-constexpr double kFailPenaltySec = 1.0;
-
 /** Replica-concentration cap: a service running at quorum never looks
  * more than 4x slower than at full replica count. */
 constexpr double kMaxConcentration = 4.0;
@@ -115,42 +111,8 @@ ServeFrontend::ServeFrontend(
         events_.schedule(config_.startAt + config_.windowSec,
                          [this] { windowTick(); });
     }
-    armArrivals();
-}
-
-void
-ServeFrontend::armArrivals()
-{
-    const size_t count = tracker_.classCount();
-    if (!config_.closedLoop) {
-        for (size_t i = 0; i < count; ++i)
-            scheduleNextArrival(i);
-        return;
-    }
-    const double meanThink =
-        0.5 * (std::max(config_.thinkMinSec, 0.0) +
-               std::max(config_.thinkMaxSec, config_.thinkMinSec));
-    apps::ClosedLoopConfig thinkCfg;
-    thinkCfg.thinkMinSec = config_.thinkMinSec;
-    thinkCfg.thinkMaxSec = config_.thinkMaxSec;
-    for (size_t i = 0; i < count; ++i) {
-        thinkRng_.emplace_back(
-            util::cellSeed(config_.seed, i, 0x7417));
-        // Size the population so the healthy-cluster offered rate
-        // approximates the class's open-loop rate.
-        const double rps =
-            tracker_.classes()[i].baseRps * config_.rpsScale;
-        const auto users = static_cast<size_t>(
-            std::max<long long>(1, std::llround(rps * meanThink)));
-        for (size_t u = 0; u < users; ++u) {
-            // Staggered starts: one think-time draw per user.
-            const double start =
-                config_.startAt +
-                apps::sampleThinkTime(thinkRng_[i], thinkCfg);
-            if (start <= config_.endAt)
-                armClosedLoopUser(i, start);
-        }
-    }
+    for (size_t i = 0; i < tracker_.classCount(); ++i)
+        scheduleNextArrival(i);
 }
 
 void
@@ -168,22 +130,6 @@ ServeFrontend::scheduleNextArrival(size_t classIdx)
 }
 
 void
-ServeFrontend::armClosedLoopUser(size_t classIdx, double at)
-{
-    events_.schedule(at, [this, classIdx] {
-        const double serviceSec = handleRequest(classIdx);
-        apps::ClosedLoopConfig thinkCfg;
-        thinkCfg.thinkMinSec = config_.thinkMinSec;
-        thinkCfg.thinkMaxSec = config_.thinkMaxSec;
-        const double next =
-            events_.now() + serviceSec +
-            apps::sampleThinkTime(thinkRng_[classIdx], thinkCfg);
-        if (next <= config_.endAt)
-            armClosedLoopUser(classIdx, next);
-    });
-}
-
-double
 ServeFrontend::handleRequest(size_t classIdx)
 {
     const RequestClass &cls = tracker_.classes()[classIdx];
@@ -208,8 +154,7 @@ ServeFrontend::handleRequest(size_t classIdx)
           case AdmitDecision::Admit:
             break;
         }
-        // Fail-fast: the user is told immediately, no service time.
-        return 0.0;
+        return;
     }
 
     util::Rng &rng = latencyRng_[classIdx];
@@ -245,14 +190,13 @@ ServeFrontend::handleRequest(size_t classIdx)
         tracker_.recordFailed(classIdx);
         ++failed_;
         PHOENIX_COUNT(*obs_.failed, 1);
-        return kFailPenaltySec;
+        return;
     }
 
     tracker_.recordServed(classIdx, totalMs);
     ++served_;
     PHOENIX_COUNT(*obs_.served, 1);
     PHOENIX_OBSERVE(*obs_.latencyByClass[classIdx], totalMs);
-    return totalMs / 1000.0;
 }
 
 void

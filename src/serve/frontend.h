@@ -8,8 +8,7 @@
  *
  *  - an open-loop arrival stream (non-homogeneous Poisson over the
  *    configured RateCurve, one util::Rng per class seeded via
- *    util::cellSeed) or a closed-loop user population (think-time
- *    loops), both riding the shared sim::EventQueue;
+ *    util::cellSeed) riding the shared sim::EventQueue;
  *  - a service-time model: per-component log-normal samples around the
  *    component's P95 contribution (the runLoad model), scaled by the
  *    cluster congestion factor and by a replica-concentration factor
@@ -61,11 +60,6 @@ struct FrontendConfig
     /** Log-space sigma of per-component latency samples. */
     double latencySigma = 0.25;
     AdmissionConfig admission;
-    /** Closed-loop mode: per-class user populations with think times
-     * instead of open-loop Poisson arrivals. */
-    bool closedLoop = false;
-    double thinkMinSec = 2.0;
-    double thinkMaxSec = 8.0;
     uint64_t seed = 42;
 };
 
@@ -107,13 +101,10 @@ class ServeFrontend
         int ready = 0;
     };
 
-    void armArrivals();
     void scheduleNextArrival(size_t classIdx);
-    void armClosedLoopUser(size_t classIdx, double at);
     /** Handle one request of class @p classIdx at the current sim
-     * time; returns the served latency in seconds (for closed-loop
-     * pacing), or a fixed fail penalty when shed/failed. */
-    double handleRequest(size_t classIdx);
+     * time: shed, failed, or served with a sampled latency. */
+    void handleRequest(size_t classIdx);
     void refresh();
     void windowTick();
 
@@ -136,8 +127,6 @@ class ServeFrontend
     /** Per-class latency-sampling stream (separate from arrivals so a
      * routing change never perturbs arrival instants). */
     std::vector<util::Rng> latencyRng_;
-    /** Per-class think-time stream (closed-loop mode only). */
-    std::vector<util::Rng> thinkRng_;
 
     std::map<uint64_t, ServiceState> services_;
     double congestion_ = 1.0;

@@ -17,7 +17,6 @@
 #include "apps/loadgen.h"
 #include "apps/overleaf.h"
 #include "apps/service_app.h"
-#include "util/rng.h"
 
 using namespace phoenix;
 using namespace phoenix::apps;
@@ -341,24 +340,4 @@ TEST(OpenLoopArrivals, ZeroRateStreamIsExhausted)
     config.curve.point(0.0, 0.0);
     OpenLoopArrivals pinned(config);
     EXPECT_LT(pinned.next(0.0), 0.0);
-}
-
-TEST(ClosedLoop, ThinkTimeBoundsAndDegenerateRanges)
-{
-    phoenix::util::Rng rng(99);
-    ClosedLoopConfig config;
-    config.thinkMinSec = 2.0;
-    config.thinkMaxSec = 8.0;
-    for (int i = 0; i < 1000; ++i) {
-        const double think = sampleThinkTime(rng, config);
-        EXPECT_GE(think, 2.0);
-        EXPECT_LE(think, 8.0);
-    }
-
-    config.thinkMaxSec = 1.0; // max < min collapses to min
-    EXPECT_NEAR(sampleThinkTime(rng, config), 2.0, 1e-12);
-
-    config.thinkMinSec = -3.0; // negative bounds never go below 0
-    config.thinkMaxSec = -1.0;
-    EXPECT_NEAR(sampleThinkTime(rng, config), 0.0, 1e-12);
 }

@@ -1,26 +1,34 @@
 /**
  * @file
  * Tests for the forecast subsystem (src/forecast): trend-model
- * determinism, hysteresis boundary behavior, warm-plan-equals-cold-plan
- * bit identity over seeded fuzz environments, the end-to-end precursor
- * storyline through the recovery harness, and the shared time-series
- * derivation both harnesses (recovery, soak) are pinned to.
+ * determinism, hysteresis boundary behavior, long-lived-scheme purity
+ * (a scheme that planned a projection still returns the cold plan)
+ * over seeded fuzz environments, the proactive-candidacy contract, the
+ * end-to-end precursor storyline through the recovery harness, and the
+ * shared time-series derivation both harnesses (recovery, soak) are
+ * pinned to.
  */
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "apps/cloudlab.h"
 #include "check/generator.h"
 #include "check/oracle.h"
+#include "core/controller.h"
 #include "core/schemes.h"
 #include "exp/recovery.h"
 #include "exp/timeseries.h"
 #include "forecast/detector.h"
 #include "forecast/forecaster.h"
 #include "forecast/model.h"
+#include "kube/kube.h"
+#include "sim/scenario.h"
 
 using namespace phoenix;
 using exp::RecoveryConfig;
@@ -50,6 +58,30 @@ decayZoneConfig(bool forecastOn)
     config.forecast = forecastOn;
     return config;
 }
+
+/** PhoenixScheme that counts its apply() calls. */
+class CountingScheme final : public core::ResilienceScheme
+{
+  public:
+    CountingScheme(core::Objective objective, size_t &applies)
+        : inner_(objective), applies_(applies)
+    {
+    }
+
+    std::string name() const override { return inner_.name(); }
+
+    core::SchemeResult
+    apply(const std::vector<sim::Application> &apps,
+          const sim::ClusterState &current) override
+    {
+        ++applies_;
+        return inner_.apply(apps, current);
+    }
+
+  private:
+    core::PhoenixScheme inner_;
+    size_t &applies_;
+};
 
 } // namespace
 
@@ -162,15 +194,16 @@ TEST(Hysteresis, BoundaryRidingSignalNeverFlaps)
     EXPECT_EQ(gate.clearCount(), 0u);
 }
 
-// --- Warm plan == cold plan ------------------------------------------
+// --- Long-lived scheme purity ---------------------------------------
 
 TEST(Forecast, WarmPlanIsBitIdenticalToColdPlanOnSeededEnvs)
 {
-    // The soundness property warm application rests on: a scheme that
-    // just planned a *projection* (the forecaster's pre-staging shape)
-    // must produce the byte-identical cold answer when asked to plan
-    // the real post-failure state — scheme output is a pure function
-    // of (apps, state). 50 seeded fuzz environments, both objectives.
+    // The purity both long-lived schemes rest on — the controller's,
+    // and the forecaster's projection scheme, which replans every
+    // tick: a scheme that just planned a *projection* must produce the
+    // byte-identical cold answer when asked to plan the real
+    // post-failure state — scheme output is a pure function of (apps,
+    // state). 50 seeded fuzz environments, both objectives.
     for (uint64_t seed = 1; seed <= 50; ++seed) {
         const check::CheckCase c = check::generateCase(seed);
         const sim::ClusterState post = check::postFailureState(c);
@@ -182,39 +215,116 @@ TEST(Forecast, WarmPlanIsBitIdenticalToColdPlanOnSeededEnvs)
 
         for (const core::Objective objective :
              {core::Objective::Fair, core::Objective::Cost}) {
-            core::PhoenixScheme staged(objective);
-            (void)staged.apply(c.apps, projection); // warm-up on the
-                                                    // projection
-            const core::SchemeResult warm = staged.apply(c.apps, post);
+            core::PhoenixScheme longLived(objective);
+            (void)longLived.apply(c.apps, projection);
+            const core::SchemeResult warm = longLived.apply(c.apps, post);
 
             core::PhoenixScheme cold(objective);
             const core::SchemeResult reference =
                 cold.apply(c.apps, post);
 
-            ASSERT_TRUE(Forecaster::sameSchemeResult(warm, reference))
-                << "seed " << seed << " objective "
-                << (objective == core::Objective::Fair ? "Fair"
-                                                       : "Cost");
-            ASSERT_EQ(Forecaster::fingerprintState(post),
-                      Forecaster::fingerprintState(post));
+            const std::string where =
+                "seed " + std::to_string(seed) + " objective " +
+                (objective == core::Objective::Fair ? "Fair" : "Cost");
+            ASSERT_EQ(warm.failed, reference.failed) << where;
+            ASSERT_EQ(warm.plan, reference.plan) << where;
+            ASSERT_EQ(warm.pack.actions.size(),
+                      reference.pack.actions.size())
+                << where;
+            for (size_t i = 0; i < warm.pack.actions.size(); ++i) {
+                const core::Action &x = warm.pack.actions[i];
+                const core::Action &y = reference.pack.actions[i];
+                ASSERT_TRUE(x.kind == y.kind && x.pod == y.pod &&
+                            x.from == y.from && x.to == y.to)
+                    << where << " action " << i;
+            }
+            ASSERT_EQ(warm.pack.complete, reference.pack.complete)
+                << where;
+            ASSERT_EQ(warm.pack.state.assignment(),
+                      reference.pack.state.assignment())
+                << where;
         }
     }
 }
 
-TEST(Forecast, FingerprintDistinguishesProjectionFromObserved)
+// --- Proactive candidacy ---------------------------------------------
+
+TEST(Forecast, ExecutedRiskIsNotReplannedWhileArmed)
 {
-    const check::CheckCase c = check::generateCase(7);
-    const sim::ClusterState post = check::postFailureState(c);
-    const std::vector<sim::NodeId> healthy = post.healthyNodes();
-    ASSERT_FALSE(healthy.empty());
-    sim::ClusterState projection = post;
-    projection.failNode(healthy.front());
-    // Stale detection is fingerprint inequality: a projection that did
-    // not come true must not match the observed state.
-    EXPECT_NE(Forecaster::fingerprintState(post),
-              Forecaster::fingerprintState(projection));
-    EXPECT_EQ(Forecaster::fingerprintApplications(c.apps),
-              Forecaster::fingerprintApplications(c.apps));
+    // The decayzone precursor (zone 0 = nodes 0, 5, 10, 15, 20 under
+    // the fallback striping loses three nodes) arms the zone-loss risk
+    // and the forecaster executes its projection plan proactively.
+    // From then until the risk clears, nothing is left to offer for
+    // it, so the projection scheme must not run again — although the
+    // proactive moves and the later zone kill keep changing the
+    // observed state.
+    sim::EventQueue events;
+    kube::KubeConfig kubeConfig;
+    kubeConfig.validateInvariants = true;
+    kube::KubeCluster cluster(events, kubeConfig);
+    const apps::CloudLabTestbed testbed =
+        apps::makeCloudLabTestbed(apps::CloudLabConfig{});
+    for (size_t n = 0; n < testbed.config.nodeCount; ++n)
+        cluster.addNode(testbed.config.cpusPerNode);
+    for (const sim::Application &app : testbed.applications())
+        cluster.addApplication(app);
+
+    core::PhoenixController controller(
+        events, cluster,
+        std::make_unique<core::PhoenixScheme>(core::Objective::Cost));
+    size_t applies = 0;
+    Forecaster forecaster(cluster, [&applies] {
+        return std::make_unique<CountingScheme>(core::Objective::Cost,
+                                                applies);
+    });
+    controller.attachForecast(&forecaster);
+
+    sim::Scenario scenario;
+    scenario.failNodes(400.0, {0, 5})
+        .failNodes(500.0, {10})
+        .failZone(900.0, 0)
+        .recoverAll(1500.0, 30.0);
+    sim::ScenarioOptions options;
+    options.zoneCount = 5;
+    sim::ScenarioRunner runner(events, cluster, scenario, options);
+
+    auto zoneZero = [&forecaster] {
+        for (const forecast::RiskStatus &risk : forecaster.risks()) {
+            if (risk.cls == forecast::FaultClass::ZoneLoss &&
+                risk.zone == 0)
+                return risk;
+        }
+        return forecast::RiskStatus{};
+    };
+
+    // Step poll by poll until the proactive execution lands.
+    double t = 0.0;
+    while (forecaster.counters().proactiveApplies == 0 && t < 900.0) {
+        t += 15.0;
+        events.runUntil(t);
+    }
+    ASSERT_EQ(forecaster.counters().proactiveApplies, 1u);
+    ASSERT_LT(t, 900.0) << "proactive execution must precede the kill";
+    ASSERT_TRUE(zoneZero().armed);
+    ASSERT_TRUE(zoneZero().executed);
+    const size_t appliesAtExecution = applies;
+    const uint64_t plansAtExecution =
+        forecaster.counters().prestagedPlans;
+    EXPECT_GE(appliesAtExecution, 1u);
+
+    // Through the zone kill and up to the recovery, the risk stays
+    // armed and executed, and no further projection plan is derived.
+    while (t < 1485.0) {
+        t += 15.0;
+        events.runUntil(t);
+        ASSERT_TRUE(zoneZero().armed) << "t=" << t;
+        ASSERT_TRUE(zoneZero().executed) << "t=" << t;
+        ASSERT_EQ(applies, appliesAtExecution) << "t=" << t;
+    }
+    EXPECT_EQ(forecaster.counters().prestagedPlans, plansAtExecution);
+    EXPECT_EQ(forecaster.counters().proactiveApplies, 1u);
+    EXPECT_GT(controller.history().size(), 2u);
+    EXPECT_EQ(cluster.invariantViolations(), 0u);
 }
 
 // --- End-to-end through the recovery harness -------------------------
@@ -228,13 +338,12 @@ TEST(Forecast, PrecursorScenarioPrestagesAndActsBeforeTheFault)
 
     // Reactive pays a real recovery after the zone kill.
     EXPECT_GT(reactive.timeToCriticalRecovery, 0.0);
-    EXPECT_EQ(reactive.warmReplans, 0u);
     EXPECT_EQ(reactive.proactiveReplans, 0u);
 
-    // The forecast run pre-stages against the projected zone loss and
-    // acts on the armed risk before the kill lands.
+    // The forecast run plans against the projected zone loss and acts
+    // on the armed risk before the kill lands.
     EXPECT_GE(forecast.forecast.prestagedPlans, 1u);
-    EXPECT_GE(forecast.warmReplans + forecast.proactiveReplans, 1u);
+    EXPECT_GE(forecast.proactiveReplans, 1u);
     ASSERT_GE(forecast.timeToCriticalRecovery, 0.0);
     EXPECT_LT(forecast.timeToCriticalRecovery,
               reactive.timeToCriticalRecovery);
@@ -260,36 +369,11 @@ TEST(Forecast, RecoveryRunsAreDeterministicWithForecastOn)
         ASSERT_EQ(a.samples[i].pending, b.samples[i].pending);
     }
     EXPECT_EQ(a.replans, b.replans);
-    EXPECT_EQ(a.warmReplans, b.warmReplans);
     EXPECT_EQ(a.proactiveReplans, b.proactiveReplans);
     EXPECT_EQ(a.forecast.prestagedPlans, b.forecast.prestagedPlans);
-    EXPECT_EQ(a.forecast.restagedPlans, b.forecast.restagedPlans);
-    EXPECT_EQ(a.forecast.warmApplies, b.forecast.warmApplies);
-    EXPECT_EQ(a.forecast.stalePlans, b.forecast.stalePlans);
     EXPECT_EQ(a.forecast.proactiveApplies, b.forecast.proactiveApplies);
     EXPECT_EQ(a.timeToCriticalRecovery, b.timeToCriticalRecovery);
     EXPECT_EQ(a.timeToFullRecovery, b.timeToFullRecovery);
-}
-
-TEST(Forecast, VerifiedWarmPlansMatchColdEndToEnd)
-{
-    // verifyWarmPlans re-derives every warm hit cold on a private
-    // scheme and byte-compares before use; a divergence downgrades the
-    // hit to a stale fallback. End to end the verified run must behave
-    // exactly like the unverified one, with zero stale downgrades
-    // caused by verification.
-    RecoveryConfig verified = decayZoneConfig(true);
-    verified.forecastConfig.verifyWarmPlans = true;
-    const RecoveryResult checked = exp::runRecovery(verified);
-    const RecoveryResult plain =
-        exp::runRecovery(decayZoneConfig(true));
-
-    EXPECT_EQ(checked.forecast.warmApplies,
-              plain.forecast.warmApplies);
-    EXPECT_EQ(checked.forecast.stalePlans, plain.forecast.stalePlans);
-    EXPECT_EQ(checked.timeToCriticalRecovery,
-              plain.timeToCriticalRecovery);
-    EXPECT_EQ(checked.invariantViolations, 0u);
 }
 
 // --- Shared time-series derivation (recovery + soak) -----------------

@@ -29,6 +29,39 @@ simpleApp(size_t services, double cpu)
     return app;
 }
 
+/** Per-zone capacities summed in node order from a full
+ * observedState() snapshot — the derivation observedZoneCapacities
+ * must reproduce bit for bit without building one. */
+std::vector<KubeCluster::ZoneCapacity>
+zoneCapacitiesFromSnapshot(const KubeCluster &cluster, size_t fallback)
+{
+    std::vector<KubeCluster::ZoneCapacity> zones(
+        cluster.forecastZoneCount(fallback));
+    const sim::ClusterState observed = cluster.observedState();
+    for (sim::NodeId id = 0; id < cluster.nodeCount(); ++id) {
+        KubeCluster::ZoneCapacity &zone =
+            zones[cluster.forecastZoneOf(id, fallback)];
+        zone.staticCapacity += cluster.nodeCapacity(id);
+        if (id < observed.nodeCount() && observed.isHealthy(id))
+            zone.readyCapacity += observed.node(id).capacity;
+    }
+    return zones;
+}
+
+void
+expectZonesMatchSnapshot(const KubeCluster &cluster, size_t fallback)
+{
+    const auto fast = cluster.observedZoneCapacities(fallback);
+    const auto slow = zoneCapacitiesFromSnapshot(cluster, fallback);
+    ASSERT_EQ(fast.size(), slow.size());
+    for (size_t z = 0; z < fast.size(); ++z) {
+        EXPECT_EQ(fast[z].staticCapacity, slow[z].staticCapacity)
+            << "zone " << z;
+        EXPECT_EQ(fast[z].readyCapacity, slow[z].readyCapacity)
+            << "zone " << z;
+    }
+}
+
 } // namespace
 
 TEST(Kube, PodsScheduleAndStart)
@@ -511,4 +544,90 @@ TEST(Kube, PositiveSkewMasksAKubeletDeath)
     EXPECT_TRUE(cluster.isReady(node)); // masked
     events.runUntil(420.0);
     EXPECT_FALSE(cluster.isReady(node)); // finally past 310 + grace
+}
+
+TEST(Kube, ZoneCapacitiesMatchTheSnapshotDerivation)
+{
+    // Six nodes striped over three fallback zones (node n -> n % 3).
+    sim::EventQueue events;
+    KubeConfig config;
+    config.validateInvariants = true;
+    KubeCluster cluster(events, config);
+    for (int n = 0; n < 6; ++n)
+        cluster.addNode(8.0);
+    cluster.addApplication(simpleApp(6, 3.0));
+    events.runUntil(120.0);
+    ASSERT_EQ(cluster.runningPods().size(), 6u);
+    expectZonesMatchSnapshot(cluster, 3);
+
+    // A degraded node under its usage reports the usage, one above it
+    // the degraded capacity; a NotReady node reports nothing.
+    cluster.degradeNode(1, 0.25);
+    cluster.degradeNode(4, 0.75);
+    cluster.stopKubelet(2);
+    events.runUntil(300.0);
+    ASSERT_FALSE(cluster.isReady(2));
+    expectZonesMatchSnapshot(cluster, 3);
+    const auto live = cluster.observedZoneCapacities(3);
+    EXPECT_DOUBLE_EQ(live[1].staticCapacity, 16.0);
+    EXPECT_DOUBLE_EQ(live[1].readyCapacity,
+                     cluster.observedState().node(1).capacity + 6.0);
+    EXPECT_DOUBLE_EQ(live[2].readyCapacity, 8.0);
+
+    // During an API outage the ready side stays frozen while the
+    // cluster moves on; a node added after the freeze counts only
+    // towards its zone's nameplate.
+    cluster.beginApiOutage();
+    cluster.stopKubelet(3);
+    cluster.degradeNode(5, 0.5);
+    cluster.addNode(8.0);
+    events.runUntil(500.0);
+    ASSERT_FALSE(cluster.isReady(3));
+    expectZonesMatchSnapshot(cluster, 3);
+    const auto frozen = cluster.observedZoneCapacities(3);
+    EXPECT_DOUBLE_EQ(frozen[0].staticCapacity, 24.0);
+    EXPECT_DOUBLE_EQ(frozen[0].readyCapacity, live[0].readyCapacity);
+    EXPECT_DOUBLE_EQ(frozen[2].readyCapacity, live[2].readyCapacity);
+
+    cluster.endApiOutage();
+    expectZonesMatchSnapshot(cluster, 3);
+    EXPECT_EQ(cluster.invariantViolations(), 0u);
+}
+
+TEST(Kube, ProjectionsAreEmptyWhenNothingFails)
+{
+    // Four nodes over two fallback zones: zone 0 = {0, 2}, 1 = {1, 3}.
+    sim::EventQueue events;
+    KubeCluster cluster(events);
+    for (int n = 0; n < 4; ++n)
+        cluster.addNode(8.0);
+    cluster.addApplication(simpleApp(2, 2.0));
+    events.runUntil(120.0);
+
+    ASSERT_TRUE(cluster.projectedZoneLossState(0, 2).has_value());
+    // Nothing is degraded yet.
+    EXPECT_FALSE(cluster.projectedDecayState().has_value());
+
+    // Zone 0 with no Ready node has nothing left to fail.
+    cluster.stopKubelet(0);
+    cluster.stopKubelet(2);
+    events.runUntil(300.0);
+    ASSERT_FALSE(cluster.isReady(0));
+    ASSERT_FALSE(cluster.isReady(2));
+    EXPECT_FALSE(cluster.projectedZoneLossState(0, 2).has_value());
+    const auto zone1 = cluster.projectedZoneLossState(1, 2);
+    ASSERT_TRUE(zone1.has_value());
+    EXPECT_FALSE(zone1->isHealthy(1));
+    EXPECT_FALSE(zone1->isHealthy(3));
+    EXPECT_TRUE(zone1->assignment().empty());
+
+    // A degraded node that is already NotReady is not a decay target;
+    // a Ready degraded one is, and only it fails.
+    cluster.degradeNode(0, 0.5);
+    EXPECT_FALSE(cluster.projectedDecayState().has_value());
+    cluster.degradeNode(1, 0.5);
+    const auto decay = cluster.projectedDecayState();
+    ASSERT_TRUE(decay.has_value());
+    EXPECT_FALSE(decay->isHealthy(1));
+    EXPECT_TRUE(decay->isHealthy(3));
 }

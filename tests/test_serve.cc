@@ -472,6 +472,64 @@ TEST(ServeDaemon, LifecycleRoundTrip)
     EXPECT_TRUE(daemon.shuttingDown());
 }
 
+TEST(ServeDaemon, ForecastStatusReportsRisksAndCounters)
+{
+    ServeDaemon daemon;
+    ASSERT_TRUE(okOf(reply(daemon, R"({"cmd":"load-testbed"})")));
+
+    // Without a forecast-enabled controller the verb is an error.
+    auto early = reply(daemon, R"({"cmd":"forecast-status"})");
+    EXPECT_FALSE(okOf(early));
+    EXPECT_FALSE(early.stringAt("error").empty());
+
+    ASSERT_TRUE(okOf(reply(
+        daemon, R"({"cmd":"start-controller","scheme":"PhoenixCost",)"
+                R"("forecast":true,"zones":4})")));
+    reply(daemon, R"({"cmd":"advance","seconds":60})");
+
+    auto status = reply(daemon, R"({"cmd":"forecast-status"})");
+    ASSERT_TRUE(okOf(status));
+    const util::JsonValue *risks = status.field("risks");
+    ASSERT_NE(risks, nullptr);
+    ASSERT_TRUE(risks->isArray());
+    // One zone-loss risk per forecast zone, then decay, then surge.
+    ASSERT_EQ(risks->items.size(), 4u + 2u);
+    for (size_t i = 0; i < risks->items.size(); ++i) {
+        const util::JsonValue &risk = risks->items[i];
+        const std::string cls = risk.stringAt("class");
+        if (i < 4) {
+            EXPECT_EQ(cls, "zone-loss");
+            ASSERT_NE(risk.field("zone"), nullptr);
+            EXPECT_EQ(risk.numberAt("zone"), static_cast<double>(i));
+        } else {
+            EXPECT_EQ(cls, i == 4 ? "capacity-decay" : "load-surge");
+            EXPECT_EQ(risk.field("zone"), nullptr);
+        }
+        const util::JsonValue *armed = risk.field("armed");
+        const util::JsonValue *signal = risk.field("signal");
+        const util::JsonValue *executed = risk.field("executed");
+        ASSERT_NE(armed, nullptr) << cls;
+        ASSERT_NE(signal, nullptr) << cls;
+        ASSERT_NE(executed, nullptr) << cls;
+        EXPECT_EQ(armed->kind, util::JsonValue::Kind::Bool);
+        EXPECT_TRUE(signal->isNumber());
+        EXPECT_EQ(executed->kind, util::JsonValue::Kind::Bool);
+        EXPECT_EQ(risk.field("staged"), nullptr) << cls;
+    }
+
+    const util::JsonValue *counters = status.field("counters");
+    ASSERT_NE(counters, nullptr);
+    ASSERT_TRUE(counters->isObject());
+    std::vector<std::string> keys;
+    for (const auto &[key, value] : counters->fields) {
+        keys.push_back(key);
+        EXPECT_TRUE(value.isNumber()) << key;
+    }
+    EXPECT_EQ(keys, (std::vector<std::string>{"prestaged_plans",
+                                              "proactive_executions",
+                                              "forced_restores"}));
+}
+
 TEST(ServeDaemon, IngestManifestSurfacesStructuredErrors)
 {
     ServeDaemon daemon;
