@@ -9,7 +9,9 @@
 #   scripts/sanitize.sh address -R fuzz # extra args forwarded to ctest
 #
 # The fuzz smoke gate runs as part of the suite, so every generated
-# case's plan/pack/LP/kube paths execute under the sanitizer too.
+# case's plan/pack/LP/kube paths execute under the sanitizer too. The
+# address and undefined trees also define _GLIBCXX_ASSERTIONS, so an
+# out-of-range index into a standard container aborts the test.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -45,14 +45,13 @@ PhoenixController::poll()
 
     // Mark recovery of the pending replan once every planned pod runs.
     if (!history_.empty() && history_.back().recoveredAt < 0.0) {
-        const auto running = cluster_.runningPods();
-        bool all_running = true;
-        for (const PodRef &ref : target_) {
-            if (!running.count(ref)) {
-                all_running = false;
-                break;
-            }
-        }
+        const bool all_running =
+            std::all_of(target_.begin(), target_.end(),
+                        [this](const PodRef &ref) {
+                            const kube::Pod *pod = cluster_.pod(ref);
+                            return pod &&
+                                   pod->phase == kube::PodPhase::Running;
+                        });
         if (all_running) {
             ReplanRecord &rec = history_.back();
             rec.recoveredAt = events_.now();

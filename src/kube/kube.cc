@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 
 #include "util/log.h"
 
@@ -61,6 +63,7 @@ KubeCluster::KubeCluster(sim::EventQueue &events, KubeConfig config)
     obs_.transitions[3] =
         &registry.counter("kube.pod_transitions", "to", "Terminating");
     obs_.binds = &registry.counter("kube.scheduler.binds");
+    obs_.nodeProbes = &registry.counter("kube.scheduler.node_probes");
     obs_.evictedPods = &registry.counter("kube.evictions.pods");
     obs_.evictionEpisodes =
         &registry.counter("kube.evictions.episodes");
@@ -92,6 +95,9 @@ KubeCluster::addNode(double capacity, uint32_t zone)
         hasExplicitZones_ = true;
     nodes_.push_back(rec);
     nodeUsed_.push_back(0.0);
+    nodePods_.emplace_back();
+    nodeKey_.push_back(freeKey(rec));
+    capacityIndex_.insert(nodeKey_.back(), id);
     nodeEvictionEpisodes_.push_back(0);
     scheduleHeartbeat(id);
     return id;
@@ -100,6 +106,16 @@ KubeCluster::addNode(double capacity, uint32_t zone)
 void
 KubeCluster::addApplication(const sim::Application &app)
 {
+    // Slots are appended in PodRef order, which needs every ms.id to
+    // be its index.
+    for (size_t m = 0; m < app.services.size(); ++m) {
+        if (app.services[m].id != m) {
+            throw std::invalid_argument(
+                "KubeCluster::addApplication: service " +
+                std::to_string(m) + " of app '" + app.name +
+                "' has id " + std::to_string(app.services[m].id));
+        }
+    }
     apps_.push_back(app);
     const sim::AppId app_id = static_cast<sim::AppId>(apps_.size() - 1);
     apps_.back().id = app_id;
@@ -111,10 +127,27 @@ KubeCluster::addApplication(const sim::Application &app)
             Pod pod;
             pod.ref = PodRef{app_id, ms.id, static_cast<uint32_t>(r)};
             pod.cpu = ms.cpu;
-            pods_[pod.ref] = pod;
-            podEpoch_[pod.ref] = 0;
+            pods_.push_back(pod);
         }
+        podBase_.push_back(static_cast<Slot>(pods_.size()));
     }
+    msBase_.push_back(podBase_.size() - 1);
+    podEpoch_.resize(pods_.size(), 0);
+    podPos_.resize(pods_.size(), 0);
+}
+
+KubeCluster::Slot
+KubeCluster::slotOf(const PodRef &ref) const
+{
+    if (ref.app >= apps_.size())
+        return kNoSlot;
+    const size_t first_ms = msBase_[ref.app];
+    if (ref.ms >= msBase_[ref.app + 1] - first_ms)
+        return kNoSlot;
+    const size_t ms = first_ms + ref.ms;
+    if (ref.replica >= podBase_[ms + 1] - podBase_[ms])
+        return kNoSlot;
+    return podBase_[ms] + ref.replica;
 }
 
 void
@@ -179,6 +212,7 @@ KubeCluster::degradeNode(NodeId node, double factor)
     if (rec.degradeFactor == factor)
         return;
     rec.degradeFactor = factor;
+    rekeyNode(node);
 }
 
 void
@@ -221,6 +255,7 @@ KubeCluster::nodeControllerTick()
             events_.now() - rec.lastHeartbeat <= config_.nodeGracePeriod;
         if (rec.ready && !fresh) {
             rec.ready = false;
+            capacityIndex_.erase(nodeKey_[rec.id], rec.id);
             PHOENIX_INFO("node " << rec.id << " NotReady at t="
                                  << events_.now());
             PHOENIX_COUNT(*obs_.nodeNotReady, 1);
@@ -230,6 +265,8 @@ KubeCluster::nodeControllerTick()
             evictPodsOn(rec.id);
         } else if (!rec.ready && fresh && rec.kubeletRunning) {
             rec.ready = true;
+            nodeKey_[rec.id] = freeKey(rec);
+            capacityIndex_.insert(nodeKey_[rec.id], rec.id);
             PHOENIX_INFO("node " << rec.id << " Ready at t="
                                  << events_.now());
             PHOENIX_COUNT(*obs_.nodeReady, 1);
@@ -273,18 +310,40 @@ KubeCluster::legalTransition(PodPhase from, PodPhase to)
 }
 
 void
-KubeCluster::transition(Pod &pod, PodPhase to, NodeId node)
+KubeCluster::transition(Slot slot, PodPhase to, NodeId node)
 {
+    Pod &pod = pods_[slot];
     if (!legalTransition(pod.phase, to)) {
         recordViolation(std::string("illegal pod transition ") +
                         phaseName(pod.phase) + " -> " + phaseName(to));
     }
-    if (occupiesNode(pod.phase))
-        nodeUsed_[pod.node] -= pod.cpu;
+    const bool was_on = occupiesNode(pod.phase);
+    const bool now_on = occupiesNode(to);
+    const NodeId from = pod.node;
+    if (was_on)
+        nodeUsed_[from] -= pod.cpu;
     pod.phase = to;
     pod.node = node;
-    if (occupiesNode(to))
+    if (now_on)
         nodeUsed_[node] += pod.cpu;
+
+    const bool moved = was_on != now_on || from != node;
+    if (was_on && moved) {
+        // Swap-remove from the old node's list.
+        std::vector<Slot> &list = nodePods_[from];
+        const Slot last = list.back();
+        list[podPos_[slot]] = last;
+        podPos_[last] = podPos_[slot];
+        list.pop_back();
+    }
+    if (now_on && moved) {
+        podPos_[slot] = static_cast<Slot>(nodePods_[node].size());
+        nodePods_[node].push_back(slot);
+    }
+    if (was_on)
+        rekeyNode(from);
+    if (now_on && moved)
+        rekeyNode(node);
     PHOENIX_COUNT(*obs_.transitions[static_cast<size_t>(to)], 1);
     PHOENIX_TRACE_INSTANT(
         "kube", transitionEventName(to), events_.now(),
@@ -297,6 +356,27 @@ double
 KubeCluster::usedOn(NodeId node) const
 {
     return nodeUsed_[node];
+}
+
+double
+KubeCluster::freeKey(const NodeRec &rec) const
+{
+    // The spread scheduler's free capacity, negated exactly.
+    return -(rec.capacity * rec.degradeFactor - usedOn(rec.id));
+}
+
+void
+KubeCluster::rekeyNode(NodeId node)
+{
+    const NodeRec &rec = nodes_[node];
+    if (!rec.ready)
+        return;
+    const double key = freeKey(rec);
+    if (key == nodeKey_[node])
+        return;
+    capacityIndex_.erase(nodeKey_[node], node);
+    nodeKey_[node] = key;
+    capacityIndex_.insert(key, node);
 }
 
 bool
@@ -330,19 +410,20 @@ KubeCluster::hasPlacementVacancy(const Pod &pod, NodeId node) const
     int ms_in_zone = 0;
     int group_on_node = 0;
     int group_in_zone = 0;
-    for (const auto &[ref, other] : pods_) {
-        if (ref.app != pod.ref.app || ref == pod.ref)
-            continue;
-        if (!occupiesNode(other.phase))
+    // Only the pod's own app counts: walk its slot range.
+    const Slot app_end = podBase_[msBase_[pod.ref.app + 1]];
+    for (Slot s = podBase_[msBase_[pod.ref.app]]; s < app_end; ++s) {
+        const Pod &other = pods_[s];
+        if (other.ref == pod.ref || !occupiesNode(other.phase))
             continue;
         const bool same_node = other.node == node;
         const bool same_zone = nodes_[other.node].zone == zone;
-        if (ref.ms == pod.ref.ms) {
+        if (other.ref.ms == pod.ref.ms) {
             ms_on_node += same_node ? 1 : 0;
             ms_in_zone += same_zone ? 1 : 0;
         }
         if (group &&
-            app.services[ref.ms].antiAffinityGroup ==
+            app.services[other.ref.ms].antiAffinityGroup ==
                 ms.antiAffinityGroup) {
             group_on_node += same_node ? 1 : 0;
             group_in_zone += same_zone ? 1 : 0;
@@ -361,18 +442,6 @@ KubeCluster::hasPlacementVacancy(const Pod &pod, NodeId node) const
     return true;
 }
 
-double
-KubeCluster::scanUsedOn(NodeId node) const
-{
-    double used = 0.0;
-    for (const auto &[ref, pod] : pods_) {
-        (void)ref;
-        if (pod.node == node && occupiesNode(pod.phase))
-            used += pod.cpu;
-    }
-    return used;
-}
-
 void
 KubeCluster::recordViolation(const std::string &what)
 {
@@ -389,18 +458,36 @@ KubeCluster::validateAfterEvent()
     if (!config_.validateInvariants)
         return;
     validateScratch_.assign(nodes_.size(), 0.0);
-    for (const auto &[ref, pod] : pods_) {
+    validateCounts_.assign(nodes_.size(), 0);
+    for (const Pod &pod : pods_) {
         if (!occupiesNode(pod.phase))
             continue;
         if (pod.node >= nodes_.size()) {
-            recordViolation("pod " + std::to_string(ref.app) + "/" +
-                            std::to_string(ref.ms) +
+            recordViolation("pod " + std::to_string(pod.ref.app) + "/" +
+                            std::to_string(pod.ref.ms) +
                             " placed on nonexistent node");
             continue;
         }
         validateScratch_[pod.node] += pod.cpu;
+        ++validateCounts_[pod.node];
     }
     for (size_t n = 0; n < nodes_.size(); ++n) {
+        // Pod list: exactly the slots occupying n, positions in sync.
+        const std::vector<Slot> &list = nodePods_[n];
+        bool list_ok = list.size() == validateCounts_[n];
+        for (size_t i = 0; list_ok && i < list.size(); ++i) {
+            const Slot slot = list[i];
+            list_ok = slot < pods_.size() && podPos_[slot] == i &&
+                      occupiesNode(pods_[slot].phase) &&
+                      pods_[slot].node == n;
+        }
+        if (!list_ok) {
+            recordViolation("node " + std::to_string(n) + " pod list (" +
+                            std::to_string(list.size()) +
+                            " slots) != its " +
+                            std::to_string(validateCounts_[n]) +
+                            " occupying pods");
+        }
         const double scan = validateScratch_[n];
         if (std::abs(scan - nodeUsed_[n]) > kUsageEps) {
             recordViolation("node " + std::to_string(n) +
@@ -415,29 +502,46 @@ KubeCluster::validateAfterEvent()
                             std::to_string(nodes_[n].capacity));
         }
     }
+    // Capacity index: exactly the Ready nodes, each under its key.
+    validateCounts_.assign(nodes_.size(), 0);
+    capacityIndex_.scanDescending([&](const auto &entry) {
+        const auto &[key, id] = entry;
+        if (id >= nodes_.size() || !nodes_[id].ready ||
+            validateCounts_[id]++ > 0 || key != freeKey(nodes_[id])) {
+            recordViolation("capacity index entry for node " +
+                            std::to_string(id) + " key " +
+                            std::to_string(key) +
+                            " is stale, duplicate or NotReady");
+        }
+        return true;
+    });
+    for (size_t n = 0; n < nodes_.size(); ++n) {
+        if (nodes_[n].ready && validateCounts_[n] == 0) {
+            recordViolation("Ready node " + std::to_string(n) +
+                            " missing from the capacity index");
+        }
+    }
 }
 
 void
-KubeCluster::bindPod(Pod &pod, NodeId node)
+KubeCluster::bindPod(Slot slot, NodeId node)
 {
     PHOENIX_COUNT(*obs_.binds, 1);
-    transition(pod, PodPhase::Starting, node);
+    transition(slot, PodPhase::Starting, node);
     // Bumping the epoch cancels any armed start-completion timer, so a
     // rebind (migrate-while-Starting) restarts the startup clock.
-    const uint64_t epoch = ++podEpoch_[pod.ref];
+    const uint64_t epoch = ++podEpoch_[slot];
     // Draw first, then scale: a degraded (slow) node stretches the
     // startup delay by 1/factor without perturbing the rng sequence.
     double delay =
         rng_.uniform(config_.podStartupMin, config_.podStartupMax);
     if (nodes_[node].degradeFactor < 1.0)
         delay /= nodes_[node].degradeFactor;
-    const PodRef ref = pod.ref;
-    events_.scheduleAfter(delay, [this, ref, epoch] {
-        auto it = pods_.find(ref);
-        if (it == pods_.end() || podEpoch_[ref] != epoch)
+    events_.scheduleAfter(delay, [this, slot, epoch] {
+        if (podEpoch_[slot] != epoch)
             return;
-        if (it->second.phase == PodPhase::Starting) {
-            transition(it->second, PodPhase::Running, it->second.node);
+        if (pods_[slot].phase == PodPhase::Starting) {
+            transition(slot, PodPhase::Running, pods_[slot].node);
             validateAfterEvent();
         }
     });
@@ -448,16 +552,18 @@ KubeCluster::evictPodsOn(NodeId node)
 {
     ++nodeEvictionEpisodes_[node];
     PHOENIX_COUNT(*obs_.evictionEpisodes, 1);
-    for (auto &[ref, pod] : pods_) {
-        if (pod.node != node || pod.phase == PodPhase::Pending)
-            continue;
+    // Evict in PodRef (= slot) order: the node's usage is debited in
+    // the same sequence as a walk over every pod would.
+    std::vector<Slot> slots = nodePods_[node];
+    std::sort(slots.begin(), slots.end());
+    for (const Slot slot : slots) {
         // Documented semantics: Terminating pods keep their graceful
         // drain (the drain timer lands them in Pending; a scaled-down
         // pod parks there and never reschedules).
-        if (pod.phase == PodPhase::Terminating)
+        if (pods_[slot].phase == PodPhase::Terminating)
             continue;
-        ++podEpoch_[ref];
-        transition(pod, PodPhase::Pending, pod.node);
+        ++podEpoch_[slot];
+        transition(slot, PodPhase::Pending, node);
         ++evictedPods_;
         PHOENIX_COUNT(*obs_.evictedPods, 1);
     }
@@ -473,18 +579,20 @@ void
 KubeCluster::schedulerTick()
 {
     // Deterministic PodRef order, spread (least-allocated) scoring.
-    for (auto &[ref, pod] : pods_) {
-        (void)ref;
+    uint64_t probes = 0;
+    for (Slot slot = 0; slot < pods_.size(); ++slot) {
+        const Pod &pod = pods_[slot];
         if (pod.phase != PodPhase::Pending || pod.scaledDown)
             continue;
 
         if (pod.pinnedNode) {
+            ++probes;
             const NodeId target = *pod.pinnedNode;
             if (nodes_[target].ready &&
                 usedOn(target) + pod.cpu <=
                     effectiveCapacity(target) + kCapacityEps &&
                 hasPlacementVacancy(pod, target)) {
-                bindPod(pod, target);
+                bindPod(slot, target);
             }
             continue;
         }
@@ -492,22 +600,28 @@ KubeCluster::schedulerTick()
         if (!config_.enableDefaultScheduler)
             continue;
 
+        // The index yields Ready nodes most free first, lowest id on
+        // ties: the first that fits and has a vacancy is the node a
+        // scan keeping the strictly largest free capacity would pick.
         NodeId best = 0;
         double best_free = -1.0;
-        for (const NodeRec &rec : nodes_) {
-            if (!rec.ready)
-                continue;
-            const double free =
-                rec.capacity * rec.degradeFactor - usedOn(rec.id);
-            if (free >= pod.cpu - kCapacityEps && free > best_free &&
-                hasPlacementVacancy(pod, rec.id)) {
+        capacityIndex_.scanAtLeast(
+            -std::numeric_limits<double>::infinity(),
+            [&](const std::pair<double, NodeId> &entry) {
+                ++probes;
+                const double free = -entry.first;
+                if (free < pod.cpu - kCapacityEps)
+                    return false; // every later node is fuller
+                if (!hasPlacementVacancy(pod, entry.second))
+                    return true;
                 best_free = free;
-                best = rec.id;
-            }
-        }
+                best = entry.second;
+                return false;
+            });
         if (best_free >= 0.0)
-            bindPod(pod, best);
+            bindPod(slot, best);
     }
+    PHOENIX_COUNT(*obs_.nodeProbes, probes);
     validateAfterEvent();
     events_.scheduleAfter(config_.schedulerPeriod,
                           [this] { schedulerTick(); });
@@ -516,10 +630,10 @@ KubeCluster::schedulerTick()
 void
 KubeCluster::deletePod(const PodRef &ref)
 {
-    auto it = pods_.find(ref);
-    if (it == pods_.end())
+    const Slot slot = slotOf(ref);
+    if (slot == kNoSlot)
         return;
-    Pod &pod = it->second;
+    Pod &pod = pods_[slot];
     pod.scaledDown = true;
     pod.pinnedNode.reset();
     if (pod.phase == PodPhase::Pending ||
@@ -527,20 +641,16 @@ KubeCluster::deletePod(const PodRef &ref)
         return;
     }
     // Graceful drain: endpoints removed, SIGTERM, then gone.
-    transition(pod, PodPhase::Terminating, pod.node);
-    const uint64_t epoch = ++podEpoch_[ref];
+    transition(slot, PodPhase::Terminating, pod.node);
+    const uint64_t epoch = ++podEpoch_[slot];
     events_.scheduleAfter(config_.podTerminationSeconds,
-                          [this, ref, epoch] {
-                              auto pit = pods_.find(ref);
-                              if (pit == pods_.end() ||
-                                  podEpoch_[ref] != epoch) {
+                          [this, slot, epoch] {
+                              if (podEpoch_[slot] != epoch)
                                   return;
-                              }
-                              if (pit->second.phase ==
+                              if (pods_[slot].phase ==
                                   PodPhase::Terminating) {
-                                  transition(pit->second,
-                                             PodPhase::Pending,
-                                             pit->second.node);
+                                  transition(slot, PodPhase::Pending,
+                                             pods_[slot].node);
                                   validateAfterEvent();
                               }
                           });
@@ -551,10 +661,10 @@ void
 KubeCluster::startPod(const PodRef &ref,
                       std::optional<NodeId> pinned)
 {
-    auto it = pods_.find(ref);
-    if (it == pods_.end())
+    const Slot slot = slotOf(ref);
+    if (slot == kNoSlot || (pinned && *pinned >= nodes_.size()))
         return;
-    Pod &pod = it->second;
+    Pod &pod = pods_[slot];
     pod.scaledDown = false;
     pod.pinnedNode = pinned;
 
@@ -575,10 +685,10 @@ KubeCluster::startPod(const PodRef &ref,
 void
 KubeCluster::migratePod(const PodRef &ref, NodeId to)
 {
-    auto it = pods_.find(ref);
-    if (it == pods_.end() || to >= nodes_.size())
+    const Slot slot = slotOf(ref);
+    if (slot == kNoSlot || to >= nodes_.size())
         return;
-    Pod &pod = it->second;
+    Pod &pod = pods_[slot];
     pod.scaledDown = false;
     pod.pinnedNode = to;
     if (pod.phase == PodPhase::Pending) {
@@ -612,7 +722,7 @@ KubeCluster::migratePod(const PodRef &ref, NodeId to)
         // startup clock on the target (bindPod bumps the epoch, which
         // cancels the old start-completion timer — no free cross-node
         // "migration").
-        bindPod(pod, to);
+        bindPod(slot, to);
         validateAfterEvent();
         return;
     }
@@ -620,7 +730,7 @@ KubeCluster::migratePod(const PodRef &ref, NodeId to)
     // rebind in the model — capacity moves to the target now and the
     // service stays live (requests reroute to the new instance as it
     // starts; see Appendix E).
-    transition(pod, PodPhase::Running, to);
+    transition(slot, PodPhase::Running, to);
     validateAfterEvent();
 }
 
@@ -715,9 +825,9 @@ KubeCluster::buildState() const
         if (!rec.ready)
             state.failNode(rec.id);
     }
-    for (const auto &[ref, pod] : pods_) {
+    for (const Pod &pod : pods_) {
         if (occupiesNode(pod.phase))
-            state.place(ref, pod.node, pod.cpu);
+            state.place(pod.ref, pod.node, pod.cpu);
     }
     return state;
 }
@@ -861,10 +971,11 @@ KubeCluster::projectedDecayState() const
 std::set<PodRef>
 KubeCluster::runningPods() const
 {
+    // Slot order is PodRef order: every insert appends at the end.
     std::set<PodRef> running;
-    for (const auto &[ref, pod] : pods_) {
+    for (const Pod &pod : pods_) {
         if (pod.phase == PodPhase::Running)
-            running.insert(ref);
+            running.insert(running.end(), pod.ref);
     }
     return running;
 }
@@ -873,8 +984,7 @@ size_t
 KubeCluster::pendingCount() const
 {
     size_t count = 0;
-    for (const auto &[ref, pod] : pods_) {
-        (void)ref;
+    for (const Pod &pod : pods_) {
         if (pod.phase == PodPhase::Pending && !pod.scaledDown)
             ++count;
     }
@@ -884,10 +994,8 @@ KubeCluster::pendingCount() const
 const Pod *
 KubeCluster::pod(const PodRef &ref) const
 {
-    auto it = pods_.find(ref);
-    if (it == pods_.end())
-        return nullptr;
-    return &it->second;
+    const Slot slot = slotOf(ref);
+    return slot == kNoSlot ? nullptr : &pods_[slot];
 }
 
 } // namespace phoenix::kube

@@ -26,17 +26,22 @@
  *    startup slowed — slow, not dead), API-server outages (the
  *    controller-facing observation freezes while the cluster keeps
  *    evolving), and per-node heartbeat clock skew;
+ *  - indexes that keep the substrate's per-epoch cost near-linear at
+ *    scale: a dense pod table in PodRef order, a max-free index of
+ *    Ready nodes for the spread scheduler, and per-node pod lists for
+ *    eviction, all maintained at one mutation point;
  *  - an invariant checker (capacity bounds, incremental-vs-scan usage
- *    equality, phase-transition legality) that scenario tests enable
- *    to turn lifecycle bugs into hard failures.
+ *    equality, index consistency, phase-transition legality) that
+ *    scenario tests enable to turn lifecycle bugs into hard failures.
  */
 
 #ifndef PHOENIX_KUBE_KUBE_H
 #define PHOENIX_KUBE_KUBE_H
 
-#include <map>
+#include <cstdint>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "obs/obs.h"
@@ -44,6 +49,7 @@
 #include "sim/event_queue.h"
 #include "sim/scenario.h"
 #include "sim/types.h"
+#include "util/bucketed_kv.h"
 #include "util/rng.h"
 
 namespace phoenix::kube {
@@ -69,11 +75,13 @@ struct KubeConfig
     /**
      * Run the O(pods + nodes) invariant sweep after every event:
      * no node's Starting+Running+Terminating usage exceeds its
-     * capacity, and the incrementally maintained per-node usage
-     * matches a full rescan. Phase-transition legality is always
-     * checked (it is O(1)). Violations are counted (see
-     * invariantViolations()) and assert in debug builds. Defaults on
-     * in debug builds; scenario tests enable it explicitly.
+     * capacity, the incrementally maintained per-node usage matches a
+     * full rescan, each node's pod list holds exactly the pods
+     * occupying it, and the capacity index holds exactly the Ready
+     * nodes under their current free capacity. Phase-transition
+     * legality is always checked (it is O(1)). Violations are counted
+     * (see invariantViolations()) and assert in debug builds. Defaults
+     * on in debug builds; scenario tests enable it explicitly.
      */
 #ifdef NDEBUG
     bool validateInvariants = false;
@@ -119,7 +127,10 @@ class KubeCluster : public sim::FaultTarget
      * Register an application: one deployment per microservice with
      * one pod per replica; pods start Pending and the default
      * scheduler picks them up, honoring each service's placement
-     * policy (anti-affinity caps, zone spread).
+     * policy (anti-affinity caps, zone spread). Microservice ids must
+     * equal their index in app.services (the store and the manifest
+     * loader already guarantee it); throws std::invalid_argument
+     * otherwise and registers nothing.
      */
     void addApplication(const sim::Application &app);
 
@@ -212,7 +223,9 @@ class KubeCluster : public sim::FaultTarget
     /**
      * Ensure the pod is (re)started, optionally pinned to a node.
      * Clears scaled-down state; a running pod is left alone unless a
-     * different pin is given (which triggers a migration).
+     * different pin is given (which triggers a migration). A pin to a
+     * node that does not exist is ignored, as migratePod ignores such
+     * a target.
      */
     void startPod(const sim::PodRef &ref,
                   std::optional<sim::NodeId> pinned = std::nullopt);
@@ -321,9 +334,13 @@ class KubeCluster : public sim::FaultTarget
     /** Pods currently serving traffic (Running only). */
     std::set<sim::PodRef> runningPods() const;
 
-    /** Running/Starting/Pending counts (diagnostics). */
+    /** Pods waiting for a bind: Pending and not scaled down
+     * (diagnostics; O(pods)). */
     size_t pendingCount() const;
 
+    /** The pod for @p ref, or nullptr when no registered deployment
+     * has it. O(1). The pointer stays valid until the next
+     * addApplication(). */
     const Pod *pod(const sim::PodRef &ref) const;
 
     sim::SimTime now() const { return events_.now(); }
@@ -378,13 +395,24 @@ class KubeCluster : public sim::FaultTarget
     void nodeControllerTick();
     void schedulerTick();
 
+    /** Dense pod-table index; slot order is PodRef order. */
+    using Slot = uint32_t;
+    static constexpr Slot kNoSlot = UINT32_MAX;
+
+    /** Slot of @p ref, or kNoSlot when no deployment has it. O(1). */
+    Slot slotOf(const sim::PodRef &ref) const;
+
     /** Used capacity on a node from Starting/Running/Terminating pods
      * (incrementally maintained; the invariant sweep checks it against
      * a full rescan). */
     double usedOn(sim::NodeId node) const;
 
-    /** The O(pods) rescan the incremental book is validated against. */
-    double scanUsedOn(sim::NodeId node) const;
+    /** Capacity-index key of a node: its negated free capacity, so
+     * ascending (key, id) is most free first, lowest id on ties. */
+    double freeKey(const NodeRec &rec) const;
+    /** Re-key a Ready node after its usage or degrade factor changed
+     * (no-op for NotReady nodes, which are not indexed). */
+    void rekeyNode(sim::NodeId node);
 
     /** Whether a phase occupies node capacity. */
     static bool occupiesNode(PodPhase phase);
@@ -394,8 +422,8 @@ class KubeCluster : public sim::FaultTarget
      * validation: placing @p pod on @p node must keep every
      * anti-affinity / zone-spread cap of the pod's service (and its
      * group) satisfied, counting the occupying pods currently on the
-     * node and in its zone. O(pods) per query — kube clusters are
-     * testbed-sized.
+     * node and in its zone. O(1) for unconstrained apps, else O(pods
+     * of the pod's app) per query.
      */
     bool hasPlacementVacancy(const Pod &pod, sim::NodeId node) const;
 
@@ -405,19 +433,20 @@ class KubeCluster : public sim::FaultTarget
 
     /**
      * The single mutation point for (phase, node): checks transition
-     * legality and maintains the incremental per-node usage book.
+     * legality and maintains every index over pods — the per-node
+     * usage book, the per-node pod lists and the capacity index.
      */
-    void transition(Pod &pod, PodPhase to, sim::NodeId node);
+    void transition(Slot slot, PodPhase to, sim::NodeId node);
 
     /** Begin starting a pod on a node (capacity is consumed now; any
      * armed start-completion timer is invalidated via the epoch). */
-    void bindPod(Pod &pod, sim::NodeId node);
+    void bindPod(Slot slot, sim::NodeId node);
 
     /**
      * Evict (node failure): Starting/Running pods return to Pending
-     * (the scheduler re-places them unless scaled down). Terminating
-     * pods keep their graceful drain — they are already on the way
-     * out, and scaled-down ones never come back.
+     * (the scheduler re-places them unless scaled down), in PodRef
+     * order. Terminating pods keep their graceful drain — they are
+     * already on the way out, and scaled-down ones never come back.
      */
     void evictPodsOn(sim::NodeId node);
 
@@ -436,11 +465,26 @@ class KubeCluster : public sim::FaultTarget
      * the scheduler's vacancy checks entirely off the hot path. */
     bool anyConstrained_ = false;
     std::vector<sim::Application> apps_;
-    std::map<sim::PodRef, Pod> pods_;
-    /** Monotone counter to invalidate stale start-completion events. */
-    std::map<sim::PodRef, uint64_t> podEpoch_;
+    /** Every pod, in PodRef order: app a's microservice m holds slots
+     * [podBase_[msBase_[a] + m], podBase_[msBase_[a] + m + 1]). */
+    std::vector<Pod> pods_;
+    /** App -> first microservice index (size apps + 1). */
+    std::vector<size_t> msBase_{0};
+    /** Microservice index -> first slot (size microservices + 1). */
+    std::vector<Slot> podBase_{0};
+    /** Per-slot monotone counter to invalidate stale timers. */
+    std::vector<uint64_t> podEpoch_;
     /** Incremental Starting+Running+Terminating usage per node. */
     std::vector<double> nodeUsed_;
+    /** Slots occupying each node, unordered (swap-remove). */
+    std::vector<std::vector<Slot>> nodePods_;
+    /** Each occupying slot's position in its node's nodePods_ list. */
+    std::vector<Slot> podPos_;
+    /** Ready nodes under freeKey(); the spread scheduler's candidates
+     * in its preference order. */
+    util::BucketedKv<sim::NodeId> capacityIndex_;
+    /** Each Ready node's key in capacityIndex_. */
+    std::vector<double> nodeKey_;
     std::vector<size_t> nodeEvictionEpisodes_;
     size_t evictedPods_ = 0;
     size_t invariantViolations_ = 0;
@@ -451,6 +495,7 @@ class KubeCluster : public sim::FaultTarget
     uint64_t frozenFingerprint_ = 0;
     /** Scratch for the validation sweep (avoids per-event allocs). */
     std::vector<double> validateScratch_;
+    std::vector<size_t> validateCounts_;
 
     /** obs handles, resolved once at construction (per-phase pod
      * transition counters + lifecycle/scheduler/node counters). */
@@ -459,6 +504,7 @@ class KubeCluster : public sim::FaultTarget
         obs::Counter *transitions[4] = {nullptr, nullptr, nullptr,
                                         nullptr};
         obs::Counter *binds = nullptr;
+        obs::Counter *nodeProbes = nullptr;
         obs::Counter *evictedPods = nullptr;
         obs::Counter *evictionEpisodes = nullptr;
         obs::Counter *invariantViolations = nullptr;

@@ -1,13 +1,21 @@
 /**
  * @file
  * Tests for the mini-Kubernetes substrate: pod lifecycle, default
- * scheduler behaviour, kubelet-failure detection via missed heartbeats,
- * and the agent verbs (delete / migrate / restart).
+ * scheduler behaviour (checked against a linear-scan model, and its
+ * per-tick work), kubelet-failure detection via missed heartbeats, and
+ * the agent verbs (delete / migrate / restart).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <stdexcept>
+#include <tuple>
+
 #include "kube/kube.h"
+#include "obs/registry.h"
+#include "util/rng.h"
 
 using namespace phoenix;
 using namespace phoenix::kube;
@@ -190,6 +198,25 @@ TEST(Kube, StartPodAfterDeleteRevives)
     EXPECT_EQ(cluster.runningPods().size(), 1u);
 }
 
+TEST(Kube, NonContiguousServiceIdsAreRejected)
+{
+    // Pod slots follow PodRef order only when every ms.id is its index.
+    sim::EventQueue events;
+    KubeCluster cluster(events);
+    cluster.addNode(8.0);
+    sim::Application app = simpleApp(3, 1.0);
+    app.services[2].id = 5;
+    EXPECT_THROW(cluster.addApplication(app), std::invalid_argument);
+    EXPECT_TRUE(cluster.apps().empty());
+    EXPECT_EQ(cluster.pod(PodRef{0, 0}), nullptr);
+
+    cluster.addApplication(simpleApp(2, 1.0));
+    EXPECT_NE(cluster.pod(PodRef{0, 1}), nullptr);
+    EXPECT_EQ(cluster.pod(PodRef{0, 2}), nullptr);
+    EXPECT_EQ(cluster.pod(PodRef{0, 1, 1}), nullptr);
+    EXPECT_EQ(cluster.pod(PodRef{1, 0}), nullptr);
+}
+
 TEST(Kube, PinnedPlacementHonoursTarget)
 {
     sim::EventQueue events;
@@ -237,6 +264,26 @@ checkedConfig()
 }
 
 } // namespace
+
+TEST(Kube, PinToNonexistentNodeIsIgnored)
+{
+    // The scheduler indexes nodes_ by the pin; a pin past the last
+    // node must never reach it.
+    sim::EventQueue events;
+    KubeConfig config = checkedConfig();
+    config.enableDefaultScheduler = false;
+    KubeCluster cluster(events, config);
+    cluster.addNode(8.0);
+    cluster.addApplication(simpleApp(1, 2.0));
+    cluster.deletePod(PodRef{0, 0});
+
+    cluster.startPod(PodRef{0, 0}, 7);
+    EXPECT_FALSE(cluster.pod(PodRef{0, 0})->pinnedNode.has_value());
+    EXPECT_TRUE(cluster.pod(PodRef{0, 0})->scaledDown);
+    events.runUntil(60.0);
+    EXPECT_EQ(cluster.pod(PodRef{0, 0})->phase, PodPhase::Pending);
+    EXPECT_EQ(cluster.invariantViolations(), 0u);
+}
 
 TEST(Kube, MigrateToFullNodeIsRejected)
 {
@@ -630,4 +677,294 @@ TEST(Kube, ProjectionsAreEmptyWhenNothingFails)
     ASSERT_TRUE(decay.has_value());
     EXPECT_FALSE(decay->isHealthy(1));
     EXPECT_TRUE(decay->isHealthy(3));
+}
+
+// ---------------------------------------------------------------------
+// Spread scheduler: differential check against a linear scan, and the
+// work it does per tick.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * The binds one scheduler tick makes, recomputed by a linear scan over
+ * public observations. Pending, not scaled-down pods are visited in
+ * PodRef order. A pinned pod binds to its target when the target is
+ * Ready, fits the pod and has a vacancy. Any other pod binds to the
+ * Ready node with the most free effective capacity that fits and has a
+ * vacancy, the lowest id among equals. Vacancy here is only
+ * maxPerNode, the one placement policy the test's apps declare.
+ * @p ties counts binds whose winner tied another candidate on free
+ * capacity, so the caller can check the tie-break was exercised.
+ */
+std::map<PodRef, sim::NodeId>
+predictTick(const KubeCluster &cluster, const std::vector<PodRef> &refs,
+            size_t &ties)
+{
+    constexpr double eps = 1e-9;
+    const size_t nodes = cluster.nodeCount();
+    std::vector<double> used(nodes, 0.0);
+    // (app, ms, node) -> occupying replicas.
+    std::map<std::tuple<sim::AppId, sim::MsId, sim::NodeId>, int> on_node;
+    for (const PodRef &ref : refs) {
+        const Pod &pod = *cluster.pod(ref);
+        if (pod.phase != PodPhase::Pending) {
+            used[pod.node] += pod.cpu;
+            ++on_node[{ref.app, ref.ms, pod.node}];
+        }
+    }
+    const auto vacancy = [&](const PodRef &ref, sim::NodeId node) {
+        const int cap =
+            cluster.apps()[ref.app].services[ref.ms].maxPerNode;
+        return cap <= 0 || on_node[{ref.app, ref.ms, node}] < cap;
+    };
+
+    std::map<PodRef, sim::NodeId> binds;
+    for (const PodRef &ref : refs) {
+        const Pod &pod = *cluster.pod(ref);
+        if (pod.phase != PodPhase::Pending || pod.scaledDown)
+            continue;
+        std::optional<sim::NodeId> chosen;
+        if (pod.pinnedNode) {
+            const sim::NodeId target = *pod.pinnedNode;
+            if (cluster.isReady(target) &&
+                used[target] + pod.cpu <=
+                    cluster.effectiveCapacity(target) + eps &&
+                vacancy(ref, target))
+                chosen = target;
+        } else {
+            sim::NodeId best = 0;
+            double best_free = -1.0;
+            bool tied = false;
+            for (sim::NodeId n = 0; n < nodes; ++n) {
+                if (!cluster.isReady(n) || !vacancy(ref, n))
+                    continue;
+                const double free = cluster.effectiveCapacity(n) - used[n];
+                if (free < pod.cpu - eps)
+                    continue;
+                if (free > best_free) {
+                    best_free = free;
+                    best = n;
+                    tied = false;
+                } else if (free == best_free) {
+                    tied = true;
+                }
+            }
+            if (best_free >= 0.0) {
+                chosen = best;
+                ties += tied ? 1 : 0;
+            }
+        }
+        if (chosen) {
+            binds[ref] = *chosen;
+            used[*chosen] += pod.cpu;
+            ++on_node[{ref.app, ref.ms, *chosen}];
+        }
+    }
+    return binds;
+}
+
+/** Enables metrics for one test and restores the disabled default. */
+struct MetricsOn
+{
+    MetricsOn() { obs::setMetricsEnabled(true); }
+    ~MetricsOn() { obs::setMetricsEnabled(false); }
+};
+
+uint64_t
+counterValue(const char *name)
+{
+    return obs::Registry::global().counter(name).value();
+}
+
+} // namespace
+
+TEST(Kube, SpreadSchedulerMatchesALinearScan)
+{
+    sim::EventQueue events;
+    KubeCluster cluster(events, checkedConfig());
+    util::Rng rng(20251017);
+
+    // 50 nodes of mixed nameplates, a few degraded; every capacity and
+    // CPU size is a multiple of 0.25, so every sum below is exact.
+    const double nameplates[] = {4.0, 8.0, 8.0, 12.0, 16.0};
+    for (int n = 0; n < 50; ++n)
+        cluster.addNode(nameplates[rng.uniformInt(0, 4)]);
+    for (const sim::NodeId n : {3u, 11u, 27u, 40u})
+        cluster.degradeNode(n, 0.5);
+
+    // About as much demand as supply, so nodes fill up and fits fail.
+    const double sizes[] = {0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0};
+    for (int a = 0; a < 10; ++a) {
+        sim::Application app = simpleApp(12, 0.0);
+        for (auto &ms : app.services) {
+            ms.cpu = sizes[rng.uniformInt(0, 6)];
+            ms.replicas = static_cast<int>(rng.uniformInt(1, 4));
+        }
+        cluster.addApplication(app);
+    }
+    // One replica per node at most, and more replicas than nodes: the
+    // surplus stays Pending and every tick walks past full nodes.
+    sim::Application spread = simpleApp(1, 2.0);
+    spread.services[0].replicas = 60;
+    spread.services[0].maxPerNode = 1;
+    cluster.addApplication(spread);
+
+    std::vector<PodRef> refs;
+    for (const auto &app : cluster.apps()) {
+        for (const auto &ms : app.services) {
+            for (int r = 0; r < std::max(ms.replicas, 1); ++r)
+                refs.push_back({app.id, ms.id, static_cast<uint32_t>(r)});
+        }
+    }
+
+    const sim::NodeId flapping = 17;
+    size_t binds = 0;
+    size_t pinned_binds = 0;
+    size_t ties = 0;
+    // Scheduler ticks land every 5 s and node-controller ticks and
+    // heartbeats every 10 s, so no other periodic event shares an odd
+    // multiple of 5. The test acts 2.5 s before each checked tick, so
+    // its pins are first tried there, and drains and restarted
+    // heartbeat chains stay off those instants.
+    for (int k = 0; k < 100; ++k) {
+        const double tick = 5.0 + 10.0 * k;
+        while (events.nextEventAt() >= 0.0 && events.nextEventAt() < tick)
+            events.step();
+        const auto predicted = predictTick(cluster, refs, ties);
+        std::vector<PodPhase> before;
+        for (const PodRef &ref : refs)
+            before.push_back(cluster.pod(ref)->phase);
+        events.runUntil(tick);
+        size_t pending_after = 0;
+        for (size_t i = 0; i < refs.size(); ++i) {
+            const PodRef &ref = refs[i];
+            const Pod &pod = *cluster.pod(ref);
+            const auto it = predicted.find(ref);
+            if (it == predicted.end()) {
+                // No bind predicted: a Pending pod stays Pending.
+                if (before[i] == PodPhase::Pending) {
+                    ASSERT_EQ(pod.phase, PodPhase::Pending)
+                        << "t=" << tick << " pod " << ref.app << "/"
+                        << ref.ms << "/" << ref.replica;
+                    ++pending_after;
+                }
+                continue;
+            }
+            ASSERT_EQ(pod.phase, PodPhase::Starting)
+                << "t=" << tick << " pod " << ref.app << "/" << ref.ms
+                << "/" << ref.replica;
+            ASSERT_EQ(pod.node, it->second)
+                << "t=" << tick << " pod " << ref.app << "/" << ref.ms
+                << "/" << ref.replica;
+            ++binds;
+            pinned_binds += pod.pinnedNode ? 1 : 0;
+        }
+        ASSERT_GT(pending_after, 0u) << "t=" << tick;
+
+        events.runUntil(tick + 7.5);
+        if (k == 10)
+            cluster.stopKubelet(flapping); // NotReady + eviction at 220
+        if (k == 40)
+            cluster.startKubelet(flapping); // Ready again at 420
+        if (k == 25)
+            cluster.degradeNode(11, 1.0);
+        if (k == 30)
+            cluster.degradeNode(5, 0.75);
+        if (k % 5 == 3) {
+            // Scale a pod down, revive a scaled-down one (pinned half
+            // the time), and pin a Pending one; pins to a full or
+            // NotReady node keep the pod Pending.
+            std::vector<PodRef> running, parked, pending;
+            for (const PodRef &ref : refs) {
+                const Pod &pod = *cluster.pod(ref);
+                if (pod.scaledDown)
+                    parked.push_back(ref);
+                else if (pod.phase == PodPhase::Running)
+                    running.push_back(ref);
+                else if (pod.phase == PodPhase::Pending && !pod.pinnedNode)
+                    pending.push_back(ref);
+            }
+            const auto pick = [&rng](const std::vector<PodRef> &from) {
+                return from[static_cast<size_t>(rng.uniformInt(
+                    0, static_cast<int64_t>(from.size()) - 1))];
+            };
+            const auto any_node = [&rng] {
+                return static_cast<sim::NodeId>(rng.uniformInt(0, 49));
+            };
+            if (!running.empty())
+                cluster.deletePod(pick(running));
+            if (!parked.empty()) {
+                if (rng.bernoulli(0.5))
+                    cluster.startPod(pick(parked), any_node());
+                else
+                    cluster.startPod(pick(parked));
+            }
+            if (!pending.empty()) {
+                // Pin to the emptiest Ready node (lowest id) half the
+                // time, so some pins fit.
+                const PodRef ref = pick(pending);
+                sim::NodeId target = any_node();
+                if (rng.bernoulli(0.5)) {
+                    const sim::ClusterState live = cluster.liveState();
+                    double most = -1.0;
+                    for (sim::NodeId n = 0; n < 50; ++n) {
+                        const double free =
+                            cluster.effectiveCapacity(n) - live.used(n);
+                        if (cluster.isReady(n) && free > most) {
+                            most = free;
+                            target = n;
+                        }
+                    }
+                }
+                cluster.startPod(ref, target);
+            }
+        }
+    }
+    EXPECT_GT(binds, 300u);
+    EXPECT_GT(pinned_binds, 0u);
+    EXPECT_GT(ties, 10u);
+    EXPECT_EQ(cluster.evictionEpisodes(flapping), 1u);
+    EXPECT_EQ(cluster.invariantViolations(), 0u);
+}
+
+TEST(Kube, SchedulerTickProbesOneNodePerBind)
+{
+    // The spread scheduler reads its capacity index from the front: on
+    // unconstrained pods the first entry always fits, so a tick costs
+    // one probe per bind, not one per (pod, node) pair (12M here).
+    MetricsOn metrics;
+    sim::EventQueue events;
+    KubeCluster cluster(events);
+    for (int n = 0; n < 2000; ++n)
+        cluster.addNode(16.0);
+    sim::Application app = simpleApp(1, 1.0);
+    app.services[0].replicas = 6000;
+    cluster.addApplication(app);
+
+    const uint64_t probes0 = counterValue("kube.scheduler.node_probes");
+    const uint64_t binds0 = counterValue("kube.scheduler.binds");
+    events.runUntil(5.0);
+    EXPECT_EQ(counterValue("kube.scheduler.binds") - binds0, 6000u);
+    EXPECT_EQ(counterValue("kube.scheduler.node_probes") - probes0, 6000u);
+    EXPECT_EQ(cluster.pendingCount(), 0u);
+    // Spread: 6000 pods over 2000 equal nodes is three per node.
+    const sim::ClusterState state = cluster.liveState();
+    for (sim::NodeId n = 0; n < 2000; ++n)
+        ASSERT_EQ(state.used(n), 3.0) << "node " << n;
+}
+
+TEST(Kube, UnplaceablePodCostsOneProbePerTick)
+{
+    MetricsOn metrics;
+    sim::EventQueue events;
+    KubeCluster cluster(events);
+    for (int n = 0; n < 100; ++n)
+        cluster.addNode(8.0);
+    cluster.addApplication(simpleApp(1, 100.0));
+
+    const uint64_t probes0 = counterValue("kube.scheduler.node_probes");
+    events.runUntil(50.0); // ten ticks
+    EXPECT_EQ(counterValue("kube.scheduler.node_probes") - probes0, 10u);
+    EXPECT_EQ(cluster.pendingCount(), 1u);
 }
