@@ -11,7 +11,8 @@
  *
  * Besides the plan/pack wall-clock phase breakdown, every cell reports
  * the deterministic hot-path operation counters (planner/packer queue
- * pushes, best-fit probes, reference-only child-sort elements) — these
+ * pushes, best-fit probes, reference-only child-sort elements, pods the
+ * packer's repack and targeted-delete walks read) — these
  * are seed-stable, so regressions show up as exact integer diffs even
  * on noisy machines — and the run records its peak RSS.
  *
@@ -41,6 +42,7 @@
 #include <sys/resource.h>
 
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -106,18 +108,23 @@ struct SmokeBound
 {
     double maxHeapPushes;
     double maxBestFitProbes;
+    double maxPodScans;
 };
 
-// Observed at the 1,000-node point: 3,596 pushes / 649 probes for both
-// Phoenix schemes (the counters are seed-deterministic, so any drift
-// is a real algorithmic change). Bounds leave ~1.4x headroom.
-constexpr SmokeBound kSmokeBound{5000.0, 1000.0};
+// Observed at the 1,000-node point: 3,596 pushes / 649 probes / 0 pod
+// scans for both Phoenix schemes (the counters are seed-deterministic,
+// so any drift is a real algorithmic change). Bounds leave ~1.4x
+// headroom; 1.4 x 0 scans is 0: every pod lands by best fit here, so
+// neither the repack nor the targeted-delete walk may run.
+constexpr SmokeBound kSmokeBound{5000.0, 1000.0, 0.0};
 
 // Observed at the 1,000,000-node point (seedBase 1234, rate 0.5, one
 // trial): 19,169 pushes for both Phoenix schemes, 12,555,185 probes
 // (Fair) / 7,000,531 (Cost); same deterministic counters, ~1.4x
 // headroom over the larger. Gated behind FIG8B_1M=1 via --1m-smoke.
-constexpr SmokeBound k1mBound{27000.0, 18000000.0};
+// Pod scans were never recorded at this point, so they stay unbounded.
+constexpr SmokeBound k1mBound{27000.0, 18000000.0,
+                              std::numeric_limits<double>::infinity()};
 
 bool
 smokeCheck(const exp::SweepAggregate &agg, const SmokeBound &bound,
@@ -138,6 +145,7 @@ smokeCheck(const exp::SweepAggregate &agg, const SmokeBound &bound,
     check("ops_best_fit_probes", agg.mean.opsBestFitProbes, 1.0,
           bound.maxBestFitProbes);
     check("ops_child_sort_elems", agg.mean.opsChildSortElems, 0.0, 0.0);
+    check("ops_pod_scans", agg.mean.opsPodScans, 0.0, bound.maxPodScans);
     return ok;
 }
 
@@ -196,7 +204,7 @@ main(int argc, char **argv)
 
     util::Table table({"nodes", "scheme", "plan(s)", "pack(s)",
                        "total(s)", "pushes", "probes", "sortelems",
-                       "status"});
+                       "podscans", "status"});
     exp::Report report("fig8b");
 
     const std::vector<size_t> sizes =
@@ -251,6 +259,7 @@ main(int argc, char **argv)
                 .cell(agg.mean.opsHeapPushes, 0)
                 .cell(agg.mean.opsBestFitProbes, 0)
                 .cell(agg.mean.opsChildSortElems, 0)
+                .cell(agg.mean.opsPodScans, 0)
                 .cell(failed ? "gave-up" : "ok");
             if (smoke)
                 smoke_ok =
@@ -262,10 +271,10 @@ main(int argc, char **argv)
         }
         if (!smoke && nodes > 1000 && options.filter.empty()) {
             table.row().cell(nodes).cell("LPFair").cell("-").cell("-")
-                .cell("-").cell("-").cell("-").cell("-")
+                .cell("-").cell("-").cell("-").cell("-").cell("-")
                 .cell("does-not-scale");
             table.row().cell(nodes).cell("LPCost").cell("-").cell("-")
-                .cell("-").cell("-").cell("-").cell("-")
+                .cell("-").cell("-").cell("-").cell("-").cell("-")
                 .cell("does-not-scale");
         }
         report.addSweep("nodes_" + std::to_string(nodes), aggregates);

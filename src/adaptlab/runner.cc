@@ -37,6 +37,7 @@ runFailureTrial(const Environment &env, core::ResilienceScheme &scheme,
         result.planOps.bestFitProbes + result.pack.ops.bestFitProbes);
     metrics.opsChildSortElems = static_cast<double>(
         result.planOps.childSortElems + result.pack.ops.childSortElems);
+    metrics.opsPodScans = static_cast<double>(result.pack.ops.podScans);
     metrics.schemeFailed = result.failed;
     if (result.failed)
         return metrics;
@@ -103,6 +104,7 @@ averageTrials(const std::vector<TrialMetrics> &trials)
         mean.opsHeapPushes += t.opsHeapPushes;
         mean.opsBestFitProbes += t.opsBestFitProbes;
         mean.opsChildSortElems += t.opsChildSortElems;
+        mean.opsPodScans += t.opsPodScans;
         n += 1.0;
     }
     if (n == 0.0)
@@ -121,6 +123,7 @@ averageTrials(const std::vector<TrialMetrics> &trials)
     mean.opsHeapPushes /= n;
     mean.opsBestFitProbes /= n;
     mean.opsChildSortElems /= n;
+    mean.opsPodScans /= n;
     return mean;
 }
 

@@ -65,6 +65,7 @@ struct TrialMetrics
     double opsHeapPushes = 0.0;
     double opsBestFitProbes = 0.0;
     double opsChildSortElems = 0.0;
+    double opsPodScans = 0.0;
     bool schemeFailed = false;
 };
 

@@ -9,11 +9,14 @@
  * counts across implementations double as a cheap algorithm-identity
  * check, while childSortElems — the elements pushed through the
  * reference DFS's per-visit child sorts — is the work the presorted
- * CSR eliminates and must read zero in the flat path. The counters are
- * exported per bench cell and asserted against recorded bounds by the
- * fig8b smoke test; they are deliberately excluded from
- * exp::canonicalMetricString, which fingerprints planner/packer
- * *decisions*, not implementation effort.
+ * CSR eliminates and must read zero in the flat path. podScans — the
+ * pods the packer's repack and targeted-delete stages read off a node —
+ * may differ too: the reference walks every candidate node, while the
+ * flat book skips walks it can prove futile, so flat never exceeds
+ * reference. The counters are exported per bench cell and asserted
+ * against recorded bounds by the fig8b smoke test; they are
+ * deliberately excluded from exp::canonicalMetricString, which
+ * fingerprints planner/packer *decisions*, not implementation effort.
  */
 
 #ifndef PHOENIX_CORE_OP_COUNTERS_H
@@ -30,6 +33,7 @@ struct OpCounters
     uint64_t childSortElems = 0; //!< per-visit child-sort work (ref only)
     uint64_t bestFitProbes = 0;  //!< byRemaining probes in the packer
     uint64_t kvOps = 0;          //!< sorted-kv inserts + erases
+    uint64_t podScans = 0; //!< pods read by repack/targeted-delete walks
 
     OpCounters &
     operator+=(const OpCounters &o)
@@ -39,6 +43,7 @@ struct OpCounters
         childSortElems += o.childSortElems;
         bestFitProbes += o.bestFitProbes;
         kvOps += o.kvOps;
+        podScans += o.podScans;
         return *this;
     }
 
@@ -48,7 +53,7 @@ struct OpCounters
     total() const
     {
         return heapPushes + heapPops + childSortElems + bestFitProbes +
-               kvOps;
+               kvOps + podScans;
     }
 };
 

@@ -176,6 +176,11 @@ class ReferenceBook
     void onPlaced(const PodRef &, NodeId) {}
     void onEvicted(const PodRef &) {}
 
+    /** The oracle proves nothing futile: every repack and victim walk
+     * runs in full (Alg. 2 as written). */
+    bool migrationImpossible() const { return false; }
+    bool mayHoldVictims(NodeId) const { return true; }
+
     void parkedClear() { parked_.clear(); }
     void parkedAdd(NodeId node, double cpu) { parked_[node] += cpu; }
     double
@@ -221,8 +226,12 @@ class ReferenceBook
  * microservice, and the pod->node mirror a NodeId per pod — all O(1)
  * with no tree walks or hashing. The capacity index is a BucketedKv
  * whose iteration order is byte-identical to the reference multiset.
- * Every buffer persists across runs; steady-state packing allocates
- * nothing for bookkeeping.
+ * Two O(1) facts let the packer skip walks that cannot succeed: a lower
+ * bound on every pod size this pack can see (no pod can move once the
+ * emptiest node is below it) and a per-node count of active pods not
+ * committed (a node at zero holds no deletion victim). Every buffer
+ * persists across runs; steady-state packing allocates nothing for
+ * bookkeeping.
  */
 class FlatBook
 {
@@ -266,25 +275,41 @@ class FlatBook
         committedBits_.assign(total_pods, 0);
         overflowCommitted_.clear();
 
-        activeNode_.assign(total_pods, kNoNode);
-        overflowActive_.clear();
-        for (const auto &[pod, node] : state.assignment()) {
-            const size_t idx = podIdx(pod);
-            if (idx != kUnranked)
-                activeNode_[idx] = node;
-            else
-                overflowActive_[pod] = node;
+        // Pass 1 places services the input state may not hold, so the
+        // size bound covers every service as well as every placed pod.
+        double min_cpu = std::numeric_limits<double>::infinity();
+        for (const auto &app : apps) {
+            for (const auto &ms : app.services)
+                min_cpu = std::min(min_cpu, ms.cpu);
         }
 
-        // Capacity index: every healthy node keyed by remaining capacity.
+        // One walk over every placed pod: the pod -> node mirror, the
+        // size bound, and the per-node uncommitted count (nothing is
+        // committed yet). Capacity index sizing rides along.
         const size_t node_count = state.nodeCount();
+        activeNode_.assign(total_pods, kNoNode);
+        overflowActive_.clear();
+        uncommittedOn_.assign(node_count, 0);
         double max_capacity = 0.0;
         size_t healthy = 0;
         for (NodeId id = 0; id < node_count; ++id) {
             max_capacity =
                 std::max(max_capacity, state.node(id).capacity);
             healthy += state.isHealthy(id) ? 1 : 0;
+            const auto &pods = state.podsOn(id);
+            for (const auto &[pod, cpu] : pods) {
+                const size_t idx = podIdx(pod);
+                if (idx != kUnranked)
+                    activeNode_[idx] = id;
+                else
+                    overflowActive_[pod] = id;
+                min_cpu = std::min(min_cpu, cpu);
+            }
+            uncommittedOn_[id] = static_cast<uint32_t>(pods.size());
         }
+        minPodCpu_ = min_cpu;
+
+        // Capacity index: every healthy node keyed by remaining capacity.
         index_.configure(max_capacity, healthy + 1);
         for (NodeId id = 0; id < node_count; ++id) {
             if (state.isHealthy(id))
@@ -342,6 +367,11 @@ class FlatBook
     void
     commit(const PodRef &pod)
     {
+        if (committed(pod))
+            return;
+        const NodeId node = activeOn(pod);
+        if (node != kNoNode)
+            --uncommittedOn_[node];
         const size_t idx = podIdx(pod);
         if (idx != kUnranked)
             committedBits_[idx] = 1;
@@ -352,6 +382,11 @@ class FlatBook
     void
     uncommit(const PodRef &pod)
     {
+        if (!committed(pod))
+            return;
+        const NodeId node = activeOn(pod);
+        if (node != kNoNode)
+            ++uncommittedOn_[node];
         const size_t idx = podIdx(pod);
         if (idx != kUnranked)
             committedBits_[idx] = 0;
@@ -380,21 +415,17 @@ class FlatBook
     std::optional<NodeId>
     nodeOf(const ClusterState &, const PodRef &pod) const
     {
-        const size_t idx = podIdx(pod);
-        if (idx != kUnranked) {
-            if (activeNode_[idx] == kNoNode)
-                return std::nullopt;
-            return activeNode_[idx];
-        }
-        auto it = overflowActive_.find(pod);
-        if (it == overflowActive_.end())
+        const NodeId node = activeOn(pod);
+        if (node == kNoNode)
             return std::nullopt;
-        return it->second;
+        return node;
     }
 
     void
     onPlaced(const PodRef &pod, NodeId node)
     {
+        if (!committed(pod))
+            ++uncommittedOn_[node];
         const size_t idx = podIdx(pod);
         if (idx != kUnranked)
             activeNode_[idx] = node;
@@ -405,11 +436,32 @@ class FlatBook
     void
     onEvicted(const PodRef &pod)
     {
+        const NodeId node = activeOn(pod);
+        if (node != kNoNode && !committed(pod))
+            --uncommittedOn_[node];
         const size_t idx = podIdx(pod);
         if (idx != kUnranked)
             activeNode_[idx] = kNoNode;
         else
             overflowActive_.erase(pod);
+    }
+
+    /** True when no healthy node has room for even the smallest pod
+     * this pack can see, so no forEachAtLeast(cpu) for a pod's cpu
+     * can visit an entry: nothing can migrate anywhere. */
+    bool
+    migrationImpossible() const
+    {
+        const auto top = index_.largest();
+        return !top || top->first < minPodCpu_;
+    }
+
+    /** False when every pod on @p node is committed: it holds no
+     * deletion victim. */
+    bool
+    mayHoldVictims(NodeId node) const
+    {
+        return uncommittedOn_[node] != 0;
     }
 
     void
@@ -461,6 +513,17 @@ class FlatBook
     }
 
   private:
+    /** Node the pod is active on, or kNoNode. */
+    NodeId
+    activeOn(const PodRef &pod) const
+    {
+        const size_t idx = podIdx(pod);
+        if (idx != kUnranked)
+            return activeNode_[idx];
+        auto it = overflowActive_.find(pod);
+        return it == overflowActive_.end() ? kNoNode : it->second;
+    }
+
     /** Dense microservice index, or kUnranked when out of range. */
     size_t
     msIdx(sim::AppId app, sim::MsId ms) const
@@ -494,6 +557,10 @@ class FlatBook
     std::vector<size_t> rankMs_;  //!< msIdx -> rank (kUnranked if none)
     std::vector<uint8_t> committedBits_; //!< podIdx -> committed
     std::vector<NodeId> activeNode_;     //!< podIdx -> node or kNoNode
+    /** node -> active pods not committed (zero: no deletion victim) */
+    std::vector<uint32_t> uncommittedOn_;
+    /** Lower bound on every pod size this pack can place or move. */
+    double minPodCpu_ = 0.0;
     std::vector<double> parked_;         //!< node -> hypothetical usage
     std::vector<NodeId> parkedTouched_;
     std::vector<size_t> sortCounts_;
@@ -825,10 +892,17 @@ class Packer
         const double have = result_.state.remaining(node);
         if (have + 1e-9 >= size)
             return true;
+        // No node has room for the smallest pod: every forEachAtLeast
+        // below would visit nothing, so the walk would probe and move
+        // nothing.
+        if (book_.migrationImpossible())
+            return false;
 
         auto &movable = c_.movable;
         movable.clear();
-        for (const auto &[pod, cpu] : result_.state.podsOn(node)) {
+        const auto &pods = result_.state.podsOn(node);
+        result_.ops.podScans += pods.size();
+        for (const auto &[pod, cpu] : pods) {
             // Constrained pods are pinned during repack: the parked
             // deltas track capacity only, not hypothetical vacancy
             // state, so moving them could break their own caps.
@@ -902,18 +976,24 @@ class Packer
             if (!c_.vacancy.canPlace(incoming, node))
                 continue;
             double free = free0;
-            // Victims on this node, lowest priority first.
+            // Victims on this node, lowest priority first. A node whose
+            // pods are all committed has none.
             auto &victims = c_.victims;
             victims.clear();
-            for (const auto &[pod, cpu] : result_.state.podsOn(node)) {
-                const size_t rank = book_.rankOf(pod);
-                if (rank > incoming_rank && !book_.committed(pod))
-                    victims.push_back(PackCommon::Victim{rank, pod, cpu});
+            if (book_.mayHoldVictims(node)) {
+                const auto &pods = result_.state.podsOn(node);
+                result_.ops.podScans += pods.size();
+                for (const auto &[pod, cpu] : pods) {
+                    const size_t rank = book_.rankOf(pod);
+                    if (rank > incoming_rank && !book_.committed(pod))
+                        victims.push_back(
+                            PackCommon::Victim{rank, pod, cpu});
+                }
+                std::sort(victims.begin(), victims.end(),
+                          [](const auto &x, const auto &y) {
+                              return x.rank > y.rank;
+                          });
             }
-            std::sort(victims.begin(), victims.end(),
-                      [](const auto &x, const auto &y) {
-                          return x.rank > y.rank;
-                      });
             auto &list = c_.victimList;
             list.clear();
             auto &tentative = c_.tentativePdb;

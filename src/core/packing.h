@@ -83,7 +83,12 @@ struct PackingOptions
      * drive the identical packing algorithm and emit bit-identical
      * action sequences — test_properties asserts it — so this exists
      * as the oracle for that suite and as an A/B lever for the
-     * benches.
+     * benches. The reference also walks every repack and victim
+     * candidate in full, as Alg. 2 is written, where the flat book
+     * skips walks its size bound and per-node uncommitted count
+     * prove futile; equal actions, assignments and best-fit probes
+     * are what prove those bounds exact, and OpCounters::podScans
+     * shows the walks saved.
      */
     bool referenceImpl = false;
 };

@@ -87,6 +87,7 @@ struct SweepAggregate
     MetricStats opsHeapPushes;
     MetricStats opsBestFitProbes;
     MetricStats opsChildSortElems;
+    MetricStats opsPodScans;
     /** Summed wall-clock of the group's cells (CPU-time proxy). */
     double wallSeconds = 0.0;
     /** Summed obs metric deltas of the group's cells, name-sorted

@@ -76,6 +76,44 @@ checkInvariants(const std::vector<Application> &apps,
     EXPECT_EQ(replay.assignment(), result.state.assignment());
 }
 
+/**
+ * Pack with the flat and the reference bookkeeping. The flat book's
+ * futility bounds may skip pod walks but nothing else: actions, final
+ * assignment and best-fit probes must match the reference. Returns
+ * both results (flat first).
+ */
+std::pair<PackResult, PackResult>
+packBothBooks(const std::vector<Application> &apps,
+              const ClusterState &cluster, const GlobalRank &ranked,
+              PackingOptions options = PackingOptions())
+{
+    options.referenceImpl = false;
+    PackResult flat = PackingScheduler(options).pack(apps, cluster, ranked);
+    options.referenceImpl = true;
+    PackResult ref = PackingScheduler(options).pack(apps, cluster, ranked);
+    EXPECT_EQ(flat.actions.size(), ref.actions.size());
+    for (size_t i = 0;
+         i < std::min(flat.actions.size(), ref.actions.size()); ++i) {
+        EXPECT_EQ(flat.actions[i].kind, ref.actions[i].kind) << i;
+        EXPECT_EQ(flat.actions[i].pod, ref.actions[i].pod) << i;
+        EXPECT_EQ(flat.actions[i].from, ref.actions[i].from) << i;
+        EXPECT_EQ(flat.actions[i].to, ref.actions[i].to) << i;
+    }
+    EXPECT_EQ(flat.state.assignment(), ref.state.assignment());
+    EXPECT_EQ(flat.ops.bestFitProbes, ref.ops.bestFitProbes);
+    EXPECT_LE(flat.ops.podScans, ref.ops.podScans);
+    return {std::move(flat), std::move(ref)};
+}
+
+size_t
+countActions(const PackResult &result, ActionKind kind)
+{
+    size_t n = 0;
+    for (const Action &action : result.actions)
+        n += action.kind == kind ? 1 : 0;
+    return n;
+}
+
 } // namespace
 
 TEST(Packing, BestFitPrefersTightestNode)
@@ -235,6 +273,117 @@ TEST(Packing, EmptyRankIsNoop)
     EXPECT_TRUE(result.complete);
     EXPECT_TRUE(result.actions.empty());
     EXPECT_TRUE(result.state.isActive(PodRef{0, 0}));
+}
+
+// The flat book's "no pod can move" bound must cover services the
+// input state does not hold. The smallest service (s, 1 CPU) is
+// placed by pass 1; a later repack can only succeed by moving it,
+// while every pod of the input state is 2 CPUs and no node has 2 free.
+TEST(PackingBounds, SizeBoundCoversServicesPlacedInPassOne)
+{
+    // s, Q and P are ranked in that order; X is unranked.
+    auto apps = std::vector<Application>{makeApp(0, {1.0, 2.0, 2.0, 2.0})};
+    ClusterState cluster;
+    cluster.addNode(4.0);
+    cluster.addNode(3.0);
+    cluster.place(PodRef{0, 3}, 0, 2.0); // X
+    const GlobalRank ranked{PodRef{0, 0}, PodRef{0, 1}, PodRef{0, 2}};
+
+    const auto [flat, ref] = packBothBooks(apps, cluster, ranked);
+    // s -> node 0 and Q -> node 1 by best fit leave 1 CPU free on
+    // each; P fits only once s migrates to node 1.
+    ASSERT_TRUE(flat.complete);
+    EXPECT_EQ(countActions(flat, ActionKind::Migrate), 1u);
+    EXPECT_EQ(countActions(flat, ActionKind::Delete), 0u);
+    EXPECT_EQ(flat.state.nodeOf(PodRef{0, 0}), NodeId{1});
+    EXPECT_EQ(flat.state.nodeOf(PodRef{0, 2}), NodeId{0});
+    EXPECT_TRUE(flat.state.isActive(PodRef{0, 3}));
+    checkInvariants(apps, cluster, flat);
+}
+
+// A node within 1e-9 of fitting is accepted before either bound is
+// consulted: repack returns it with no moves, and targeted delete
+// with no victims, even though both bounds hold for it.
+TEST(PackingBounds, NearFitCandidateAcceptedWhenBoundsFire)
+{
+    // C, A and B are ranked in that order; W is unranked. Every pod
+    // is 1 CPU. Node 0 holds C with 1 - 5e-10 free, node 1 holds W
+    // with 0.5 free, so nothing fits by best fit and no pod can move.
+    auto apps =
+        std::vector<Application>{makeApp(0, {1.0, 1.0, 1.0, 1.0})};
+    ClusterState cluster;
+    cluster.addNode(2.0 - 5e-10);
+    cluster.addNode(1.5);
+    cluster.place(PodRef{0, 0}, 0, 1.0); // C
+    cluster.place(PodRef{0, 3}, 1, 1.0); // W
+    const GlobalRank ranked{PodRef{0, 0}, PodRef{0, 1}, PodRef{0, 2}};
+
+    {
+        // Repack only: A lands on node 0 with no migration; B then
+        // fails with both candidate walks skipped.
+        PackingOptions options;
+        options.allowDeletions = false;
+        const auto [flat, ref] =
+            packBothBooks(apps, cluster, ranked, options);
+        ASSERT_FALSE(flat.actions.empty());
+        EXPECT_EQ(flat.actions[0].kind, ActionKind::Restart);
+        EXPECT_EQ(flat.actions[0].pod, (PodRef{0, 1}));
+        EXPECT_EQ(flat.actions[0].to, NodeId{0});
+        EXPECT_EQ(countActions(flat, ActionKind::Migrate), 0u);
+        EXPECT_FALSE(flat.state.isActive(PodRef{0, 2}));
+        EXPECT_EQ(flat.ops.podScans, 0u);
+        EXPECT_GT(ref.ops.podScans, 0u);
+    }
+    {
+        // Targeted delete only: node 0 holds only committed pods, yet
+        // it takes A with zero victims; W dies only for B.
+        PackingOptions options;
+        options.allowMigrations = false;
+        const auto [flat, ref] =
+            packBothBooks(apps, cluster, ranked, options);
+        ASSERT_EQ(flat.actions.size(), 3u);
+        EXPECT_EQ(flat.actions[0].kind, ActionKind::Restart);
+        EXPECT_EQ(flat.actions[0].pod, (PodRef{0, 1}));
+        EXPECT_EQ(flat.actions[0].to, NodeId{0});
+        EXPECT_EQ(flat.actions[1].kind, ActionKind::Delete);
+        EXPECT_EQ(flat.actions[1].pod, (PodRef{0, 3}));
+        EXPECT_TRUE(flat.complete);
+        EXPECT_LT(flat.ops.podScans, ref.ops.podScans);
+        checkInvariants(apps, cluster, flat);
+    }
+}
+
+// A below-quorum rollback re-places its victims and uncommits the
+// failed service's survivor before deleting it; the per-node count of
+// uncommitted pods must come back with them, or a later targeted
+// delete skips the node whose survivor it needs.
+TEST(PackingBounds, TargetedDeleteAfterRollbackSeesUncommittedPods)
+{
+    Application app0 = makeApp(0, {2.0, 1.0}); // S (2 replicas), V
+    app0.services[0].replicas = 2;
+    auto apps = std::vector<Application>{app0, makeApp(1, {3.0}),
+                                         makeApp(2, {1.0})}; // T, W
+    ClusterState cluster;
+    cluster.addNode(3.5);
+    cluster.addNode(1.0);
+    cluster.place(PodRef{0, 0, 0}, 0, 2.0); // S's lone survivor
+    cluster.place(PodRef{0, 1}, 0, 1.0);    // V
+    cluster.place(PodRef{2, 0}, 1, 1.0);    // W
+    // S needs both replicas but its second fits nowhere, even after
+    // deleting V and W, so its attempt rolls back and S is deleted.
+    // T then fits on node 0 only by deleting V.
+    const GlobalRank ranked{PodRef{0, 0}, PodRef{1, 0}};
+
+    const auto [flat, ref] = packBothBooks(apps, cluster, ranked);
+    ASSERT_EQ(flat.actions.size(), 3u);
+    EXPECT_EQ(flat.actions[0].kind, ActionKind::Delete);
+    EXPECT_EQ(flat.actions[0].pod, (PodRef{0, 0, 0}));
+    EXPECT_EQ(flat.actions[1].kind, ActionKind::Delete);
+    EXPECT_EQ(flat.actions[1].pod, (PodRef{0, 1}));
+    EXPECT_EQ(flat.actions[2].kind, ActionKind::Restart);
+    EXPECT_EQ(flat.actions[2].pod, (PodRef{1, 0}));
+    EXPECT_EQ(flat.actions[2].to, NodeId{0});
+    EXPECT_TRUE(flat.state.isActive(PodRef{2, 0}));
 }
 
 class PackingRandomized : public ::testing::TestWithParam<int>

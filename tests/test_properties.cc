@@ -287,8 +287,10 @@ TEST_P(BitIdentity, FlatMatchesReferenceImplementation)
         EXPECT_EQ(a.planOps.heapPops, b.planOps.heapPops) << what;
         EXPECT_EQ(a.pack.ops.bestFitProbes, b.pack.ops.bestFitProbes)
             << what;
-        // ...while the flat path never copies/sorts successor lists.
+        // ...while the flat path never copies/sorts successor lists,
+        // and its futility bounds only ever skip pod walks.
         EXPECT_EQ(a.planOps.childSortElems, 0u) << what;
+        EXPECT_LE(a.pack.ops.podScans, b.pack.ops.podScans) << what;
     }
 }
 
@@ -354,6 +356,7 @@ TEST_P(ConstrainedBitIdentity, ConstrainedPackingIsBitIdentical)
         EXPECT_EQ(a.planOps.heapPops, b.planOps.heapPops) << what;
         EXPECT_EQ(a.pack.ops.bestFitProbes, b.pack.ops.bestFitProbes)
             << what;
+        EXPECT_LE(a.pack.ops.podScans, b.pack.ops.podScans) << what;
     }
 }
 
