@@ -13,7 +13,7 @@
 #
 # Default cases: zonekill-10k:1,2,3 churn-5k:1,2,3,4,5 adapt-100k:1,2,3
 # (about 6 minutes on a 4-core VM, the revision's cold build included;
-# runs are sequential, and adapt-100k peaks near 1 GiB RSS). The
+# runs are sequential, and adapt-100k peaks near 375 MiB RSS). The
 # working tree builds into $CARGO_TARGET_DIR (default .bench_build, as
 # epochbench/run.py); the revision is exported with `git archive` into
 # a temporary directory, built there, and removed on exit. Build output

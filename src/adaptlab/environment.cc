@@ -105,6 +105,8 @@ buildEnvironment(const EnvironmentConfig &config)
 
     // Cluster + initial placement: first-fit-decreasing best-fit; at
     // the default 80% aggregate demand everything places.
+    env.cluster = sim::ClusterState(sim::PodIndex::of(env.apps));
+    env.cluster.reserveNodes(config.nodeCount);
     for (size_t n = 0; n < config.nodeCount; ++n)
         env.cluster.addNode(config.nodeCapacity);
 

@@ -20,7 +20,7 @@ CloudLabTestbed::applications() const
 sim::ClusterState
 CloudLabTestbed::makeCluster() const
 {
-    sim::ClusterState cluster;
+    sim::ClusterState cluster(sim::PodIndex::of(applications()));
     for (size_t n = 0; n < config.nodeCount; ++n)
         cluster.addNode(config.cpusPerNode);
     return cluster;

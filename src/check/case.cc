@@ -14,7 +14,7 @@ using util::JsonValue;
 sim::ClusterState
 CheckCase::emptyCluster() const
 {
-    ClusterState state;
+    ClusterState state(sim::PodIndex::of(apps));
     for (size_t n = 0; n < nodeCapacities.size(); ++n) {
         state.addNode(nodeCapacities[n],
                       n < nodeZones.size() ? nodeZones[n] : 0);

@@ -468,7 +468,7 @@ permuteNodes(const ClusterState &state,
     std::vector<double> capacities(state.nodeCount(), 0.0);
     for (NodeId n = 0; n < state.nodeCount(); ++n)
         capacities[perm[n]] = state.node(n).capacity;
-    ClusterState out;
+    ClusterState out(state.podIndex());
     for (double capacity : capacities)
         out.addNode(capacity);
     for (NodeId n = 0; n < state.nodeCount(); ++n) {

@@ -157,7 +157,7 @@ PhoenixController::applyResult(const SchemeResult &result,
             static_cast<double>(result.pack.actions.size())}));
 
     // assignment() iterates ascending by PodRef, so the vector
-    // comes out sorted and membership checks can binary-search.
+    // comes out sorted.
     target_.clear();
     target_.reserve(result.pack.state.assignment().size());
     for (const auto &[pod, node] : result.pack.state.assignment()) {
@@ -215,8 +215,8 @@ PhoenixController::execute(const SchemeResult &result)
             for (int r = 0; r < replicas; ++r) {
                 const PodRef ref{app.id, ms.id,
                                  static_cast<uint32_t>(r)};
-                if (!std::binary_search(target_.begin(), target_.end(),
-                                        ref)) {
+                // Not planned: target_ lists the planned state's pods.
+                if (!result.pack.state.isActive(ref)) {
                     const auto *pod = cluster_.pod(ref);
                     if (pod && !pod->scaledDown) {
                         cluster_.deletePod(ref);

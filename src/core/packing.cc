@@ -21,7 +21,6 @@ using sim::PodRef;
 namespace {
 
 constexpr size_t kUnranked = std::numeric_limits<size_t>::max();
-constexpr NodeId kNoNode = static_cast<NodeId>(-1);
 
 /** One planned migration (cpu carried so applying it needs no pod-size
  * lookup). */
@@ -161,20 +160,8 @@ class ReferenceBook
         return committed_.count(pod) > 0;
     }
 
-    bool
-    isActive(const ClusterState &state, const PodRef &pod) const
-    {
-        return state.isActive(pod);
-    }
-
-    std::optional<NodeId>
-    nodeOf(const ClusterState &state, const PodRef &pod) const
-    {
-        return state.nodeOf(pod);
-    }
-
     void onPlaced(const PodRef &, NodeId) {}
-    void onEvicted(const PodRef &) {}
+    void onEvicted(const PodRef &, NodeId) {}
 
     /** The oracle proves nothing futile: every repack and victim walk
      * runs in full (Alg. 2 as written). */
@@ -220,18 +207,18 @@ class ReferenceBook
 };
 
 /**
- * Flat bookkeeping over a precomputed dense pod index: pods map to
- * appBase[app] + ms -> msIdx, podBase[msIdx] + replica -> podIdx, so
- * the commit set is a byte per pod, the rank index a size_t per
- * microservice, and the pod->node mirror a NodeId per pod — all O(1)
- * with no tree walks or hashing. The capacity index is a BucketedKv
- * whose iteration order is byte-identical to the reference multiset.
- * Two O(1) facts let the packer skip walks that cannot succeed: a lower
- * bound on every pod size this pack can see (no pod can move once the
- * emptiest node is below it) and a per-node count of active pods not
- * committed (a node at zero holds no deletion victim). Every buffer
- * persists across runs; steady-state packing allocates nothing for
- * bookkeeping.
+ * Flat bookkeeping over the state's sim::PodIndex: the commit set is a
+ * byte per slot and the rank index a size_t per row (service), both
+ * O(1) with no tree walks or hashing; pod -> node lookups go to the
+ * state's slot table. The capacity index is a BucketedKv whose
+ * iteration order is byte-identical to the reference multiset. Two O(1)
+ * facts let the packer skip walks that cannot succeed: a lower bound on
+ * every pod size this pack can see (no pod can move once the emptiest
+ * node is below it) and a per-node count of active pods not committed
+ * (a node at zero holds no deletion victim). Every buffer persists
+ * across runs; steady-state packing allocates nothing for bookkeeping.
+ * The packer indexes its state from apps before init(), so every pod
+ * it can name has a slot.
  */
 class FlatBook
 {
@@ -242,38 +229,20 @@ class FlatBook
          OpCounters &ops)
     {
         ops_ = &ops;
+        state_ = &state;
+        podIndex_ = state.podIndex().get();
 
-        // Dense (app position, ms, replica) -> pod index.
-        msBase_.resize(apps.size() + 1);
-        msBase_[0] = 0;
-        for (size_t a = 0; a < apps.size(); ++a)
-            msBase_[a + 1] = msBase_[a] + apps[a].services.size();
-        const size_t total_ms = msBase_.back();
-        podBase_.resize(total_ms + 1);
-        podBase_[0] = 0;
-        {
-            size_t idx = 0;
-            for (const auto &app : apps) {
-                for (const auto &ms : app.services) {
-                    podBase_[idx + 1] =
-                        podBase_[idx] +
-                        static_cast<size_t>(std::max(ms.replicas, 1));
-                    ++idx;
-                }
-            }
-        }
-        const size_t total_pods = podBase_.back();
-
-        rankMs_.assign(total_ms, kUnranked);
+        rankRow_.assign(podIndex_->rowCount(), kUnranked);
         for (size_t i = 0; i < ranked.size(); ++i) {
-            const size_t ms = msIdx(ranked[i].app, ranked[i].ms);
-            if (ms != kUnranked)
-                rankMs_[ms] = i; // last writer wins, like map::operator[]
+            const size_t row =
+                podIndex_->rowOf(ranked[i].app, ranked[i].ms);
+            if (row != sim::PodIndex::kNoRow)
+                rankRow_[row] = i; // last writer wins, like map::operator[]
         }
         rankedSize_ = ranked.size();
 
-        committedBits_.assign(total_pods, 0);
-        overflowCommitted_.clear();
+        const size_t slots = podIndex_->slotCount();
+        committedBits_.assign(slots, 0);
 
         // Pass 1 places services the input state may not hold, so the
         // size bound covers every service as well as every placed pod.
@@ -282,13 +251,15 @@ class FlatBook
             for (const auto &ms : app.services)
                 min_cpu = std::min(min_cpu, ms.cpu);
         }
+        for (sim::Slot slot = 0; slot < slots; ++slot) {
+            if (state.slotNode(slot) != sim::kNoNode)
+                min_cpu = std::min(min_cpu, state.slotCpu(slot));
+        }
+        minPodCpu_ = min_cpu;
 
-        // One walk over every placed pod: the pod -> node mirror, the
-        // size bound, and the per-node uncommitted count (nothing is
-        // committed yet). Capacity index sizing rides along.
+        // Per-node uncommitted count (nothing is committed yet), with
+        // capacity index sizing riding along.
         const size_t node_count = state.nodeCount();
-        activeNode_.assign(total_pods, kNoNode);
-        overflowActive_.clear();
         uncommittedOn_.assign(node_count, 0);
         double max_capacity = 0.0;
         size_t healthy = 0;
@@ -296,18 +267,9 @@ class FlatBook
             max_capacity =
                 std::max(max_capacity, state.node(id).capacity);
             healthy += state.isHealthy(id) ? 1 : 0;
-            const auto &pods = state.podsOn(id);
-            for (const auto &[pod, cpu] : pods) {
-                const size_t idx = podIdx(pod);
-                if (idx != kUnranked)
-                    activeNode_[idx] = id;
-                else
-                    overflowActive_[pod] = id;
-                min_cpu = std::min(min_cpu, cpu);
-            }
-            uncommittedOn_[id] = static_cast<uint32_t>(pods.size());
+            uncommittedOn_[id] =
+                static_cast<uint32_t>(state.podsOn(id).size());
         }
-        minPodCpu_ = min_cpu;
 
         // Capacity index: every healthy node keyed by remaining capacity.
         index_.configure(max_capacity, healthy + 1);
@@ -360,65 +322,38 @@ class FlatBook
     size_t
     rankOf(const PodRef &pod) const
     {
-        const size_t ms = msIdx(pod.app, pod.ms);
-        return ms == kUnranked ? kUnranked : rankMs_[ms];
+        const size_t row = podIndex_->rowOf(pod.app, pod.ms);
+        return row == sim::PodIndex::kNoRow ? kUnranked : rankRow_[row];
     }
 
     void
     commit(const PodRef &pod)
     {
-        if (committed(pod))
+        const sim::Slot slot = podIndex_->slotOf(pod);
+        if (committedBits_[slot])
             return;
-        const NodeId node = activeOn(pod);
-        if (node != kNoNode)
+        const NodeId node = state_->slotNode(slot);
+        if (node != sim::kNoNode)
             --uncommittedOn_[node];
-        const size_t idx = podIdx(pod);
-        if (idx != kUnranked)
-            committedBits_[idx] = 1;
-        else
-            overflowCommitted_.insert(pod);
+        committedBits_[slot] = 1;
     }
 
     void
     uncommit(const PodRef &pod)
     {
-        if (!committed(pod))
+        const sim::Slot slot = podIndex_->slotOf(pod);
+        if (!committedBits_[slot])
             return;
-        const NodeId node = activeOn(pod);
-        if (node != kNoNode)
+        const NodeId node = state_->slotNode(slot);
+        if (node != sim::kNoNode)
             ++uncommittedOn_[node];
-        const size_t idx = podIdx(pod);
-        if (idx != kUnranked)
-            committedBits_[idx] = 0;
-        else
-            overflowCommitted_.erase(pod);
+        committedBits_[slot] = 0;
     }
 
     bool
     committed(const PodRef &pod) const
     {
-        const size_t idx = podIdx(pod);
-        if (idx != kUnranked)
-            return committedBits_[idx] != 0;
-        return overflowCommitted_.count(pod) > 0;
-    }
-
-    bool
-    isActive(const ClusterState &, const PodRef &pod) const
-    {
-        const size_t idx = podIdx(pod);
-        if (idx != kUnranked)
-            return activeNode_[idx] != kNoNode;
-        return overflowActive_.count(pod) > 0;
-    }
-
-    std::optional<NodeId>
-    nodeOf(const ClusterState &, const PodRef &pod) const
-    {
-        const NodeId node = activeOn(pod);
-        if (node == kNoNode)
-            return std::nullopt;
-        return node;
+        return committedBits_[podIndex_->slotOf(pod)] != 0;
     }
 
     void
@@ -426,24 +361,14 @@ class FlatBook
     {
         if (!committed(pod))
             ++uncommittedOn_[node];
-        const size_t idx = podIdx(pod);
-        if (idx != kUnranked)
-            activeNode_[idx] = node;
-        else
-            overflowActive_[pod] = node;
     }
 
+    /** Called after the state evicted @p pod from @p node. */
     void
-    onEvicted(const PodRef &pod)
+    onEvicted(const PodRef &pod, NodeId node)
     {
-        const NodeId node = activeOn(pod);
-        if (node != kNoNode && !committed(pod))
+        if (!committed(pod))
             --uncommittedOn_[node];
-        const size_t idx = podIdx(pod);
-        if (idx != kUnranked)
-            activeNode_[idx] = kNoNode;
-        else
-            overflowActive_.erase(pod);
     }
 
     /** True when no healthy node has room for even the smallest pod
@@ -483,8 +408,8 @@ class FlatBook
     double parkedAt(NodeId node) const { return parked_[node]; }
 
     /** Deletion candidates ascending by (rank, pod) via a counting
-     * sort over the rank domain — stable over the assignment map's
-     * PodRef-ascending iteration, so the output matches the reference
+     * sort over the rank domain — stable over the slot table's
+     * PodRef-ascending order, so the output matches the reference
      * decorate-sort exactly. */
     void
     buildDeletionOrder(const ClusterState &state,
@@ -494,69 +419,33 @@ class FlatBook
         // bucket, mapped to R (every stored rank is < ranked.size(),
         // so no scan of the rank table is needed).
         const size_t max_rank = rankedSize_;
+        const size_t slots = podIndex_->slotCount();
+        const auto key_of = [&](sim::Slot slot) {
+            const size_t r = rankOf(podIndex_->pod(slot));
+            return r == kUnranked ? max_rank : r;
+        };
         sortCounts_.assign(max_rank + 2, 0);
-        for (const auto &[pod, node] : state.assignment()) {
-            (void)node;
-            const size_t r = rankOf(pod);
-            const size_t key = r == kUnranked ? max_rank : r;
-            ++sortCounts_[key + 1];
+        for (sim::Slot slot = 0; slot < slots; ++slot) {
+            if (state.slotNode(slot) != sim::kNoNode)
+                ++sortCounts_[key_of(slot) + 1];
         }
         for (size_t k = 1; k < sortCounts_.size(); ++k)
             sortCounts_[k] += sortCounts_[k - 1];
         out.resize(state.assignment().size());
-        for (const auto &[pod, node] : state.assignment()) {
-            (void)node;
-            const size_t r = rankOf(pod);
-            const size_t key = r == kUnranked ? max_rank : r;
-            out[sortCounts_[key]++] = pod;
+        for (sim::Slot slot = 0; slot < slots; ++slot) {
+            if (state.slotNode(slot) != sim::kNoNode)
+                out[sortCounts_[key_of(slot)]++] = podIndex_->pod(slot);
         }
     }
 
   private:
-    /** Node the pod is active on, or kNoNode. */
-    NodeId
-    activeOn(const PodRef &pod) const
-    {
-        const size_t idx = podIdx(pod);
-        if (idx != kUnranked)
-            return activeNode_[idx];
-        auto it = overflowActive_.find(pod);
-        return it == overflowActive_.end() ? kNoNode : it->second;
-    }
-
-    /** Dense microservice index, or kUnranked when out of range. */
-    size_t
-    msIdx(sim::AppId app, sim::MsId ms) const
-    {
-        if (static_cast<size_t>(app) + 1 >= msBase_.size())
-            return kUnranked;
-        const size_t base = msBase_[app];
-        if (ms >= msBase_[app + 1] - base)
-            return kUnranked;
-        return base + ms;
-    }
-
-    /** Dense pod index, or kUnranked when out of range. */
-    size_t
-    podIdx(const PodRef &pod) const
-    {
-        const size_t ms = msIdx(pod.app, pod.ms);
-        if (ms == kUnranked)
-            return kUnranked;
-        const size_t base = podBase_[ms];
-        if (pod.replica >= podBase_[ms + 1] - base)
-            return kUnranked;
-        return base + pod.replica;
-    }
-
     /** Capacity index: healthy nodes keyed by remaining capacity. */
     util::BucketedKv<NodeId> index_;
+    const ClusterState *state_ = nullptr;
+    const sim::PodIndex *podIndex_ = nullptr;
     size_t rankedSize_ = 0;
-    std::vector<size_t> msBase_;  //!< app position -> first msIdx
-    std::vector<size_t> podBase_; //!< msIdx -> first podIdx
-    std::vector<size_t> rankMs_;  //!< msIdx -> rank (kUnranked if none)
-    std::vector<uint8_t> committedBits_; //!< podIdx -> committed
-    std::vector<NodeId> activeNode_;     //!< podIdx -> node or kNoNode
+    std::vector<size_t> rankRow_; //!< row -> rank (kUnranked if none)
+    std::vector<uint8_t> committedBits_; //!< slot -> committed
     /** node -> active pods not committed (zero: no deletion victim) */
     std::vector<uint32_t> uncommittedOn_;
     /** Lower bound on every pod size this pack can place or move. */
@@ -564,9 +453,6 @@ class FlatBook
     std::vector<double> parked_;         //!< node -> hypothetical usage
     std::vector<NodeId> parkedTouched_;
     std::vector<size_t> sortCounts_;
-    // Pods outside the dense index (inconsistent env; normally empty).
-    std::map<PodRef, NodeId> overflowActive_;
-    std::set<PodRef> overflowCommitted_;
     OpCounters *ops_ = nullptr;
 };
 
@@ -588,6 +474,9 @@ class Packer
     {
         result_.state = current;
         const auto started = std::chrono::steady_clock::now();
+        // Pass 1 names every service of apps; give each a slot now so
+        // no place() widens the index mid-pack.
+        result_.state.coverApps(apps);
         book_.init(apps, result_.state, ranked, result_.ops);
         c_.vacancy.build(apps, result_.state);
         result_.reconcileSeconds =
@@ -639,7 +528,7 @@ class Packer
                  ++r) {
                 const PodRef pod{entry.app, entry.ms,
                                  static_cast<uint32_t>(r)};
-                if (book_.isActive(result_.state, pod)) {
+                if (result_.state.isActive(pod)) {
                     book_.commit(pod);
                     ++placed_replicas;
                     continue;
@@ -664,7 +553,7 @@ class Packer
             for (int r = 0; r < replicas; ++r) {
                 const PodRef pod{entry.app, entry.ms,
                                  static_cast<uint32_t>(r)};
-                if (book_.isActive(result_.state, pod))
+                if (result_.state.isActive(pod))
                     book_.commit(pod);
             }
 
@@ -688,7 +577,7 @@ class Packer
                 const PodRef pod{entry.app, entry.ms,
                                  static_cast<uint32_t>(r)};
                 book_.uncommit(pod);
-                if (book_.isActive(result_.state, pod))
+                if (result_.state.isActive(pod))
                     evictPod(pod, ActionKind::Delete);
             }
             if (options_.abortOnUnplaceable)
@@ -706,7 +595,7 @@ class Packer
             for (int r = 0; r < replicas; ++r) {
                 const PodRef pod{entry.app, entry.ms,
                                  static_cast<uint32_t>(r)};
-                if (book_.isActive(result_.state, pod))
+                if (result_.state.isActive(pod))
                     continue;
                 const auto node = bestFitFor(pod, ms.cpu);
                 if (!node) {
@@ -746,14 +635,14 @@ class Packer
     void
     evictPod(const PodRef &pod, ActionKind kind, NodeId to = 0)
     {
-        const auto node = book_.nodeOf(result_.state, pod);
+        const auto node = result_.state.nodeOf(pod);
         if (!node)
             return;
         const double before = result_.state.remaining(*node);
         const double cpu = result_.state.podCpu(pod);
         result_.state.evict(pod);
         book_.kvUpdate(before, result_.state.remaining(*node), *node);
-        book_.onEvicted(pod);
+        book_.onEvicted(pod, *node);
         c_.vacancy.onEvict(pod, *node);
         c_.journal.push_back(PackCommon::JournalEntry{
             false, journalPoppedDeletionOrder_, pod, *node, cpu});
@@ -785,7 +674,7 @@ class Packer
             const double before = result_.state.remaining(e.node);
             if (e.placed) {
                 result_.state.evict(e.pod);
-                book_.onEvicted(e.pod);
+                book_.onEvicted(e.pod, e.node);
                 c_.vacancy.onEvict(e.pod, e.node);
             } else {
                 result_.state.place(e.pod, e.node, e.cpu);
@@ -1059,7 +948,7 @@ class Packer
         while (!c_.deletionOrder.empty()) {
             const PodRef victim = c_.deletionOrder.back();
             c_.deletionOrder.pop_back();
-            if (!book_.isActive(result_.state, victim) ||
+            if (!result_.state.isActive(victim) ||
                 book_.committed(victim)) {
                 continue;
             }

@@ -490,8 +490,7 @@ LpScheme::apply(const std::vector<Application> &apps,
 
     // Materialize the target state from y.
     ClusterState target = current;
-    for (const auto &[pod, node] : std::map<PodRef, NodeId>(
-             current.assignment().begin(), current.assignment().end())) {
+    for (const auto &[pod, node] : current.assignment()) {
         (void)node;
         target.evict(pod);
     }
@@ -529,13 +528,9 @@ diffStates(const std::vector<Application> &apps, const ClusterState &from,
     // the list would be rejected by the kubelet. Simulate on a
     // scratch copy and only emit actions that apply cleanly.
     ClusterState scratch = from;
-
-    // Sorted snapshots: assignment() iteration order is not
-    // deterministic, action lists must be.
-    const std::map<PodRef, NodeId> before(from.assignment().begin(),
-                                          from.assignment().end());
-    const std::map<PodRef, NodeId> after(to.assignment().begin(),
-                                         to.assignment().end());
+    // Both walks run in PodRef order, so the action list does too.
+    const auto before = from.assignment();
+    const auto after = to.assignment();
 
     // Deletes first: they only free capacity.
     for (const auto &[pod, node] : before) {

@@ -51,7 +51,8 @@ transitionEventName(PodPhase to)
 } // namespace
 
 KubeCluster::KubeCluster(sim::EventQueue &events, KubeConfig config)
-    : events_(events), config_(config), rng_(config.seed)
+    : events_(events), config_(config), rng_(config.seed),
+      podIndex_(sim::PodIndex::empty())
 {
     obs::Registry &registry = obs::Registry::global();
     obs_.transitions[0] =
@@ -129,25 +130,11 @@ KubeCluster::addApplication(const sim::Application &app)
             pod.cpu = ms.cpu;
             pods_.push_back(pod);
         }
-        podBase_.push_back(static_cast<Slot>(pods_.size()));
     }
-    msBase_.push_back(podBase_.size() - 1);
+    podIndex_ = sim::PodIndex::of(apps_);
+    assert(podIndex_->slotCount() == pods_.size());
     podEpoch_.resize(pods_.size(), 0);
     podPos_.resize(pods_.size(), 0);
-}
-
-KubeCluster::Slot
-KubeCluster::slotOf(const PodRef &ref) const
-{
-    if (ref.app >= apps_.size())
-        return kNoSlot;
-    const size_t first_ms = msBase_[ref.app];
-    if (ref.ms >= msBase_[ref.app + 1] - first_ms)
-        return kNoSlot;
-    const size_t ms = first_ms + ref.ms;
-    if (ref.replica >= podBase_[ms + 1] - podBase_[ms])
-        return kNoSlot;
-    return podBase_[ms] + ref.replica;
 }
 
 void
@@ -411,8 +398,8 @@ KubeCluster::hasPlacementVacancy(const Pod &pod, NodeId node) const
     int group_on_node = 0;
     int group_in_zone = 0;
     // Only the pod's own app counts: walk its slot range.
-    const Slot app_end = podBase_[msBase_[pod.ref.app + 1]];
-    for (Slot s = podBase_[msBase_[pod.ref.app]]; s < app_end; ++s) {
+    const auto [app_begin, app_end] = podIndex_->appSlots(pod.ref.app);
+    for (Slot s = app_begin; s < app_end; ++s) {
         const Pod &other = pods_[s];
         if (other.ref == pod.ref || !occupiesNode(other.phase))
             continue;
@@ -630,7 +617,7 @@ KubeCluster::schedulerTick()
 void
 KubeCluster::deletePod(const PodRef &ref)
 {
-    const Slot slot = slotOf(ref);
+    const Slot slot = podIndex_->slotOf(ref);
     if (slot == kNoSlot)
         return;
     Pod &pod = pods_[slot];
@@ -661,7 +648,7 @@ void
 KubeCluster::startPod(const PodRef &ref,
                       std::optional<NodeId> pinned)
 {
-    const Slot slot = slotOf(ref);
+    const Slot slot = podIndex_->slotOf(ref);
     if (slot == kNoSlot || (pinned && *pinned >= nodes_.size()))
         return;
     Pod &pod = pods_[slot];
@@ -685,7 +672,7 @@ KubeCluster::startPod(const PodRef &ref,
 void
 KubeCluster::migratePod(const PodRef &ref, NodeId to)
 {
-    const Slot slot = slotOf(ref);
+    const Slot slot = podIndex_->slotOf(ref);
     if (slot == kNoSlot || to >= nodes_.size())
         return;
     Pod &pod = pods_[slot];
@@ -819,7 +806,10 @@ KubeCluster::observedCapacity(const NodeRec &rec) const
 ClusterState
 KubeCluster::buildState() const
 {
-    ClusterState state;
+    // The snapshot shares podIndex_, and pods_ runs in its slot order,
+    // so every place() appends at its node list's tail.
+    ClusterState state(podIndex_);
+    state.reserveNodes(nodes_.size());
     for (const NodeRec &rec : nodes_) {
         state.addNode(observedCapacity(rec), rec.zone);
         if (!rec.ready)
@@ -994,7 +984,7 @@ KubeCluster::pendingCount() const
 const Pod *
 KubeCluster::pod(const PodRef &ref) const
 {
-    const Slot slot = slotOf(ref);
+    const Slot slot = podIndex_->slotOf(ref);
     return slot == kNoSlot ? nullptr : &pods_[slot];
 }
 

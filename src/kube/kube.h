@@ -39,6 +39,7 @@
 #define PHOENIX_KUBE_KUBE_H
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -395,12 +396,10 @@ class KubeCluster : public sim::FaultTarget
     void nodeControllerTick();
     void schedulerTick();
 
-    /** Dense pod-table index; slot order is PodRef order. */
-    using Slot = uint32_t;
-    static constexpr Slot kNoSlot = UINT32_MAX;
-
-    /** Slot of @p ref, or kNoSlot when no deployment has it. O(1). */
-    Slot slotOf(const sim::PodRef &ref) const;
+    /** Dense pod-table position: podIndex_'s slot, so slot order is
+     * PodRef order. */
+    using Slot = sim::Slot;
+    static constexpr Slot kNoSlot = sim::kNoSlot;
 
     /** Used capacity on a node from Starting/Running/Terminating pods
      * (incrementally maintained; the invariant sweep checks it against
@@ -465,13 +464,11 @@ class KubeCluster : public sim::FaultTarget
      * the scheduler's vacancy checks entirely off the hot path. */
     bool anyConstrained_ = false;
     std::vector<sim::Application> apps_;
-    /** Every pod, in PodRef order: app a's microservice m holds slots
-     * [podBase_[msBase_[a] + m], podBase_[msBase_[a] + m + 1]). */
+    /** Every registered pod, rebuilt by addApplication(); snapshots
+     * share it. */
+    std::shared_ptr<const sim::PodIndex> podIndex_;
+    /** Every pod, in podIndex_'s slot order. */
     std::vector<Pod> pods_;
-    /** App -> first microservice index (size apps + 1). */
-    std::vector<size_t> msBase_{0};
-    /** Microservice index -> first slot (size microservices + 1). */
-    std::vector<Slot> podBase_{0};
     /** Per-slot monotone counter to invalidate stale timers. */
     std::vector<uint64_t> podEpoch_;
     /** Incremental Starting+Running+Terminating usage per node. */

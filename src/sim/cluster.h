@@ -4,19 +4,113 @@
  * microservice pods to nodes. This is the substrate both the Phoenix
  * scheduler (which plans on a copy) and the mini-Kubernetes layer (which
  * holds the live state) operate on.
+ *
+ * Pods live in one dense slot table in PodRef order. A sim::PodIndex
+ * maps PodRefs to slots; it is immutable and shared by every copy of a
+ * state, so a copy is a handful of flat vector copies.
  */
 
 #ifndef PHOENIX_SIM_CLUSTER_H
 #define PHOENIX_SIM_CLUSTER_H
 
-#include <map>
+#include <cstddef>
+#include <iterator>
+#include <limits>
+#include <memory>
 #include <optional>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/types.h"
 
 namespace phoenix::sim {
+
+/** A pod's fixed position in a PodIndex (and in every state using it). */
+using Slot = uint32_t;
+constexpr Slot kNoSlot = std::numeric_limits<Slot>::max();
+constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
+
+/**
+ * Immutable PodRef -> slot map. Slots run in PodRef order: app a's
+ * service m holds slots [rowSlot[appRow[a] + m], rowSlot[appRow[a] + m
+ * + 1]), one per replica. A row is one (app, ms) service.
+ */
+class PodIndex
+{
+  public:
+    static constexpr size_t kNoRow = std::numeric_limits<size_t>::max();
+
+    /** The empty index. */
+    PodIndex() = default;
+
+    /** Index over every pod of @p apps: position a is AppId a, position
+     * m of its services is MsId m, max(replicas, 1) slots each. */
+    static std::shared_ptr<const PodIndex>
+    of(const std::vector<Application> &apps);
+
+    /** A shared empty index (what default-constructed states use). */
+    static const std::shared_ptr<const PodIndex> &empty();
+
+    size_t slotCount() const { return pods_.size(); }
+    size_t rowCount() const { return rowSlot_.size() - 1; }
+    size_t appCount() const { return appRow_.size() - 1; }
+
+    /** Row of service (app, ms), or kNoRow. */
+    size_t
+    rowOf(AppId app, MsId ms) const
+    {
+        if (static_cast<size_t>(app) + 1 >= appRow_.size())
+            return kNoRow;
+        const size_t first = appRow_[app];
+        if (ms >= appRow_[app + 1] - first)
+            return kNoRow;
+        return first + ms;
+    }
+
+    /** Slot of @p pod, or kNoSlot when the index does not hold it. */
+    Slot
+    slotOf(const PodRef &pod) const
+    {
+        const size_t row = rowOf(pod.app, pod.ms);
+        if (row == kNoRow)
+            return kNoSlot;
+        const Slot first = rowSlot_[row];
+        if (pod.replica >= rowSlot_[row + 1] - first)
+            return kNoSlot;
+        return first + pod.replica;
+    }
+
+    const PodRef &pod(Slot slot) const { return pods_[slot]; }
+
+    /** Slots of app @p app: [first, second); empty when out of range. */
+    std::pair<Slot, Slot>
+    appSlots(AppId app) const
+    {
+        if (static_cast<size_t>(app) + 1 >= appRow_.size())
+            return {0, 0};
+        return {rowSlot_[appRow_[app]], rowSlot_[appRow_[app + 1]]};
+    }
+
+    /** True when every pod of @p apps has a slot. */
+    bool covers(const std::vector<Application> &apps) const;
+
+    /** The smallest index holding every pod of this one and @p pod. */
+    std::shared_ptr<const PodIndex> widenedBy(const PodRef &pod) const;
+    /** The smallest index holding every pod of this one and of
+     * @p apps. */
+    std::shared_ptr<const PodIndex>
+    widenedBy(const std::vector<Application> &apps) const;
+
+  private:
+    /** Slots per service per app: shape[a][m]. */
+    using Shape = std::vector<std::vector<Slot>>;
+    Shape shape() const;
+    static std::shared_ptr<const PodIndex> build(const Shape &shape);
+
+    std::vector<size_t> appRow_{0}; //!< app -> first row (apps + 1)
+    std::vector<Slot> rowSlot_{0};  //!< row -> first slot (rows + 1)
+    std::vector<PodRef> pods_;      //!< slot -> PodRef
+};
 
 /** A server. */
 struct Node
@@ -31,16 +125,170 @@ struct Node
 
 /**
  * Mutable cluster state. Placement is capacity-checked; the class keeps
- * per-node used counters and a pod->node index consistent at all times.
- * Copying a ClusterState yields an independent scratch copy (used by the
- * packing module, which plans on a copy and defers execution to the
- * agent, §4.2).
+ * per-node used counters, per-node pod lists and the pod->node table
+ * consistent at all times. Copying a ClusterState yields an independent
+ * scratch copy (used by the packing module, which plans on a copy and
+ * defers execution to the agent, §4.2) that shares the PodIndex.
+ *
+ * Every walk runs in PodRef order: podsOn(n) because each node's list
+ * is kept in slot order, assignment() because it scans the slot table.
+ * A place() of a pod the index does not hold first widens the index
+ * and remaps the placed slots (O(slots)); producers that know their
+ * applications index from them up front instead.
  */
 class ClusterState
 {
+    struct SlotRec
+    {
+        double cpu = 0.0;
+        NodeId node = kNoNode;
+        Slot prev = kNoSlot; //!< neighbours in the node's list
+        Slot next = kNoSlot;
+    };
+    struct PodList
+    {
+        Slot head = kNoSlot;
+        Slot tail = kNoSlot;
+        uint32_t size = 0;
+    };
+
   public:
+    /** (PodRef, cpu) of every pod on one node, in PodRef order. */
+    class PodsOnView
+    {
+      public:
+        class const_iterator
+        {
+          public:
+            using iterator_category = std::input_iterator_tag;
+            using value_type = std::pair<PodRef, double>;
+            using difference_type = std::ptrdiff_t;
+            using reference = value_type;
+            using pointer = void;
+
+            const_iterator(const ClusterState *state, Slot slot)
+                : state_(state), slot_(slot)
+            {
+            }
+            value_type
+            operator*() const
+            {
+                return {state_->index_->pod(slot_),
+                        state_->slots_[slot_].cpu};
+            }
+            const_iterator &
+            operator++()
+            {
+                slot_ = state_->slots_[slot_].next;
+                return *this;
+            }
+            bool
+            operator==(const const_iterator &other) const
+            {
+                return slot_ == other.slot_;
+            }
+
+          private:
+            const ClusterState *state_;
+            Slot slot_;
+        };
+
+        PodsOnView(const ClusterState &state, NodeId node)
+            : state_(&state), list_(&state.lists_.at(node))
+        {
+        }
+        const_iterator begin() const { return {state_, list_->head}; }
+        const_iterator end() const { return {state_, kNoSlot}; }
+        size_t size() const { return list_->size; }
+        bool empty() const { return list_->size == 0; }
+
+      private:
+        const ClusterState *state_;
+        const PodList *list_;
+    };
+
+    /** (PodRef, NodeId) of every placed pod, in PodRef order. */
+    class AssignmentView
+    {
+      public:
+        class const_iterator
+        {
+          public:
+            using iterator_category = std::input_iterator_tag;
+            using value_type = std::pair<PodRef, NodeId>;
+            using difference_type = std::ptrdiff_t;
+            using reference = value_type;
+            using pointer = void;
+
+            const_iterator(const ClusterState *state, Slot slot)
+                : state_(state), slot_(slot)
+            {
+                skipEmpty();
+            }
+            value_type
+            operator*() const
+            {
+                return {state_->index_->pod(slot_),
+                        state_->slots_[slot_].node};
+            }
+            const_iterator &
+            operator++()
+            {
+                ++slot_;
+                skipEmpty();
+                return *this;
+            }
+            bool
+            operator==(const const_iterator &other) const
+            {
+                return slot_ == other.slot_;
+            }
+
+          private:
+            void
+            skipEmpty()
+            {
+                const auto &slots = state_->slots_;
+                while (slot_ < slots.size() &&
+                       slots[slot_].node == kNoNode)
+                    ++slot_;
+            }
+
+            const ClusterState *state_;
+            Slot slot_;
+        };
+
+        explicit AssignmentView(const ClusterState &state) : state_(&state)
+        {
+        }
+        const_iterator begin() const { return {state_, 0}; }
+        const_iterator
+        end() const
+        {
+            return {state_, static_cast<Slot>(state_->slots_.size())};
+        }
+        size_t size() const { return state_->active_; }
+        bool empty() const { return state_->active_ == 0; }
+
+        /** Same placed pods on the same nodes (the states' indexes may
+         * differ). */
+        friend bool operator==(const AssignmentView &a,
+                               const AssignmentView &b);
+
+      private:
+        const ClusterState *state_;
+    };
+
+    /** An empty state over the empty index. */
+    ClusterState();
+    /** An empty state whose pods take their slots from @p index. */
+    explicit ClusterState(std::shared_ptr<const PodIndex> index);
+
     /** Add a node with the given capacity; returns its id. */
     NodeId addNode(double capacity, uint32_t zone = 0);
+    /** Reserve room for @p count nodes (no reallocation while adding
+     * up to that many). */
+    void reserveNodes(size_t count);
 
     size_t nodeCount() const { return nodes_.size(); }
     const Node &node(NodeId id) const { return nodes_.at(id); }
@@ -49,7 +297,7 @@ class ClusterState
     size_t zoneCount() const;
 
     /** Mark a node failed and evict everything on it.
-     *  @return the pods that were evicted. */
+     *  @return the pods that were evicted, in PodRef order. */
     std::vector<PodRef> failNode(NodeId id);
 
     /** Bring a failed node back (empty). */
@@ -67,8 +315,10 @@ class ClusterState
 
     /**
      * Place a pod consuming @p cpu on a node. Fails (returns false)
-     * when the node is unhealthy, capacity would be exceeded, or the
-     * pod is already placed somewhere.
+     * when the node is out of range or unhealthy, the pod is already
+     * placed somewhere, or capacity would be exceeded — checked in
+     * that order. O(1) plus the walk back from the node list's tail,
+     * so appends in PodRef order are O(1).
      */
     bool place(const PodRef &pod, NodeId node, double cpu);
 
@@ -76,11 +326,20 @@ class ClusterState
     bool evict(const PodRef &pod);
 
     /** Node currently hosting the pod, if any. */
-    std::optional<NodeId> nodeOf(const PodRef &pod) const;
-
-    bool isActive(const PodRef &pod) const
+    std::optional<NodeId>
+    nodeOf(const PodRef &pod) const
     {
-        return assignment_.count(pod) > 0;
+        const Slot slot = index_->slotOf(pod);
+        if (slot == kNoSlot || slots_[slot].node == kNoNode)
+            return std::nullopt;
+        return slots_[slot].node;
+    }
+
+    bool
+    isActive(const PodRef &pod) const
+    {
+        const Slot slot = index_->slotOf(pod);
+        return slot != kNoSlot && slots_[slot].node != kNoNode;
     }
 
     double used(NodeId id) const { return used_.at(id); }
@@ -91,20 +350,38 @@ class ClusterState
         return n.healthy ? n.capacity - used_.at(id) : 0.0;
     }
 
-    /** Pods on a node with their sizes. */
-    const std::map<PodRef, double> &podsOn(NodeId id) const
+    /** Pods on a node with their sizes, in PodRef order. The view
+     * points into this state and must not outlive it. */
+    PodsOnView podsOn(NodeId id) const { return PodsOnView(*this, id); }
+
+    /** All placed pods with their node, in PodRef order. The view
+     * points into this state and must not outlive it. */
+    AssignmentView assignment() const { return AssignmentView(*this); }
+
+    /** CPU size recorded for a placed pod (0 when not placed). */
+    double
+    podCpu(const PodRef &pod) const
     {
-        return podsOn_.at(id);
+        const Slot slot = index_->slotOf(pod);
+        if (slot == kNoSlot || slots_[slot].node == kNoNode)
+            return 0.0;
+        return slots_[slot].cpu;
     }
 
-    /** All placed pods with their node. */
-    const std::map<PodRef, NodeId> &assignment() const
+    /** The index this state's slots follow (shared by its copies). */
+    const std::shared_ptr<const PodIndex> &
+    podIndex() const
     {
-        return assignment_;
+        return index_;
     }
+    /** Node hosting @p slot of podIndex(), or kNoNode. */
+    NodeId slotNode(Slot slot) const { return slots_[slot].node; }
+    /** CPU of the pod in @p slot (meaningful while it is placed). */
+    double slotCpu(Slot slot) const { return slots_[slot].cpu; }
 
-    /** CPU size recorded for a placed pod. */
-    double podCpu(const PodRef &pod) const;
+    /** Widen the index so every pod of @p apps has a slot, remapping
+     * the placed ones; a no-op when it already covers them. */
+    void coverApps(const std::vector<Application> &apps);
 
     std::vector<NodeId> healthyNodes() const;
 
@@ -116,10 +393,18 @@ class ClusterState
     double utilization() const;
 
   private:
+    /** Move every slot onto @p wider, which holds all of index_. */
+    void reindex(std::shared_ptr<const PodIndex> wider);
+    /** Insert @p slot into @p node's list, keeping slot order. */
+    void link(Slot slot, NodeId node);
+    void unlink(Slot slot);
+
+    std::shared_ptr<const PodIndex> index_;
     std::vector<Node> nodes_;
     std::vector<double> used_;
-    std::vector<std::map<PodRef, double>> podsOn_;
-    std::map<PodRef, NodeId> assignment_;
+    std::vector<PodList> lists_;
+    std::vector<SlotRec> slots_;
+    size_t active_ = 0;
 };
 
 } // namespace phoenix::sim

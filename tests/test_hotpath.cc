@@ -13,6 +13,8 @@
 #include "core/packing.h"
 #include "core/planner.h"
 #include "core/schemes.h"
+#include "kube/kube.h"
+#include "sim/event_queue.h"
 #include "sim/failure.h"
 #include "util/alloc_counter.h"
 #include "util/rng.h"
@@ -38,7 +40,81 @@ mediumEnvironment()
     return adaptlab::buildEnvironment(config);
 }
 
+/** A kube cluster of @p nodes nodes running about ten pods per node
+ * (four apps of five services), every pod bound. */
+struct KubeFixture
+{
+    sim::EventQueue events;
+    kube::KubeCluster cluster{events};
+
+    explicit KubeFixture(size_t nodes)
+    {
+        for (size_t n = 0; n < nodes; ++n)
+            cluster.addNode(16.0, static_cast<uint32_t>(n % 3));
+        for (sim::AppId a = 0; a < 4; ++a) {
+            sim::Application app;
+            app.services.resize(5);
+            for (sim::MsId m = 0; m < 5; ++m) {
+                app.services[m].id = m;
+                app.services[m].cpu = 1.0;
+                app.services[m].replicas =
+                    static_cast<int>(nodes / 2);
+            }
+            cluster.addApplication(app);
+        }
+        events.runUntil(120.0);
+    }
+};
+
 } // namespace
+
+TEST(HotPath, SnapshotAllocationsDoNotGrowWithNodes)
+{
+    if (!util::allocCounterActive())
+        GTEST_SKIP() << "alloc counter not installed (sanitizer build)";
+
+    // A snapshot is a few flat arrays over the shared pod index, so a
+    // warm observedState() allocates the same at 200 and 2,000 nodes.
+    uint64_t allocs[2] = {0, 0};
+    const size_t sizes[2] = {200, 2000};
+    for (int i = 0; i < 2; ++i) {
+        KubeFixture fixture(sizes[i]);
+        ASSERT_EQ(fixture.cluster.pendingCount(), 0u);
+        (void)fixture.cluster.observedState(); // warm
+        allocs[i] = util::allocationsDuring([&] {
+            const sim::ClusterState state =
+                fixture.cluster.observedState();
+            EXPECT_EQ(state.assignment().size(), sizes[i] * 10);
+        });
+    }
+    EXPECT_GT(allocs[0], 0u);
+    EXPECT_EQ(allocs[0], allocs[1]);
+}
+
+TEST(HotPath, SnapshotCopyAndPackShareTheProducersIndex)
+{
+    // Nothing re-indexes per snapshot, per copy or per pack: all of
+    // them hold the pod index the producer built from its apps.
+    KubeFixture fixture(60);
+    const sim::ClusterState snapshot = fixture.cluster.observedState();
+    EXPECT_EQ(fixture.cluster.observedState().podIndex(),
+              snapshot.podIndex());
+    const sim::ClusterState copy = snapshot;
+    EXPECT_EQ(copy.podIndex(), snapshot.podIndex());
+    PhoenixScheme scheme(Objective::Cost);
+    const SchemeResult result =
+        scheme.apply(fixture.cluster.apps(), snapshot);
+    EXPECT_EQ(result.pack.state.podIndex(), snapshot.podIndex());
+
+    const adaptlab::Environment env = mediumEnvironment();
+    sim::ClusterState failed = env.cluster;
+    sim::FailureInjector injector{util::Rng(3)};
+    injector.failCapacityFraction(failed, 0.3);
+    EXPECT_EQ(failed.podIndex(), env.cluster.podIndex());
+    const SchemeResult packed = scheme.apply(env.apps, failed);
+    EXPECT_FALSE(packed.pack.actions.empty());
+    EXPECT_EQ(packed.pack.state.podIndex(), env.cluster.podIndex());
+}
 
 TEST(HotPath, SteadyStatePlanAllocatesNothing)
 {

@@ -386,6 +386,37 @@ TEST(PackingBounds, TargetedDeleteAfterRollbackSeesUncommittedPods)
     EXPECT_TRUE(flat.state.isActive(PodRef{2, 0}));
 }
 
+// A targeted delete that evicts a node's only uncommitted pod leaves
+// the node holding committed pods only. The state has already dropped
+// the victim when the book hears of the eviction, so the book must take
+// the node from the packer: a later targeted delete then skips the
+// node's victim walk. Only the pod-scan count can tell.
+TEST(PackingBounds, EvictedVictimLeavesNoUncommittedPodBehind)
+{
+    // C, P and Q are ranked in that order; V is unranked.
+    auto apps =
+        std::vector<Application>{makeApp(0, {2.0, 1.0, 3.0, 1.0})};
+    ClusterState cluster(sim::PodIndex::of(apps));
+    cluster.addNode(3.0);
+    cluster.place(PodRef{0, 0}, 0, 2.0); // C
+    cluster.place(PodRef{0, 3}, 0, 1.0); // V
+    const GlobalRank ranked{PodRef{0, 0}, PodRef{0, 1}, PodRef{0, 2}};
+
+    const auto [flat, ref] = packBothBooks(apps, cluster, ranked);
+    // P fits only by deleting V; Q fits nowhere.
+    ASSERT_EQ(flat.actions.size(), 2u);
+    EXPECT_EQ(flat.actions[0].kind, ActionKind::Delete);
+    EXPECT_EQ(flat.actions[0].pod, (PodRef{0, 3}));
+    EXPECT_EQ(flat.actions[1].kind, ActionKind::Restart);
+    EXPECT_EQ(flat.actions[1].pod, (PodRef{0, 1}));
+    EXPECT_FALSE(flat.complete);
+    // P's targeted delete walks C and V; Q's finds node 0 committed
+    // through and walks nothing.
+    EXPECT_EQ(flat.ops.podScans, 2u);
+    EXPECT_GT(ref.ops.podScans, flat.ops.podScans);
+    checkInvariants(apps, cluster, flat);
+}
+
 class PackingRandomized : public ::testing::TestWithParam<int>
 {
 };
