@@ -290,7 +290,7 @@ checkAppRankOrder(const std::vector<Application> &apps,
 
 /**
  * Independent re-derivation of the placement-policy caps (kept
- * deliberately separate from core::VacancyAllocator so a bug in the
+ * deliberately separate from sim::VacancyAllocator so a bug in the
  * allocator cannot hide itself): per-service maxPerNode and effective
  * zone cap (minZoneSpread folded in), plus anti-affinity group caps
  * over member services. Returns the first violation found.

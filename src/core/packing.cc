@@ -8,7 +8,7 @@
 #include <optional>
 #include <set>
 
-#include "core/constraints.h"
+#include "sim/vacancy.h"
 #include "util/bucketed_kv.h"
 #include "util/sorted_kv.h"
 
@@ -71,7 +71,7 @@ struct PackCommon
      * policies so every vacancy decision is made by identical code.
      * Rebuilt per run; empty() (and therefore free) when no app
      * declares a constraint. */
-    VacancyAllocator vacancy;
+    sim::VacancyAllocator vacancy;
     /** Per-candidate tentative PDB consumption during victim
      * selection: (app<<32|ms, planned deletes). */
     std::vector<std::pair<uint64_t, int>> tentativePdb;
@@ -621,7 +621,8 @@ class Packer
             return; // defensive; callers pre-check capacity
         book_.kvUpdate(before, result_.state.remaining(node), node);
         book_.onPlaced(pod, node);
-        c_.vacancy.onPlace(pod, node);
+        if (!c_.vacancy.empty())
+            c_.vacancy.onPlace(pod, node, result_.state.zoneOf(node));
         c_.journal.push_back(
             PackCommon::JournalEntry{true, false, pod, node, size});
         Action action;
@@ -643,7 +644,8 @@ class Packer
         result_.state.evict(pod);
         book_.kvUpdate(before, result_.state.remaining(*node), *node);
         book_.onEvicted(pod, *node);
-        c_.vacancy.onEvict(pod, *node);
+        if (!c_.vacancy.empty())
+            c_.vacancy.onEvict(pod, *node, result_.state.zoneOf(*node));
         c_.journal.push_back(PackCommon::JournalEntry{
             false, journalPoppedDeletionOrder_, pod, *node, cpu});
         if (kind == ActionKind::Delete) {
@@ -654,6 +656,16 @@ class Packer
             action.to = to;
             result_.actions.push_back(action);
         }
+    }
+
+    /** The allocator's vacancy for @p pod on @p node. Like every
+     * allocator call here, it reads the node's zone only past the
+     * empty() branch, so an unconstrained pack pays one branch. */
+    bool
+    vacant(const PodRef &pod, NodeId node) const
+    {
+        return c_.vacancy.empty() ||
+               c_.vacancy.canPlace(pod, node, result_.state.zoneOf(node));
     }
 
     /**
@@ -675,11 +687,15 @@ class Packer
             if (e.placed) {
                 result_.state.evict(e.pod);
                 book_.onEvicted(e.pod, e.node);
-                c_.vacancy.onEvict(e.pod, e.node);
+                if (!c_.vacancy.empty())
+                    c_.vacancy.onEvict(e.pod, e.node,
+                                       result_.state.zoneOf(e.node));
             } else {
                 result_.state.place(e.pod, e.node, e.cpu);
                 book_.onPlaced(e.pod, e.node);
-                c_.vacancy.onPlace(e.pod, e.node);
+                if (!c_.vacancy.empty())
+                    c_.vacancy.onPlace(e.pod, e.node,
+                                       result_.state.zoneOf(e.node));
                 if (e.poppedDeletionOrder)
                     c_.deletionOrder.push_back(e.pod);
             }
@@ -707,7 +723,7 @@ class Packer
         book_.forEachAtLeast(size, [&](double key, NodeId node) {
             (void)key;
             ++result_.ops.bestFitProbes;
-            if (c_.vacancy.canPlace(pod, node)) {
+            if (vacant(pod, node)) {
                 found = node;
                 return false;
             }
@@ -740,7 +756,7 @@ class Packer
 
         for (const auto &[remaining, node] : candidates) {
             (void)remaining;
-            if (!c_.vacancy.canPlace(incoming, node))
+            if (!vacant(incoming, node))
                 continue;
             if (!planMigrations(node, size))
                 continue;
@@ -862,7 +878,7 @@ class Packer
         best_list.clear();
 
         for (const auto &[free0, node] : candidates) {
-            if (!c_.vacancy.canPlace(incoming, node))
+            if (!vacant(incoming, node))
                 continue;
             double free = free0;
             // Victims on this node, lowest priority first. A node whose

@@ -5,10 +5,10 @@
 #include <cmath>
 #include <map>
 
-#include "core/constraints.h"
 #include "lp/branch_bound.h"
 #include "lp/waterfill.h"
 #include "obs/obs.h"
+#include "sim/vacancy.h"
 #include "util/log.h"
 #include "util/sorted_kv.h"
 
@@ -177,6 +177,8 @@ DefaultScheme::apply(const std::vector<Application> &apps,
     const auto start = Clock::now();
     result.pack.state = current;
     ClusterState &state = result.pack.state;
+    // The allocator keys its scopes by the state's index rows.
+    state.coverApps(apps);
 
     // Spread placement: most-remaining node first (Kubernetes'
     // LeastAllocated scoring), restart order = pod id order, skip what
@@ -187,7 +189,7 @@ DefaultScheme::apply(const std::vector<Application> &apps,
     util::SortedKv<double, NodeId> by_remaining;
     for (NodeId id : state.healthyNodes())
         by_remaining.insert(state.remaining(id), id);
-    VacancyAllocator vacancy;
+    sim::VacancyAllocator vacancy;
     vacancy.build(apps, state);
 
     result.pack.complete = true;
@@ -210,7 +212,8 @@ DefaultScheme::apply(const std::vector<Application> &apps,
                          it != by_remaining.rend(); ++it) {
                         if (it->first + 1e-9 < ms.cpu)
                             break; // the rest are smaller
-                        if (!vacancy.canPlace(pod, it->second))
+                        if (!vacancy.canPlace(pod, it->second,
+                                              state.zoneOf(it->second)))
                             continue;
                         chosen = *it;
                         break;
@@ -223,7 +226,8 @@ DefaultScheme::apply(const std::vector<Application> &apps,
                 }
                 by_remaining.erase(chosen->first, chosen->second);
                 state.place(pod, chosen->second, ms.cpu);
-                vacancy.onPlace(pod, chosen->second);
+                vacancy.onPlace(pod, chosen->second,
+                                state.zoneOf(chosen->second));
                 by_remaining.insert(state.remaining(chosen->second),
                                     chosen->second);
                 Action action;

@@ -120,8 +120,6 @@ KubeCluster::addApplication(const sim::Application &app)
     apps_.push_back(app);
     const sim::AppId app_id = static_cast<sim::AppId>(apps_.size() - 1);
     apps_.back().id = app_id;
-    if (apps_.back().topologyConstrained())
-        anyConstrained_ = true;
     for (const auto &ms : apps_.back().services) {
         const int replicas = std::max(ms.replicas, 1);
         for (int r = 0; r < replicas; ++r) {
@@ -135,6 +133,20 @@ KubeCluster::addApplication(const sim::Application &app)
     assert(podIndex_->slotCount() == pods_.size());
     podEpoch_.resize(pods_.size(), 0);
     podPos_.resize(pods_.size(), 0);
+    // Pods registered earlier may already occupy nodes.
+    buildVacancy(vacancy_);
+}
+
+void
+KubeCluster::buildVacancy(sim::VacancyAllocator &vacancy) const
+{
+    vacancy.build(apps_, podIndex_);
+    if (vacancy.empty())
+        return;
+    for (const Pod &pod : pods_) {
+        if (occupiesNode(pod.phase))
+            vacancy.onPlace(pod.ref, pod.node, nodes_[pod.node].zone);
+    }
 }
 
 void
@@ -322,10 +334,12 @@ KubeCluster::transition(Slot slot, PodPhase to, NodeId node)
         list[podPos_[slot]] = last;
         podPos_[last] = podPos_[slot];
         list.pop_back();
+        vacancy_.onEvict(pod.ref, from, nodes_[from].zone);
     }
     if (now_on && moved) {
         podPos_[slot] = static_cast<Slot>(nodePods_[node].size());
         nodePods_[node].push_back(slot);
+        vacancy_.onPlace(pod.ref, node, nodes_[node].zone);
     }
     if (was_on)
         rekeyNode(from);
@@ -364,69 +378,6 @@ KubeCluster::rekeyNode(NodeId node)
     capacityIndex_.erase(nodeKey_[node], node);
     nodeKey_[node] = key;
     capacityIndex_.insert(key, node);
-}
-
-bool
-KubeCluster::hasPlacementVacancy(const Pod &pod, NodeId node) const
-{
-    if (!anyConstrained_)
-        return true;
-    if (pod.ref.app >= apps_.size())
-        return true;
-    const auto &app = apps_[pod.ref.app];
-    if (pod.ref.ms >= app.services.size())
-        return true;
-    const auto &ms = app.services[pod.ref.ms];
-    const int ms_node_cap = ms.maxPerNode;
-    const int ms_zone_cap = ms.effectiveZoneCap();
-    const sim::PlacementGroup *group = nullptr;
-    if (ms.antiAffinityGroup >= 0) {
-        for (const auto &g : app.placementGroups) {
-            if (g.id == ms.antiAffinityGroup &&
-                (g.maxPerNode > 0 || g.maxPerZone > 0)) {
-                group = &g;
-                break;
-            }
-        }
-    }
-    if (ms_node_cap <= 0 && ms_zone_cap <= 0 && !group)
-        return true;
-
-    const uint32_t zone = nodes_[node].zone;
-    int ms_on_node = 0;
-    int ms_in_zone = 0;
-    int group_on_node = 0;
-    int group_in_zone = 0;
-    // Only the pod's own app counts: walk its slot range.
-    const auto [app_begin, app_end] = podIndex_->appSlots(pod.ref.app);
-    for (Slot s = app_begin; s < app_end; ++s) {
-        const Pod &other = pods_[s];
-        if (other.ref == pod.ref || !occupiesNode(other.phase))
-            continue;
-        const bool same_node = other.node == node;
-        const bool same_zone = nodes_[other.node].zone == zone;
-        if (other.ref.ms == pod.ref.ms) {
-            ms_on_node += same_node ? 1 : 0;
-            ms_in_zone += same_zone ? 1 : 0;
-        }
-        if (group &&
-            app.services[other.ref.ms].antiAffinityGroup ==
-                ms.antiAffinityGroup) {
-            group_on_node += same_node ? 1 : 0;
-            group_in_zone += same_zone ? 1 : 0;
-        }
-    }
-    if (ms_node_cap > 0 && ms_on_node >= ms_node_cap)
-        return false;
-    if (ms_zone_cap > 0 && ms_in_zone >= ms_zone_cap)
-        return false;
-    if (group) {
-        if (group->maxPerNode > 0 && group_on_node >= group->maxPerNode)
-            return false;
-        if (group->maxPerZone > 0 && group_in_zone >= group->maxPerZone)
-            return false;
-    }
-    return true;
 }
 
 void
@@ -508,6 +459,9 @@ KubeCluster::validateAfterEvent()
                             " missing from the capacity index");
         }
     }
+    buildVacancy(validateVacancy_);
+    if (!vacancy_.sameCounts(validateVacancy_))
+        recordViolation("vacancy counts != a rescan of occupying pods");
 }
 
 void
@@ -578,7 +532,8 @@ KubeCluster::schedulerTick()
             if (nodes_[target].ready &&
                 usedOn(target) + pod.cpu <=
                     effectiveCapacity(target) + kCapacityEps &&
-                hasPlacementVacancy(pod, target)) {
+                vacancy_.canPlace(pod.ref, target,
+                                  nodes_[target].zone)) {
                 bindPod(slot, target);
             }
             continue;
@@ -599,7 +554,8 @@ KubeCluster::schedulerTick()
                 const double free = -entry.first;
                 if (free < pod.cpu - kCapacityEps)
                     return false; // every later node is fuller
-                if (!hasPlacementVacancy(pod, entry.second))
+                if (!vacancy_.canPlace(pod.ref, entry.second,
+                                       nodes_[entry.second].zone))
                     return true;
                 best_free = free;
                 best = entry.second;
@@ -690,12 +646,17 @@ KubeCluster::migratePod(const PodRef &ref, NodeId to)
 
     // Validate the target exactly like the scheduler would: rebinding
     // onto a NotReady or full node silently overcommits it. Keep the
-    // pin — the next replan resolves the conflict.
+    // pin — the next replan resolves the conflict. The moving pod
+    // does not count against its own target (a move inside a zone at
+    // its cap stays legal), so lift it out of the counts to ask.
     const NodeRec &target = nodes_[to];
+    vacancy_.onEvict(ref, pod.node, nodes_[pod.node].zone);
+    const bool vacant = vacancy_.canPlace(ref, to, target.zone);
+    vacancy_.onPlace(ref, pod.node, nodes_[pod.node].zone);
     if (!target.ready ||
         usedOn(to) + pod.cpu >
             target.capacity * target.degradeFactor + kCapacityEps ||
-        !hasPlacementVacancy(pod, to)) {
+        !vacant) {
         PHOENIX_WARN("migrate " << ref.app << "/" << ref.ms
                                 << " -> node " << to << " rejected: "
                                 << (!target.ready ? "NotReady"

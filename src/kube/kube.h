@@ -28,8 +28,9 @@
  *    evolving), and per-node heartbeat clock skew;
  *  - indexes that keep the substrate's per-epoch cost near-linear at
  *    scale: a dense pod table in PodRef order, a max-free index of
- *    Ready nodes for the spread scheduler, and per-node pod lists for
- *    eviction, all maintained at one mutation point;
+ *    Ready nodes for the spread scheduler, per-node pod lists for
+ *    eviction, and a sim::VacancyAllocator answering placement-policy
+ *    checks in O(1), all maintained at one mutation point;
  *  - an invariant checker (capacity bounds, incremental-vs-scan usage
  *    equality, index consistency, phase-transition legality) that
  *    scenario tests enable to turn lifecycle bugs into hard failures.
@@ -50,6 +51,7 @@
 #include "sim/event_queue.h"
 #include "sim/scenario.h"
 #include "sim/types.h"
+#include "sim/vacancy.h"
 #include "util/bucketed_kv.h"
 #include "util/rng.h"
 
@@ -78,11 +80,13 @@ struct KubeConfig
      * no node's Starting+Running+Terminating usage exceeds its
      * capacity, the incrementally maintained per-node usage matches a
      * full rescan, each node's pod list holds exactly the pods
-     * occupying it, and the capacity index holds exactly the Ready
-     * nodes under their current free capacity. Phase-transition
-     * legality is always checked (it is O(1)). Violations are counted
-     * (see invariantViolations()) and assert in debug builds. Defaults
-     * on in debug builds; scenario tests enable it explicitly.
+     * occupying it, the capacity index holds exactly the Ready nodes
+     * under their current free capacity, and the vacancy allocator's
+     * per-scope counts equal a rebuild from the occupying pods.
+     * Phase-transition legality is always checked (it is O(1)).
+     * Violations are counted (see invariantViolations()) and assert
+     * in debug builds. Defaults on in debug builds; scenario tests
+     * enable it explicitly.
      */
 #ifdef NDEBUG
     bool validateInvariants = false;
@@ -129,9 +133,10 @@ class KubeCluster : public sim::FaultTarget
      * one pod per replica; pods start Pending and the default
      * scheduler picks them up, honoring each service's placement
      * policy (anti-affinity caps, zone spread). Microservice ids must
-     * equal their index in app.services (the store and the manifest
-     * loader already guarantee it); throws std::invalid_argument
-     * otherwise and registers nothing.
+     * equal their index in app.services (the manifest loader already
+     * guarantees it); throws std::invalid_argument otherwise and
+     * registers nothing. The vacancy allocator is rebuilt over every
+     * app and reseeded from the pods already occupying nodes.
      */
     void addApplication(const sim::Application &app);
 
@@ -259,8 +264,9 @@ class KubeCluster : public sim::FaultTarget
     bool apiOutageActive() const { return apiOutage_; }
 
     /**
-     * Snapshot for planners: Ready nodes are healthy; Starting and
-     * Running pods occupy their node. Pending/Terminating pods are
+     * Snapshot for planners: Ready nodes are healthy; Starting,
+     * Running and Terminating pods occupy their node (a draining pod
+     * holds its capacity until the drain ends). Pending pods are
      * absent. Degraded nodes report max(effective capacity, current
      * usage) so existing placements stay representable. **Frozen**
      * while an API outage is active — this is the controller-facing
@@ -416,16 +422,6 @@ class KubeCluster : public sim::FaultTarget
     /** Whether a phase occupies node capacity. */
     static bool occupiesNode(PodPhase phase);
 
-    /**
-     * Placement-policy check for the scheduler and migration
-     * validation: placing @p pod on @p node must keep every
-     * anti-affinity / zone-spread cap of the pod's service (and its
-     * group) satisfied, counting the occupying pods currently on the
-     * node and in its zone. O(1) for unconstrained apps, else O(pods
-     * of the pod's app) per query.
-     */
-    bool hasPlacementVacancy(const Pod &pod, sim::NodeId node) const;
-
     /** Pod lifecycle transition table (same-phase node moves allowed
      * for Starting/Running migrations). */
     static bool legalTransition(PodPhase from, PodPhase to);
@@ -433,7 +429,8 @@ class KubeCluster : public sim::FaultTarget
     /**
      * The single mutation point for (phase, node): checks transition
      * legality and maintains every index over pods — the per-node
-     * usage book, the per-node pod lists and the capacity index.
+     * usage book, the per-node pod lists, the capacity index and the
+     * vacancy allocator.
      */
     void transition(Slot slot, PodPhase to, sim::NodeId node);
 
@@ -449,6 +446,10 @@ class KubeCluster : public sim::FaultTarget
      */
     void evictPodsOn(sim::NodeId node);
 
+    /** Rebuild @p vacancy over podIndex_ and count every occupying
+     * pod in it, in slot order. */
+    void buildVacancy(sim::VacancyAllocator &vacancy) const;
+
     void recordViolation(const std::string &what);
     /** Full invariant sweep; no-op unless config.validateInvariants. */
     void validateAfterEvent();
@@ -460,9 +461,6 @@ class KubeCluster : public sim::FaultTarget
     std::vector<NodeRec> nodes_;
     /** Any node carries a nonzero zone label (topology declared). */
     bool hasExplicitZones_ = false;
-    /** Any registered app declares a placement policy; false keeps
-     * the scheduler's vacancy checks entirely off the hot path. */
-    bool anyConstrained_ = false;
     std::vector<sim::Application> apps_;
     /** Every registered pod, rebuilt by addApplication(); snapshots
      * share it. */
@@ -477,6 +475,10 @@ class KubeCluster : public sim::FaultTarget
     std::vector<std::vector<Slot>> nodePods_;
     /** Each occupying slot's position in its node's nodePods_ list. */
     std::vector<Slot> podPos_;
+    /** Placement-policy counts of the occupying pods (Starting,
+     * Running, Terminating) per scope, node and zone; empty() unless
+     * an app declares a policy. The PDB ledger is never spent here. */
+    sim::VacancyAllocator vacancy_;
     /** Ready nodes under freeKey(); the spread scheduler's candidates
      * in its preference order. */
     util::BucketedKv<sim::NodeId> capacityIndex_;
@@ -493,6 +495,7 @@ class KubeCluster : public sim::FaultTarget
     /** Scratch for the validation sweep (avoids per-event allocs). */
     std::vector<double> validateScratch_;
     std::vector<size_t> validateCounts_;
+    sim::VacancyAllocator validateVacancy_;
 
     /** obs handles, resolved once at construction (per-phase pod
      * transition counters + lifecycle/scheduler/node counters). */

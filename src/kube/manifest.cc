@@ -730,6 +730,16 @@ renderManifest(const std::vector<Application> &apps,
     return out.str();
 }
 
+bool
+saveManifestFile(const std::vector<Application> &apps,
+                 const std::string &path)
+{
+    std::ofstream out(path);
+    out << renderManifest(apps);
+    out.close(); // flush now, so a failed write is reported
+    return static_cast<bool>(out);
+}
+
 std::optional<std::vector<Application>>
 loadManifestFile(const std::string &path, std::string *error)
 {

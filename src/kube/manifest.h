@@ -138,10 +138,23 @@ loadManifestFile(const std::string &path, std::string *error = nullptr);
 /**
  * Render applications (and an optional topology) back into manifest
  * text that parses to the same descriptors: parse(render(parse(m)))
- * == parse(m). Only non-default fields are emitted.
+ * == parse(m). Only non-default fields are emitted. Apps built in
+ * code round-trip when they meet the parser's rules: unique app
+ * names and unique service names per app (non-empty, without '#',
+ * which starts a comment), cpu > 0, replicas and criticality >= 1,
+ * pdbMaxUnavailable <= replicas, and hasDependencyGraph only when the
+ * graph has edges (an edgeless graph comes back as none).
  */
 std::string renderManifest(const std::vector<sim::Application> &apps,
                            const Topology &topology = Topology());
+
+/**
+ * §5's fault-tolerance store: write @p apps as manifest text, which
+ * loadManifestFile() reads back after a controller restart with every
+ * field, placement policy included. Returns false on I/O failure.
+ */
+bool saveManifestFile(const std::vector<sim::Application> &apps,
+                      const std::string &path);
 
 } // namespace phoenix::kube
 

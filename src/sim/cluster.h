@@ -82,15 +82,6 @@ class PodIndex
 
     const PodRef &pod(Slot slot) const { return pods_[slot]; }
 
-    /** Slots of app @p app: [first, second); empty when out of range. */
-    std::pair<Slot, Slot>
-    appSlots(AppId app) const
-    {
-        if (static_cast<size_t>(app) + 1 >= appRow_.size())
-            return {0, 0};
-        return {rowSlot_[appRow_[app]], rowSlot_[appRow_[app + 1]]};
-    }
-
     /** True when every pod of @p apps has a slot. */
     bool covers(const std::vector<Application> &apps) const;
 

@@ -21,15 +21,16 @@
 #include "check/case.h"
 #include "check/generator.h"
 #include "check/oracle.h"
-#include "core/constraints.h"
 #include "core/controller.h"
 #include "core/schemes.h"
 #include "kube/kube.h"
 #include "kube/manifest.h"
+#include "sim/vacancy.h"
 
 using namespace phoenix;
 using namespace phoenix::core;
 using sim::PodRef;
+using sim::VacancyAllocator;
 
 namespace {
 
@@ -68,7 +69,7 @@ TEST(VacancyAllocator, UnconstrainedAppsLeaveItEmpty)
     vacancy.build(apps, state);
     EXPECT_TRUE(vacancy.empty());
     EXPECT_FALSE(vacancy.constrained(PodRef{0, 0, 0}));
-    EXPECT_TRUE(vacancy.canPlace(PodRef{0, 0, 0}, 0));
+    EXPECT_TRUE(vacancy.canPlace(PodRef{0, 0, 0}, 0, 0));
     EXPECT_TRUE(vacancy.pdbAllows(PodRef{0, 0, 0}));
 }
 
@@ -80,20 +81,21 @@ TEST(VacancyAllocator, PerNodeCapBlocksCohabitation)
     auto app = oneServiceApp(1.0, 2);
     app.services[0].maxPerNode = 1;
     const std::vector<sim::Application> apps = {app};
+    state.coverApps(apps);
 
     VacancyAllocator vacancy;
     vacancy.build(apps, state);
     EXPECT_FALSE(vacancy.empty());
     EXPECT_TRUE(vacancy.constrained(PodRef{0, 0, 0}));
 
-    EXPECT_TRUE(vacancy.canPlace(PodRef{0, 0, 0}, 0));
-    vacancy.onPlace(PodRef{0, 0, 0}, 0);
-    EXPECT_FALSE(vacancy.canPlace(PodRef{0, 0, 1}, 0));
-    EXPECT_TRUE(vacancy.canPlace(PodRef{0, 0, 1}, 1));
+    EXPECT_TRUE(vacancy.canPlace(PodRef{0, 0, 0}, 0, 0));
+    vacancy.onPlace(PodRef{0, 0, 0}, 0, 0);
+    EXPECT_FALSE(vacancy.canPlace(PodRef{0, 0, 1}, 0, 0));
+    EXPECT_TRUE(vacancy.canPlace(PodRef{0, 0, 1}, 1, 0));
 
     // Eviction restores the vacancy.
-    vacancy.onEvict(PodRef{0, 0, 0}, 0);
-    EXPECT_TRUE(vacancy.canPlace(PodRef{0, 0, 1}, 0));
+    vacancy.onEvict(PodRef{0, 0, 0}, 0, 0);
+    EXPECT_TRUE(vacancy.canPlace(PodRef{0, 0, 1}, 0, 0));
 }
 
 TEST(VacancyAllocator, MinZoneSpreadImpliesPerZoneCap)
@@ -109,15 +111,16 @@ TEST(VacancyAllocator, MinZoneSpreadImpliesPerZoneCap)
     app.services[0].minZoneSpread = 2;
     EXPECT_EQ(app.services[0].effectiveZoneCap(), 2);
     const std::vector<sim::Application> apps = {app};
+    state.coverApps(apps);
 
     VacancyAllocator vacancy;
     vacancy.build(apps, state);
-    vacancy.onPlace(PodRef{0, 0, 0}, 0);
-    vacancy.onPlace(PodRef{0, 0, 1}, 1);
+    vacancy.onPlace(PodRef{0, 0, 0}, 0, 0);
+    vacancy.onPlace(PodRef{0, 0, 1}, 1, 0);
     // Zone 0 is at its cap of 2; zone 1 still has vacancy.
-    EXPECT_FALSE(vacancy.canPlace(PodRef{0, 0, 2}, 0));
-    EXPECT_FALSE(vacancy.canPlace(PodRef{0, 0, 2}, 1));
-    EXPECT_TRUE(vacancy.canPlace(PodRef{0, 0, 2}, 2));
+    EXPECT_FALSE(vacancy.canPlace(PodRef{0, 0, 2}, 0, 0));
+    EXPECT_FALSE(vacancy.canPlace(PodRef{0, 0, 2}, 1, 0));
+    EXPECT_TRUE(vacancy.canPlace(PodRef{0, 0, 2}, 2, 1));
 }
 
 TEST(VacancyAllocator, GroupCapSpansServices)
@@ -142,13 +145,14 @@ TEST(VacancyAllocator, GroupCapSpansServices)
         app.services.push_back(ms);
     }
     const std::vector<sim::Application> apps = {app};
+    state.coverApps(apps);
 
     VacancyAllocator vacancy;
     vacancy.build(apps, state);
-    vacancy.onPlace(PodRef{0, 0, 0}, 0);
+    vacancy.onPlace(PodRef{0, 0, 0}, 0, 0);
     // A *different service* of the same group is blocked on node 0.
-    EXPECT_FALSE(vacancy.canPlace(PodRef{0, 1, 0}, 0));
-    EXPECT_TRUE(vacancy.canPlace(PodRef{0, 1, 0}, 1));
+    EXPECT_FALSE(vacancy.canPlace(PodRef{0, 1, 0}, 0, 0));
+    EXPECT_TRUE(vacancy.canPlace(PodRef{0, 1, 0}, 1, 0));
 }
 
 TEST(VacancyAllocator, BuildSeedsCountsFromExistingAssignment)
@@ -159,13 +163,14 @@ TEST(VacancyAllocator, BuildSeedsCountsFromExistingAssignment)
     auto app = oneServiceApp(1.0, 2);
     app.services[0].maxPerNode = 1;
     const std::vector<sim::Application> apps = {app};
+    state.coverApps(apps);
     ASSERT_TRUE(state.place(PodRef{0, 0, 0}, 0, 1.0));
 
     VacancyAllocator vacancy;
     vacancy.build(apps, state);
     // The pre-existing replica on node 0 already consumed the cap.
-    EXPECT_FALSE(vacancy.canPlace(PodRef{0, 0, 1}, 0));
-    EXPECT_TRUE(vacancy.canPlace(PodRef{0, 0, 1}, 1));
+    EXPECT_FALSE(vacancy.canPlace(PodRef{0, 0, 1}, 0, 0));
+    EXPECT_TRUE(vacancy.canPlace(PodRef{0, 0, 1}, 1, 0));
 }
 
 TEST(VacancyAllocator, PdbLedgerConsumesAndNeverRefunds)
@@ -175,6 +180,7 @@ TEST(VacancyAllocator, PdbLedgerConsumesAndNeverRefunds)
     auto app = oneServiceApp(1.0, 3);
     app.services[0].pdbMaxUnavailable = 1;
     const std::vector<sim::Application> apps = {app};
+    state.coverApps(apps);
 
     VacancyAllocator vacancy;
     vacancy.build(apps, state);
@@ -342,6 +348,96 @@ TEST(ConstrainedKube, MigrationWithoutVacancyIsRejected)
     ASSERT_NE(pod, nullptr);
     EXPECT_EQ(pod->phase, kube::PodPhase::Running);
     EXPECT_EQ(pod->node, before);
+    EXPECT_EQ(cluster.invariantViolations(), 0u);
+}
+
+TEST(ConstrainedKube, MigrationWithinZoneAtCapIsAccepted)
+{
+    sim::EventQueue events;
+    kube::KubeConfig config;
+    config.validateInvariants = true;
+    kube::KubeCluster cluster(events, config);
+    cluster.addNode(8.0, 0);
+    cluster.addNode(8.0, 0);
+    cluster.addNode(8.0, 1);
+
+    auto app = oneServiceApp(1.0, 2);
+    app.services[0].minZoneSpread = 2; // zone cap 1
+    cluster.addApplication(app);
+    events.runUntil(100.0);
+    ASSERT_EQ(cluster.runningPods().size(), 2u);
+
+    // Zone 0 is at its cap with this replica; moving it to the other
+    // zone-0 node leaves the zone's count unchanged, so the move is
+    // legal: the pod must not count against its own target.
+    PodRef zone0_pod{};
+    for (const PodRef &pod : cluster.runningPods()) {
+        if (cluster.nodeZone(cluster.pod(pod)->node) == 0)
+            zone0_pod = pod;
+    }
+    const sim::NodeId target = cluster.pod(zone0_pod)->node == 0 ? 1 : 0;
+    cluster.migratePod(zone0_pod, target);
+    events.runUntil(160.0);
+
+    const kube::Pod *pod = cluster.pod(zone0_pod);
+    ASSERT_NE(pod, nullptr);
+    EXPECT_EQ(pod->phase, kube::PodPhase::Running);
+    EXPECT_EQ(pod->node, target);
+    EXPECT_EQ(cluster.invariantViolations(), 0u);
+}
+
+TEST(ConstrainedKube, NodeAddedAfterAppsCountsTowardZoneCap)
+{
+    sim::EventQueue events;
+    kube::KubeConfig config;
+    config.validateInvariants = true;
+    kube::KubeCluster cluster(events, config);
+    cluster.addNode(8.0, 0);
+
+    auto app = oneServiceApp(1.0, 6);
+    app.services[0].maxPerZone = 2;
+    cluster.addApplication(app);
+    // Zone 1 arrives after the app was registered, with the most free
+    // capacity, so the spread scheduler tries it first.
+    for (int n = 0; n < 3; ++n)
+        cluster.addNode(16.0, 1);
+    events.runUntil(100.0);
+
+    std::vector<int> per_zone(2, 0);
+    for (const PodRef &pod : cluster.runningPods())
+        ++per_zone[cluster.nodeZone(cluster.pod(pod)->node)];
+    EXPECT_EQ(per_zone, (std::vector<int>{2, 2}));
+    EXPECT_EQ(cluster.pendingCount(), 2u);
+    EXPECT_EQ(cluster.invariantViolations(), 0u);
+}
+
+TEST(ConstrainedKube, AddApplicationReseedsOccupyingPods)
+{
+    // phoenixd's ingest-manifest registers apps on a live cluster: the
+    // rebuilt allocator must still count the pods already placed.
+    sim::EventQueue events;
+    kube::KubeConfig config;
+    config.validateInvariants = true;
+    kube::KubeCluster cluster(events, config);
+    for (int n = 0; n < 3; ++n)
+        cluster.addNode(8.0);
+
+    auto app = oneServiceApp(1.0, 3);
+    app.services[0].maxPerNode = 1;
+    cluster.addApplication(app);
+    events.runUntil(100.0);
+    ASSERT_EQ(cluster.runningPods().size(), 3u);
+
+    auto late = oneServiceApp(1.0, 1);
+    late.name = "late";
+    cluster.addApplication(late);
+    // Every node holds a replica, so no move has a vacancy.
+    const PodRef mover{0, 0, 0};
+    const sim::NodeId before = cluster.pod(mover)->node;
+    cluster.migratePod(mover, (before + 1) % 3);
+    events.runUntil(200.0);
+    EXPECT_EQ(cluster.pod(mover)->node, before);
+    EXPECT_EQ(cluster.runningPods().size(), 4u);
     EXPECT_EQ(cluster.invariantViolations(), 0u);
 }
 

@@ -1,10 +1,11 @@
 /**
  * @file
  * End-to-end integration: applications enter through the deployment
- * manifest (§5), survive a Phoenix controller crash via the
- * persistence store (§5 Fault Tolerance), run on the mini-Kubernetes
- * substrate through a failure/recovery cycle, and their per-level RTOs
- * (§3.1) are evaluated from the observed timeline.
+ * manifest (§5), survive a Phoenix controller crash by being saved
+ * and reloaded as manifest text (§5 Fault Tolerance), run on the
+ * mini-Kubernetes substrate through a failure/recovery cycle, and
+ * their per-level RTOs (§3.1) are evaluated from the observed
+ * timeline.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +15,6 @@
 #include "core/controller.h"
 #include "core/rto.h"
 #include "core/schemes.h"
-#include "core/store.h"
 #include "kube/kube.h"
 #include "kube/manifest.h"
 #include "sim/metrics.h"
@@ -72,10 +72,11 @@ TEST(Integration, ManifestThroughStoreThroughControllerToRto)
     ASSERT_TRUE(parsed.has_value()) << error;
     ASSERT_EQ(parsed->size(), 2u);
 
-    // 2. Round-trip through the persistence store (the crash-restart
-    // path: tags and DGs come back from storage, not memory).
+    // 2. Round-trip through the persisted manifest text (the
+    // crash-restart path: tags and DGs come back from storage, not
+    // memory).
     const auto restored =
-        deserializeApps(serializeApps(*parsed), &error);
+        kube::parseManifest(kube::renderManifest(*parsed), &error);
     ASSERT_TRUE(restored.has_value()) << error;
 
     // 3. Deploy on the mini-Kubernetes cluster with the controller.
@@ -142,12 +143,12 @@ TEST(Integration, ControllerCrashRestartResumesFromStore)
     std::string error;
     auto apps = kube::parseManifest(kManifest, &error);
     ASSERT_TRUE(apps.has_value()) << error;
-    const std::string path = "/tmp/phoenix_integration_store.txt";
-    ASSERT_TRUE(saveAppsToFile(*apps, path));
+    const std::string path = "/tmp/phoenix_integration_store.yaml";
+    ASSERT_TRUE(kube::saveManifestFile(*apps, path));
 
     // Phase 2: a fresh controller on a fresh event loop loads the
-    // store and manages a degraded cluster correctly.
-    auto loaded = loadAppsFromFile(path, &error);
+    // saved manifest and manages a degraded cluster correctly.
+    auto loaded = kube::loadManifestFile(path, &error);
     ASSERT_TRUE(loaded.has_value()) << error;
 
     sim::EventQueue events;

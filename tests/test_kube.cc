@@ -692,8 +692,11 @@ namespace {
  * PodRef order. A pinned pod binds to its target when the target is
  * Ready, fits the pod and has a vacancy. Any other pod binds to the
  * Ready node with the most free effective capacity that fits and has a
- * vacancy, the lowest id among equals. Vacancy here is only
- * maxPerNode, the one placement policy the test's apps declare.
+ * vacancy, the lowest id among equals. Vacancy applies the apps' whole
+ * placement policy, counting every occupying pod (Starting, Running
+ * and Terminating) of the pod's app: its service's maxPerNode and
+ * effective zone cap (minZoneSpread folded in), and its anti-affinity
+ * group's node and zone caps over every member service.
  * @p ties counts binds whose winner tied another candidate on free
  * capacity, so the caller can check the tie-break was exercised.
  */
@@ -704,40 +707,72 @@ predictTick(const KubeCluster &cluster, const std::vector<PodRef> &refs,
     constexpr double eps = 1e-9;
     const size_t nodes = cluster.nodeCount();
     std::vector<double> used(nodes, 0.0);
-    // (app, ms, node) -> occupying replicas.
-    std::map<std::tuple<sim::AppId, sim::MsId, sim::NodeId>, int> on_node;
+    // A scope of a pod: (scope key, node cap, zone cap). The key is the
+    // service id, or -1 - group id for an anti-affinity group.
+    using Scope = std::tuple<int64_t, int, int>;
+    const auto scopes_of = [&](const PodRef &ref) {
+        const sim::Application &app = cluster.apps()[ref.app];
+        const sim::Microservice &ms = app.services[ref.ms];
+        std::vector<Scope> scopes{
+            {ref.ms, ms.maxPerNode, ms.effectiveZoneCap()}};
+        for (const sim::PlacementGroup &g : app.placementGroups) {
+            if (g.id == ms.antiAffinityGroup)
+                scopes.emplace_back(-1 - g.id, g.maxPerNode, g.maxPerZone);
+        }
+        return scopes;
+    };
+    // Occupying members per (app, scope key, place); the place is a
+    // node id, or -1 - zone for a zone.
+    std::map<std::tuple<sim::AppId, int64_t, int64_t>, int> members;
+    const auto zone_place = [&](sim::NodeId node) {
+        return -1 - static_cast<int64_t>(cluster.nodeZone(node));
+    };
+    const auto occupy = [&](const PodRef &ref, sim::NodeId node) {
+        for (const auto &[key, node_cap, zone_cap] : scopes_of(ref)) {
+            ++members[{ref.app, key, node}];
+            ++members[{ref.app, key, zone_place(node)}];
+        }
+    };
+    const auto vacancy = [&](const PodRef &ref,
+                             const std::vector<Scope> &scopes,
+                             sim::NodeId node) {
+        for (const auto &[key, node_cap, zone_cap] : scopes) {
+            if (node_cap > 0 && members[{ref.app, key, node}] >= node_cap)
+                return false;
+            if (zone_cap > 0 &&
+                members[{ref.app, key, zone_place(node)}] >= zone_cap)
+                return false;
+        }
+        return true;
+    };
     for (const PodRef &ref : refs) {
         const Pod &pod = *cluster.pod(ref);
         if (pod.phase != PodPhase::Pending) {
             used[pod.node] += pod.cpu;
-            ++on_node[{ref.app, ref.ms, pod.node}];
+            occupy(ref, pod.node);
         }
     }
-    const auto vacancy = [&](const PodRef &ref, sim::NodeId node) {
-        const int cap =
-            cluster.apps()[ref.app].services[ref.ms].maxPerNode;
-        return cap <= 0 || on_node[{ref.app, ref.ms, node}] < cap;
-    };
 
     std::map<PodRef, sim::NodeId> binds;
     for (const PodRef &ref : refs) {
         const Pod &pod = *cluster.pod(ref);
         if (pod.phase != PodPhase::Pending || pod.scaledDown)
             continue;
+        const std::vector<Scope> scopes = scopes_of(ref);
         std::optional<sim::NodeId> chosen;
         if (pod.pinnedNode) {
             const sim::NodeId target = *pod.pinnedNode;
             if (cluster.isReady(target) &&
                 used[target] + pod.cpu <=
                     cluster.effectiveCapacity(target) + eps &&
-                vacancy(ref, target))
+                vacancy(ref, scopes, target))
                 chosen = target;
         } else {
             sim::NodeId best = 0;
             double best_free = -1.0;
             bool tied = false;
             for (sim::NodeId n = 0; n < nodes; ++n) {
-                if (!cluster.isReady(n) || !vacancy(ref, n))
+                if (!cluster.isReady(n) || !vacancy(ref, scopes, n))
                     continue;
                 const double free = cluster.effectiveCapacity(n) - used[n];
                 if (free < pod.cpu - eps)
@@ -758,7 +793,7 @@ predictTick(const KubeCluster &cluster, const std::vector<PodRef> &refs,
         if (chosen) {
             binds[ref] = *chosen;
             used[*chosen] += pod.cpu;
-            ++on_node[{ref.app, ref.ms, *chosen}];
+            occupy(ref, *chosen);
         }
     }
     return binds;
@@ -785,11 +820,12 @@ TEST(Kube, SpreadSchedulerMatchesALinearScan)
     KubeCluster cluster(events, checkedConfig());
     util::Rng rng(20251017);
 
-    // 50 nodes of mixed nameplates, a few degraded; every capacity and
-    // CPU size is a multiple of 0.25, so every sum below is exact.
+    // 50 nodes of mixed nameplates striped over five zones, a few
+    // degraded; every capacity and CPU size is a multiple of 0.25, so
+    // every sum below is exact.
     const double nameplates[] = {4.0, 8.0, 8.0, 12.0, 16.0};
     for (int n = 0; n < 50; ++n)
-        cluster.addNode(nameplates[rng.uniformInt(0, 4)]);
+        cluster.addNode(nameplates[rng.uniformInt(0, 4)], n % 5);
     for (const sim::NodeId n : {3u, 11u, 27u, 40u})
         cluster.degradeNode(n, 0.5);
 
@@ -805,10 +841,29 @@ TEST(Kube, SpreadSchedulerMatchesALinearScan)
     }
     // One replica per node at most, and more replicas than nodes: the
     // surplus stays Pending and every tick walks past full nodes.
+    const sim::AppId first_capped =
+        static_cast<sim::AppId>(cluster.apps().size());
     sim::Application spread = simpleApp(1, 2.0);
     spread.services[0].replicas = 60;
     spread.services[0].maxPerNode = 1;
     cluster.addApplication(spread);
+    // Spanning 21 zones implies at most 24 - 21 + 1 = 4 replicas per
+    // zone: 20 fit the five zones, the rest stay Pending.
+    sim::Application zonal = simpleApp(1, 0.5);
+    zonal.services[0].replicas = 24;
+    zonal.services[0].minZoneSpread = 21;
+    cluster.addApplication(zonal);
+    // Two services in one anti-affinity group: one member per node and
+    // three per zone across both, and at most two of the second
+    // service per zone.
+    sim::Application grouped = simpleApp(2, 0.25);
+    grouped.placementGroups.push_back({7, 1, 3});
+    for (auto &ms : grouped.services) {
+        ms.replicas = 9;
+        ms.antiAffinityGroup = 7;
+    }
+    grouped.services[1].maxPerZone = 2;
+    cluster.addApplication(grouped);
 
     std::vector<PodRef> refs;
     for (const auto &app : cluster.apps()) {
@@ -894,6 +949,15 @@ TEST(Kube, SpreadSchedulerMatchesALinearScan)
             };
             if (!running.empty())
                 cluster.deletePod(pick(running));
+            // A draining pod of a capped service still holds its
+            // place in its node's and zone's counts.
+            std::vector<PodRef> capped;
+            for (const PodRef &ref : running) {
+                if (ref.app >= first_capped)
+                    capped.push_back(ref);
+            }
+            if (!capped.empty())
+                cluster.deletePod(pick(capped));
             if (!parked.empty()) {
                 if (rng.bernoulli(0.5))
                     cluster.startPod(pick(parked), any_node());

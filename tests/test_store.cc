@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the persistence store (core/store.h), the manifest loader
+ * Tests for §5's crash-restart persistence (application descriptors
+ * saved and reloaded as manifest text), the manifest loader
  * (kube/manifest.h), the RTO tracker (core/rto.h) and the §5 partial
  * tagging / subscription semantics.
  */
@@ -13,7 +14,6 @@
 #include "core/planner.h"
 #include "core/rto.h"
 #include "core/schemes.h"
-#include "core/store.h"
 #include "kube/manifest.h"
 
 using namespace phoenix;
@@ -33,7 +33,7 @@ sampleApps()
 
     Application plain;
     plain.id = 1;
-    plain.name = "legacy app"; // space exercises escaping
+    plain.name = "legacy app"; // a space inside the name
     plain.phoenixEnabled = false;
     plain.services.resize(2);
     for (MsId m = 0; m < 2; ++m) {
@@ -44,7 +44,72 @@ sampleApps()
         plain.services[m].replicas = 2 + static_cast<int>(m);
         plain.services[m].quorum = 1;
     }
-    return {overleaf.app, plain};
+
+    // Every placement-policy field off its default.
+    Application spread;
+    spread.id = 2;
+    spread.name = "spread";
+    spread.placementGroups.push_back({4, 1, 2});
+    sim::Microservice db;
+    db.id = 0;
+    db.name = "db";
+    db.cpu = 2.0;
+    db.replicas = 3;
+    db.antiAffinityGroup = 4;
+    db.maxPerNode = 1;
+    db.maxPerZone = 2;
+    db.minZoneSpread = 2;
+    db.pdbMaxUnavailable = 1;
+    spread.services.push_back(db);
+    return {overleaf.app, plain, spread};
+}
+
+/** Every persisted field of @p out equals @p in's. */
+void
+expectSameApps(const std::vector<Application> &out,
+               const std::vector<Application> &in)
+{
+    ASSERT_EQ(out.size(), in.size());
+    for (size_t a = 0; a < in.size(); ++a) {
+        const Application &x = in[a];
+        const Application &y = out[a];
+        EXPECT_EQ(y.id, x.id);
+        EXPECT_EQ(y.name, x.name);
+        EXPECT_EQ(y.pricePerUnit, x.pricePerUnit);
+        EXPECT_EQ(y.phoenixEnabled, x.phoenixEnabled);
+        EXPECT_EQ(y.hasDependencyGraph, x.hasDependencyGraph);
+        ASSERT_EQ(y.placementGroups.size(), x.placementGroups.size());
+        for (size_t g = 0; g < x.placementGroups.size(); ++g) {
+            EXPECT_EQ(y.placementGroups[g].id, x.placementGroups[g].id);
+            EXPECT_EQ(y.placementGroups[g].maxPerNode,
+                      x.placementGroups[g].maxPerNode);
+            EXPECT_EQ(y.placementGroups[g].maxPerZone,
+                      x.placementGroups[g].maxPerZone);
+        }
+        ASSERT_EQ(y.services.size(), x.services.size());
+        for (MsId m = 0; m < x.services.size(); ++m) {
+            const sim::Microservice &u = x.services[m];
+            const sim::Microservice &v = y.services[m];
+            EXPECT_EQ(v.id, u.id);
+            EXPECT_EQ(v.name, u.name);
+            EXPECT_EQ(v.cpu, u.cpu);
+            EXPECT_EQ(v.criticality, u.criticality);
+            EXPECT_EQ(v.replicas, u.replicas);
+            EXPECT_EQ(v.quorum, u.quorum);
+            EXPECT_EQ(v.antiAffinityGroup, u.antiAffinityGroup);
+            EXPECT_EQ(v.maxPerNode, u.maxPerNode);
+            EXPECT_EQ(v.maxPerZone, u.maxPerZone);
+            EXPECT_EQ(v.minZoneSpread, u.minZoneSpread);
+            EXPECT_EQ(v.pdbMaxUnavailable, u.pdbMaxUnavailable);
+        }
+        if (x.hasDependencyGraph) {
+            EXPECT_EQ(y.dag.edgeCount(), x.dag.edgeCount());
+            for (MsId u = 0; u < x.dag.nodeCount(); ++u) {
+                for (MsId v : x.dag.successors(u))
+                    EXPECT_TRUE(y.dag.hasEdge(u, v));
+            }
+        }
+    }
 }
 
 } // namespace
@@ -52,67 +117,27 @@ sampleApps()
 TEST(Store, RoundTripPreservesEverything)
 {
     const auto apps = sampleApps();
-    const std::string text = serializeApps(apps);
+    ASSERT_TRUE(apps[0].hasDependencyGraph);
+    ASSERT_TRUE(apps[2].topologyConstrained());
     std::string error;
-    const auto loaded = deserializeApps(text, &error);
+    const auto loaded =
+        kube::parseManifest(kube::renderManifest(apps), &error);
     ASSERT_TRUE(loaded.has_value()) << error;
-    ASSERT_EQ(loaded->size(), apps.size());
-
-    for (size_t a = 0; a < apps.size(); ++a) {
-        const auto &in = apps[a];
-        const auto &out = (*loaded)[a];
-        EXPECT_EQ(out.name, in.name);
-        EXPECT_NEAR(out.pricePerUnit, in.pricePerUnit, 1e-9);
-        EXPECT_EQ(out.phoenixEnabled, in.phoenixEnabled);
-        EXPECT_EQ(out.hasDependencyGraph, in.hasDependencyGraph);
-        ASSERT_EQ(out.services.size(), in.services.size());
-        for (MsId m = 0; m < in.services.size(); ++m) {
-            EXPECT_EQ(out.services[m].name, in.services[m].name);
-            EXPECT_NEAR(out.services[m].cpu, in.services[m].cpu, 1e-9);
-            EXPECT_EQ(out.services[m].criticality,
-                      in.services[m].criticality);
-            EXPECT_EQ(out.services[m].replicas,
-                      in.services[m].replicas);
-            EXPECT_EQ(out.services[m].quorum, in.services[m].quorum);
-        }
-        if (in.hasDependencyGraph) {
-            EXPECT_EQ(out.dag.edgeCount(), in.dag.edgeCount());
-            for (MsId u = 0; u < in.dag.nodeCount(); ++u) {
-                for (MsId v : in.dag.successors(u))
-                    EXPECT_TRUE(out.dag.hasEdge(u, v));
-            }
-        }
-    }
-}
-
-TEST(Store, RejectsMalformedDocuments)
-{
-    std::string error;
-    EXPECT_FALSE(deserializeApps("", &error).has_value());
-    EXPECT_FALSE(deserializeApps("not-a-store\n", &error).has_value());
-    EXPECT_FALSE(
-        deserializeApps("phoenix-store v1\nms 0 x 1 1 1 0\n", &error)
-            .has_value()); // ms outside app
-    EXPECT_FALSE(deserializeApps(
-                     "phoenix-store v1\napp 0 a 1 1 0\n", &error)
-                     .has_value()); // unterminated
-    EXPECT_FALSE(deserializeApps("phoenix-store v1\n"
-                                 "app 0 a 1 1 0\nms 1 x 1 1 1 0\nend\n",
-                                 &error)
-                     .has_value()); // non-contiguous ids
+    expectSameApps(*loaded, apps);
 }
 
 TEST(Store, FileRoundTrip)
 {
     const auto apps = sampleApps();
-    const std::string path = "/tmp/phoenix_store_test.txt";
-    ASSERT_TRUE(saveAppsToFile(apps, path));
+    const std::string path = "/tmp/phoenix_store_test.yaml";
+    ASSERT_TRUE(kube::saveManifestFile(apps, path));
     std::string error;
-    const auto loaded = loadAppsFromFile(path, &error);
+    const auto loaded = kube::loadManifestFile(path, &error);
     ASSERT_TRUE(loaded.has_value()) << error;
-    EXPECT_EQ(loaded->size(), apps.size());
+    expectSameApps(*loaded, apps);
     std::remove(path.c_str());
-    EXPECT_FALSE(loadAppsFromFile(path).has_value());
+    EXPECT_FALSE(kube::loadManifestFile(path).has_value());
+    EXPECT_FALSE(kube::saveManifestFile(apps, "/nonexistent/dir/x"));
 }
 
 TEST(Manifest, ParsesApplications)
