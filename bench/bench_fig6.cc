@@ -16,14 +16,10 @@
 
 #include <iostream>
 #include <map>
-#include <memory>
 #include <set>
 
-#include "apps/cloudlab.h"
 #include "bench/bench_common.h"
-#include "core/controller.h"
-#include "core/schemes.h"
-#include "kube/kube.h"
+#include "exp/testbed.h"
 #include "sim/metrics.h"
 #include "util/table.h"
 
@@ -54,20 +50,12 @@ struct RunResult
 RunResult
 run(bool with_phoenix)
 {
-    sim::EventQueue events;
-    kube::KubeCluster cluster(events);
-    const apps::CloudLabTestbed testbed = apps::makeCloudLabTestbed();
-    for (size_t n = 0; n < testbed.config.nodeCount; ++n)
-        cluster.addNode(testbed.config.cpusPerNode);
-    for (const auto &sapp : testbed.serviceApps)
-        cluster.addApplication(sapp.app);
-
-    std::unique_ptr<PhoenixController> controller;
-    if (with_phoenix) {
-        controller = std::make_unique<PhoenixController>(
-            events, cluster,
-            std::make_unique<PhoenixScheme>(Objective::Cost));
-    }
+    exp::Testbed bed(with_phoenix ? exp::TestbedScheme::PhoenixCost
+                                  : exp::TestbedScheme::Default,
+                     {}, {});
+    sim::EventQueue &events = bed.events;
+    kube::KubeCluster &cluster = bed.cluster;
+    const apps::CloudLabTestbed &testbed = bed.cloudlab;
 
     RunResult result;
     auto sample = [&] {
@@ -109,8 +97,8 @@ run(bool with_phoenix)
     });
 
     events.runUntil(kEnd);
-    if (controller)
-        result.history = controller->history();
+    if (bed.controller)
+        result.history = bed.controller->history();
     return result;
 }
 

@@ -46,7 +46,7 @@
 using namespace phoenix;
 using exp::RecoveryConfig;
 using exp::RecoveryResult;
-using exp::RecoveryScheme;
+using exp::TestbedScheme;
 
 namespace {
 
@@ -70,7 +70,7 @@ struct ScenarioSpec
 struct CellResult
 {
     size_t scenarioIndex = 0;
-    RecoveryScheme scheme = RecoveryScheme::Default;
+    TestbedScheme scheme = TestbedScheme::Default;
     bool forecast = false;
     RecoveryResult recovery;
     double wallSeconds = 0.0;
@@ -82,7 +82,7 @@ struct CellResult
 std::string
 cellSchemeName(const CellResult &cell)
 {
-    std::string name = exp::recoverySchemeName(cell.scheme);
+    std::string name = exp::testbedSchemeName(cell.scheme);
     if (cell.forecast)
         name += "+forecast";
     return name;
@@ -331,12 +331,11 @@ main(int argc, char **argv)
         "25-node CloudLab testbed");
 
     const auto scenarios = buildScenarios(options.seedOr(42));
-    std::vector<RecoveryScheme> schemes{RecoveryScheme::PhoenixCost,
-                                        RecoveryScheme::PhoenixFair,
-                                        RecoveryScheme::Default};
+    std::vector<TestbedScheme> schemes{TestbedScheme::PhoenixCost,
+                                       TestbedScheme::PhoenixFair,
+                                       TestbedScheme::Default};
     if (smoke)
-        schemes = {RecoveryScheme::PhoenixCost,
-                   RecoveryScheme::Default};
+        schemes = {TestbedScheme::PhoenixCost, TestbedScheme::Default};
 
     // Build the cell list (scenario-major, matching report order).
     // Phoenix schemes additionally run with the forecast subsystem on
@@ -347,14 +346,14 @@ main(int argc, char **argv)
             scenarios[s].name != "spreadzone" &&
             !scenarios[s].anticipated)
             continue;
-        for (RecoveryScheme scheme : schemes) {
+        for (TestbedScheme scheme : schemes) {
             for (int forecast = 0; forecast < 2; ++forecast) {
                 if (forecast &&
-                    (scheme == RecoveryScheme::Default ||
+                    (scheme == TestbedScheme::Default ||
                      !(forecastAll || scenarios[s].anticipated)))
                     continue;
                 if (smoke && forecast &&
-                    scheme != RecoveryScheme::PhoenixCost)
+                    scheme != TestbedScheme::PhoenixCost)
                     continue;
                 CellResult cell;
                 cell.scenarioIndex = s;
@@ -430,14 +429,14 @@ main(int argc, char **argv)
     for (const CellResult &cell : cells) {
         if (scenarios[cell.scenarioIndex].name != "cap50")
             continue;
-        if (cell.scheme == RecoveryScheme::PhoenixFair)
+        if (cell.scheme == TestbedScheme::PhoenixFair)
             continue;
         for (const auto &sample : cell.recovery.samples) {
             if (std::fmod(sample.t, 90.0) != 0.0)
                 continue;
             timeline.row()
                 .cell(sample.t, 0)
-                .cell(exp::recoverySchemeName(cell.scheme))
+                .cell(exp::testbedSchemeName(cell.scheme))
                 .cell(sample.readyCapacity, 0)
                 .cell(sample.runningCritical)
                 .cell(sample.running)
@@ -489,18 +488,18 @@ main(int argc, char **argv)
             const std::string &name =
                 scenarios[cell.scenarioIndex].name;
             if (name == "cap50" && !cell.forecast) {
-                if (cell.scheme == RecoveryScheme::PhoenixCost)
+                if (cell.scheme == TestbedScheme::PhoenixCost)
                     phoenix = &cell;
-                if (cell.scheme == RecoveryScheme::Default)
+                if (cell.scheme == TestbedScheme::Default)
                     fallback = &cell;
             } else if (name == "spreadzone" && !cell.forecast &&
-                       cell.scheme == RecoveryScheme::PhoenixCost) {
+                       cell.scheme == TestbedScheme::PhoenixCost) {
                 spread = &cell;
-            } else if (cell.scheme == RecoveryScheme::PhoenixCost &&
+            } else if (cell.scheme == TestbedScheme::PhoenixCost &&
                        name == "decayzone") {
                 (cell.forecast ? decayForecast : decayReactive) =
                     &cell;
-            } else if (cell.scheme == RecoveryScheme::PhoenixCost &&
+            } else if (cell.scheme == TestbedScheme::PhoenixCost &&
                        name == "graydecay") {
                 (cell.forecast ? grayForecast : grayReactive) = &cell;
             }
@@ -515,7 +514,7 @@ main(int argc, char **argv)
         for (const CellResult &cell : cells) {
             expect(cell.recovery.invariantViolations == 0,
                    std::string("invariant violations under ") +
-                       exp::recoverySchemeName(cell.scheme));
+                       exp::testbedSchemeName(cell.scheme));
         }
         expect(phoenix && fallback, "both smoke cells ran");
         if (phoenix && fallback) {

@@ -38,12 +38,12 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "serve/harness.h"
+#include "exp/serving.h"
 #include "util/table.h"
 
 using namespace phoenix;
-using serve::ServeResult;
-using serve::ServeScheme;
+using exp::ServeResult;
+using exp::TestbedScheme;
 
 namespace {
 
@@ -66,7 +66,7 @@ struct Cell
 {
     size_t scenarioIndex = 0;
     size_t shapeIndex = 0;
-    ServeScheme scheme = ServeScheme::Default;
+    TestbedScheme scheme = TestbedScheme::Default;
     ServeResult result;
 };
 
@@ -135,12 +135,12 @@ buildShapes()
     return shapes;
 }
 
-serve::ServeConfig
+exp::ServeConfig
 cellConfig(const ScenarioSpec &scenario, const ShapeSpec &shape,
-           ServeScheme scheme, uint64_t seed, size_t scenarioIndex,
+           TestbedScheme scheme, uint64_t seed, size_t scenarioIndex,
            size_t shapeIndex)
 {
-    serve::ServeConfig config;
+    exp::ServeConfig config;
     config.scheme = scheme;
     config.scenario = scenario.scenario;
     config.scenarioOptions = scenario.options;
@@ -150,7 +150,7 @@ cellConfig(const ScenarioSpec &scenario, const ShapeSpec &shape,
     config.frontend.windowSec = 5.0;
     // Admission control is the cooperative half of the design; the
     // Default baseline serves whatever survives, unprotected.
-    config.frontend.admission.enabled = scheme != ServeScheme::Default;
+    config.frontend.admission.enabled = scheme != TestbedScheme::Default;
     config.frontend.seed = util::cellSeed(
         seed, scenarioIndex, shapeIndex, static_cast<size_t>(scheme));
     return config;
@@ -164,7 +164,7 @@ canonicalResultString(const Cell &cell)
 {
     std::ostringstream os;
     os << std::hexfloat;
-    os << serve::serveSchemeName(cell.scheme) << '|'
+    os << exp::testbedSchemeName(cell.scheme) << '|'
        << cell.result.offered << '|' << cell.result.served << '|'
        << cell.result.shed << '|' << cell.result.failed << '|'
        << cell.result.criticalViolationSeconds << '|'
@@ -187,7 +187,7 @@ exp::SweepAggregate
 toAggregate(const ScenarioSpec &spec, const Cell &cell)
 {
     exp::SweepAggregate agg;
-    agg.scheme = serve::serveSchemeName(cell.scheme);
+    agg.scheme = exp::testbedSchemeName(cell.scheme);
     agg.failureRate = spec.failureRate;
     agg.trials = 1;
     // wallSeconds stays 0: BENCH_serve.json must be byte-identical
@@ -292,20 +292,20 @@ main(int argc, char **argv)
     const uint64_t seed = options.seedOr(42);
     const auto scenarios = buildScenarios(seed);
     const auto shapes = buildShapes();
-    std::vector<ServeScheme> schemes{ServeScheme::PhoenixCost,
-                                     ServeScheme::PhoenixFair,
-                                     ServeScheme::Default};
+    std::vector<TestbedScheme> schemes{TestbedScheme::PhoenixCost,
+                                       TestbedScheme::PhoenixFair,
+                                       TestbedScheme::Default};
     if (smoke)
-        schemes = {ServeScheme::PhoenixCost, ServeScheme::Default};
+        schemes = {TestbedScheme::PhoenixCost, TestbedScheme::Default};
 
     std::vector<Cell> cells;
     for (size_t s = 0; s < scenarios.size(); ++s) {
         for (size_t h = 0; h < shapes.size(); ++h) {
             if (smoke && shapes[h].name != "diurnal")
                 continue;
-            for (ServeScheme scheme : schemes) {
+            for (TestbedScheme scheme : schemes) {
                 if (!options.filter.empty()) {
-                    std::string name = serve::serveSchemeName(scheme);
+                    std::string name = exp::testbedSchemeName(scheme);
                     std::string filter = options.filter;
                     for (auto &c : name)
                         c = static_cast<char>(std::tolower(c));
@@ -334,9 +334,9 @@ main(int argc, char **argv)
             obs::Tracer::global().nameTrack(
                 static_cast<uint32_t>(i),
                 spec.name + "/" + shape.name + "/" +
-                    serve::serveSchemeName(cell.scheme));
+                    exp::testbedSchemeName(cell.scheme));
         }
-        cell.result = serve::runServe(
+        cell.result = exp::runServe(
             cellConfig(spec, shape, cell.scheme, seed,
                        cell.scenarioIndex, cell.shapeIndex));
     });
@@ -352,7 +352,7 @@ main(int argc, char **argv)
         table.row()
             .cell(scenarios[cell.scenarioIndex].name)
             .cell(shapes[cell.shapeIndex].name)
-            .cell(serve::serveSchemeName(cell.scheme))
+            .cell(exp::testbedSchemeName(cell.scheme))
             .cell(r.offered)
             .cell(r.served)
             .cell(r.shed)
@@ -372,7 +372,7 @@ main(int argc, char **argv)
     for (const Cell &cell : cells) {
         if (scenarios[cell.scenarioIndex].name != "cap50" ||
             shapes[cell.shapeIndex].name != "diurnal" ||
-            cell.scheme != ServeScheme::PhoenixCost)
+            cell.scheme != TestbedScheme::PhoenixCost)
             continue;
         for (const serve::ClassReport &rep : cell.result.classes) {
             classes.row()
@@ -400,7 +400,7 @@ main(int argc, char **argv)
         const std::string prefix =
             scenarios[cell.scenarioIndex].name + "_" +
             shapes[cell.shapeIndex].name + "_" +
-            serve::serveSchemeName(cell.scheme);
+            exp::testbedSchemeName(cell.scheme);
         report.meta(prefix + "_crit_viol_s",
                     cell.result.criticalViolationSeconds);
         report.meta(prefix + "_shed_fraction",
@@ -441,18 +441,18 @@ main(int argc, char **argv)
             const ScenarioSpec &spec =
                 scenarios[rerun.scenarioIndex];
             obs::setCurrentTrack(static_cast<uint32_t>(i));
-            rerun.result = serve::runServe(cellConfig(
+            rerun.result = exp::runServe(cellConfig(
                 spec, shapes[rerun.shapeIndex], rerun.scheme, seed,
                 rerun.scenarioIndex, rerun.shapeIndex));
             expect(canonicalResultString(rerun) ==
                        canonicalResultString(cells[i]),
                    spec.name + "/" +
-                       serve::serveSchemeName(rerun.scheme) +
+                       exp::testbedSchemeName(rerun.scheme) +
                        " deterministic across schedules");
         }
 
         auto find = [&](const std::string &scenario,
-                        ServeScheme scheme) -> const Cell * {
+                        TestbedScheme scheme) -> const Cell * {
             for (const Cell &cell : cells) {
                 if (scenarios[cell.scenarioIndex].name == scenario &&
                     cell.scheme == scheme)
@@ -465,7 +465,7 @@ main(int argc, char **argv)
             const ServeResult &r = cell.result;
             const std::string tag =
                 scenarios[cell.scenarioIndex].name + "/" +
-                serve::serveSchemeName(cell.scheme);
+                exp::testbedSchemeName(cell.scheme);
             expect(r.invariantViolations == 0,
                    "no kube invariant violations under " + tag);
             expect(r.offered == r.served + r.shed + r.failed,
@@ -475,9 +475,9 @@ main(int argc, char **argv)
 
         for (const std::string scenario : {"zone", "cap50"}) {
             const Cell *phoenix =
-                find(scenario, ServeScheme::PhoenixCost);
+                find(scenario, TestbedScheme::PhoenixCost);
             const Cell *fallback =
-                find(scenario, ServeScheme::Default);
+                find(scenario, TestbedScheme::Default);
             expect(phoenix && fallback,
                    scenario + ": both smoke cells ran");
             if (!phoenix || !fallback)
@@ -496,7 +496,7 @@ main(int argc, char **argv)
                    scenario + ": default never sheds (no admission)");
         }
 
-        const Cell *crunch = find("cap50", ServeScheme::PhoenixCost);
+        const Cell *crunch = find("cap50", TestbedScheme::PhoenixCost);
         if (crunch) {
             expect(crunch->result.shed > 0,
                    "cap50: phoenix admission sheds sacrificed "

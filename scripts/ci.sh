@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The one-command CI gate: tier-1 build + full ctest (which includes
-# the fuzz/recovery/serve/fig8b smoke gates), the two long fuzz
+# the fuzz/recovery/serve/fig8b smoke gates and the recovery_parity,
+# soak_parity and serve_parity golden-output gates), the two long fuzz
 # streams at 5000 cases each, the whole-epoch benchmark smoke test,
 # then the suite again under ASan and UBSan via scripts/sanitize.sh.
 # Any failure — a test, a smoke-gate bound, an oracle violation, a

@@ -10,9 +10,8 @@ using sim::PodRef;
 
 PhoenixController::PhoenixController(
     sim::EventQueue &events, kube::KubeCluster &cluster,
-    std::unique_ptr<ResilienceScheme> scheme, ControllerConfig config)
-    : events_(events), cluster_(cluster), scheme_(std::move(scheme)),
-      config_(config)
+    std::unique_ptr<ResilienceScheme> scheme)
+    : events_(events), cluster_(cluster), scheme_(std::move(scheme))
 {
     auto &registry = obs::Registry::global();
     obs_.polls = &registry.counter("controller.polls");
@@ -32,7 +31,7 @@ PhoenixController::PhoenixController(
     obs_.recoverySeconds =
         &registry.histogram("controller.recovery_seconds");
 
-    events_.scheduleAfter(config_.pollPeriod, [this] { poll(); });
+    events_.scheduleAfter(kPollPeriod, [this] { poll(); });
 }
 
 void
@@ -87,8 +86,7 @@ PhoenixController::poll()
     const bool capacityChanged =
         lastCapacity_ < 0.0 ||
         std::abs(capacity - lastCapacity_) >
-            config_.capacityChangeThreshold *
-                std::max(lastCapacity_, 1.0);
+            kCapacityChangeThreshold * std::max(lastCapacity_, 1.0);
     const bool membershipChanged =
         lastCapacity_ >= 0.0 && fingerprint != lastFingerprint_;
     const bool changed =
@@ -139,7 +137,7 @@ PhoenixController::poll()
     lastCapacity_ = capacity;
     lastFingerprint_ = fingerprint;
 
-    events_.scheduleAfter(config_.pollPeriod, [this] { poll(); });
+    events_.scheduleAfter(kPollPeriod, [this] { poll(); });
 }
 
 void
@@ -249,7 +247,7 @@ PhoenixController::execute(const SchemeResult &result)
     {
         // PDB-aware sequencing: a service with pdbMaxUnavailable = b
         // keeps at most b replicas in flight per drain window, so its
-        // i-th migration rides wave i/b (waves drainWaitSeconds
+        // i-th migration rides wave i/b (waves kDrainWaitSeconds
         // apart). Everything else rides wave 0 — byte-identical to
         // the pre-PDB single-shot behaviour.
         std::vector<std::pair<uint64_t, int>> seen;
@@ -316,23 +314,17 @@ PhoenixController::execute(const SchemeResult &result)
             deferredWaves_.clear();
         }
     };
-    if (deferredMoves_.empty()) {
-        // Nothing to sequence.
-    } else if (config_.drainWaitSeconds <= 0.0) {
-        for (size_t w = 0; w <= max_wave; ++w)
+    if (deferredMoves_.empty())
+        return;
+    const double base = any_delete ? kDrainWaitSeconds : 0.0;
+    for (size_t w = 0; w <= max_wave; ++w) {
+        const double delay =
+            base + static_cast<double>(w) * kDrainWaitSeconds;
+        if (delay <= 0.0)
             apply_wave(w);
-    } else {
-        const double base =
-            any_delete ? config_.drainWaitSeconds : 0.0;
-        for (size_t w = 0; w <= max_wave; ++w) {
-            const double delay =
-                base + static_cast<double>(w) * config_.drainWaitSeconds;
-            if (delay <= 0.0)
-                apply_wave(w);
-            else
-                events_.scheduleAfter(delay,
-                                      [apply_wave, w] { apply_wave(w); });
-        }
+        else
+            events_.scheduleAfter(delay,
+                                  [apply_wave, w] { apply_wave(w); });
     }
 }
 

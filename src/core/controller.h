@@ -38,24 +38,6 @@
 
 namespace phoenix::core {
 
-/** Controller tunables. */
-struct ControllerConfig
-{
-    /** Cluster-state monitoring period (paper: 15 s). */
-    double pollPeriod = 15.0;
-    /** Relative capacity change that counts as a failure/recovery. */
-    double capacityChangeThreshold = 1e-6;
-    /**
-     * Wait between issuing a plan's deletes and its moves. Graceful
-     * deletion keeps a Terminating pod's capacity occupied until the
-     * drain completes, so a migration or restart into that capacity
-     * issued at the same instant is rejected by the kubelet; the plan
-     * sequence is only valid once deletions have settled. Must cover
-     * KubeConfig::podTerminationSeconds.
-     */
-    double drainWaitSeconds = 11.0;
-};
-
 /** One replanning episode in the controller's timeline. */
 struct ReplanRecord
 {
@@ -121,9 +103,22 @@ class ForecastHook
 class PhoenixController
 {
   public:
+    /** Cluster-state monitoring period (paper: 15 s). */
+    static constexpr double kPollPeriod = 15.0;
+    /** Relative capacity change that counts as a failure/recovery. */
+    static constexpr double kCapacityChangeThreshold = 1e-6;
+    /**
+     * Wait between issuing a plan's deletes and its moves, and between
+     * two drain waves. Graceful deletion keeps a Terminating pod's
+     * capacity occupied until the drain completes, so a migration or
+     * restart into that capacity issued at the same instant is
+     * rejected by the kubelet; the plan sequence is only valid once
+     * deletions have settled. Covers KubeConfig::podTerminationSeconds.
+     */
+    static constexpr double kDrainWaitSeconds = 11.0;
+
     PhoenixController(sim::EventQueue &events, kube::KubeCluster &cluster,
-                      std::unique_ptr<ResilienceScheme> scheme,
-                      ControllerConfig config = ControllerConfig());
+                      std::unique_ptr<ResilienceScheme> scheme);
 
     const std::vector<ReplanRecord> &history() const { return history_; }
 
@@ -165,7 +160,6 @@ class PhoenixController
     sim::EventQueue &events_;
     kube::KubeCluster &cluster_;
     std::unique_ptr<ResilienceScheme> scheme_;
-    ControllerConfig config_;
 
     double lastCapacity_ = -1.0;
     /** Observed ready-set fingerprint at the previous poll. */
@@ -180,7 +174,7 @@ class PhoenixController
     /** Drain wave per deferred move: a service with a
      * PodDisruptionBudget of b has at most b replicas in flight per
      * drain window, so its i-th migration rides wave i/b; waves are
-     * spaced drainWaitSeconds apart. Unbudgeted moves ride wave 0. */
+     * spaced kDrainWaitSeconds apart. Unbudgeted moves ride wave 0. */
     std::vector<size_t> deferredWaves_;
     /** Invalidates in-flight drain waits when a new plan lands. */
     uint64_t planGeneration_ = 0;

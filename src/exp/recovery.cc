@@ -1,30 +1,15 @@
 #include "recovery.h"
 
-#include <map>
-#include <memory>
 #include <optional>
 #include <set>
 
 #include "core/chaos.h"
-#include "core/controller.h"
-#include "core/schemes.h"
 #include "exp/timeseries.h"
 #include "sim/metrics.h"
 
 namespace phoenix::exp {
 
 using sim::PodRef;
-
-const char *
-recoverySchemeName(RecoveryScheme scheme)
-{
-    switch (scheme) {
-    case RecoveryScheme::Default: return "Default";
-    case RecoveryScheme::PhoenixCost: return "PhoenixCost";
-    case RecoveryScheme::PhoenixFair: return "PhoenixFair";
-    }
-    return "?";
-}
 
 namespace {
 
@@ -37,27 +22,6 @@ sampleTime(const RecoverySample &sample)
 
 } // namespace
 
-void
-applyTopologyOverlay(std::vector<sim::Application> &apps)
-{
-    for (auto &app : apps) {
-        for (auto &ms : app.services) {
-            if (ms.criticality != sim::kC1 || ms.replicas > 1)
-                continue;
-            // Two half-size replicas: aggregate demand is unchanged
-            // (totalCpu = cpu * replicas), quorum 1 keeps the service
-            // active on either survivor, and the implied per-zone cap
-            // (replicas - minZoneSpread + 1 = 1) forces the pair into
-            // distinct failure domains.
-            ms.cpu *= 0.5;
-            ms.replicas = 2;
-            ms.quorum = 1;
-            ms.minZoneSpread = 2;
-            ms.pdbMaxUnavailable = 1;
-        }
-    }
-}
-
 RecoveryResult
 runRecovery(const RecoveryConfig &config)
 {
@@ -67,52 +31,12 @@ runRecovery(const RecoveryConfig &config)
     if (obs::metricsEnabled())
         delta.emplace();
 
-    sim::EventQueue events;
-    kube::KubeConfig kube_config = config.kube;
-    // The invariant checker is what turns a lifecycle bug into a hard
-    // failure in every scenario run — never let a caller disable it.
-    kube_config.validateInvariants = true;
-    kube::KubeCluster cluster(events, kube_config);
-
-    const apps::CloudLabTestbed testbed =
-        apps::makeCloudLabTestbed(config.testbed);
-    for (size_t n = 0; n < testbed.config.nodeCount; ++n) {
-        cluster.addNode(testbed.config.cpusPerNode,
-                        config.zoneCount > 0
-                            ? static_cast<uint32_t>(n % config.zoneCount)
-                            : 0);
-    }
-    std::vector<sim::Application> apps = testbed.applications();
-    if (config.zoneCount >= 2)
-        applyTopologyOverlay(apps);
-    for (const auto &app : apps)
-        cluster.addApplication(app);
-
-    std::unique_ptr<core::PhoenixController> controller;
-    std::unique_ptr<forecast::Forecaster> forecaster;
-    if (config.scheme != RecoveryScheme::Default) {
-        const core::Objective objective =
-            config.scheme == RecoveryScheme::PhoenixCost
-                ? core::Objective::Cost
-                : core::Objective::Fair;
-        controller = std::make_unique<core::PhoenixController>(
-            events, cluster,
-            std::make_unique<core::PhoenixScheme>(objective));
-        if (config.forecast) {
-            forecast::ForecastConfig forecastConfig =
-                config.forecastConfig;
-            if (config.zoneCount > 0)
-                forecastConfig.fallbackZoneCount = config.zoneCount;
-            forecaster = std::make_unique<forecast::Forecaster>(
-                cluster,
-                [objective] {
-                    return std::make_unique<core::PhoenixScheme>(
-                        objective);
-                },
-                forecastConfig);
-            controller->attachForecast(forecaster.get());
-        }
-    }
+    Testbed bed(config.scheme, config.testbed, config.kube,
+                config.zoneCount,
+                config.forecast ? &config.forecastConfig : nullptr);
+    sim::EventQueue &events = bed.events;
+    kube::KubeCluster &cluster = bed.cluster;
+    const apps::CloudLabTestbed &testbed = bed.cloudlab;
 
     // C1 pod lookup (MsIds may be sparse: map, not vector index).
     std::set<PodRef> critical;
@@ -204,9 +128,9 @@ runRecovery(const RecoveryConfig &config)
         [full](const RecoverySample &s) { return s.running >= full; });
 
     result.invariantViolations = cluster.invariantViolations();
-    if (controller) {
-        result.replans = controller->history().size();
-        for (const auto &record : controller->history()) {
+    if (bed.controller) {
+        result.replans = bed.controller->history().size();
+        for (const auto &record : bed.controller->history()) {
             result.planSecondsTotal += record.planSeconds;
             result.deletes += record.deletes;
             result.migrations += record.migrations;
@@ -215,8 +139,8 @@ runRecovery(const RecoveryConfig &config)
                 ++result.proactiveReplans;
         }
     }
-    if (forecaster)
-        result.forecast = forecaster->counters();
+    if (bed.forecaster)
+        result.forecast = bed.forecaster->counters();
     if (delta)
         result.obsMetrics = delta->finish();
     return result;

@@ -22,22 +22,15 @@
 #include <utility>
 #include <vector>
 
-#include "apps/cloudlab.h"
-#include "forecast/forecaster.h"
-#include "kube/kube.h"
+#include "exp/testbed.h"
 #include "sim/scenario.h"
 
 namespace phoenix::exp {
 
-/** Which resilience scheme drives the run. */
-enum class RecoveryScheme { Default, PhoenixCost, PhoenixFair };
-
-const char *recoverySchemeName(RecoveryScheme scheme);
-
 /** One harness run: testbed + scenario + sampling cadence. */
 struct RecoveryConfig
 {
-    RecoveryScheme scheme = RecoveryScheme::PhoenixCost;
+    TestbedScheme scheme = TestbedScheme::PhoenixCost;
     /** CloudLab-style testbed (five app instances, Fig 4 goals). */
     apps::CloudLabConfig testbed;
     kube::KubeConfig kube; //!< validateInvariants is forced on
@@ -48,30 +41,21 @@ struct RecoveryConfig
     /** Simulation horizon. */
     double endTime = 2400.0;
     /**
-     * Zones the nodes are striped over (node n -> zone n % zoneCount);
-     * 0 keeps the classic untopologied testbed. With >= 2 zones the
-     * C1 services additionally get the spread/PDB overlay
-     * (applyTopologyOverlay), so zone-correlated scenarios exercise
-     * constrained placement end to end.
+     * Zones the nodes are striped over (testbedZone); 0 keeps the
+     * classic untopologied testbed. With >= 2 zones the C1 services
+     * additionally get the spread/PDB overlay (applyTopologyOverlay),
+     * so zone-correlated scenarios exercise constrained placement end
+     * to end.
      */
     size_t zoneCount = 0;
     /** Attach the forecast subsystem to the controller: risks are
      * tracked over the observed capacity stream, and armed risks plan
      * projected post-fault states for proactive execution ahead of
-     * the anticipated failure. Ignored for RecoveryScheme::Default
+     * the anticipated failure. Ignored for TestbedScheme::Default
      * (no controller to attach to). */
     bool forecast = false;
     forecast::ForecastConfig forecastConfig;
 };
-
-/**
- * Make the testbed topology-constrained without changing its demand:
- * every single-replica C1 service is split into two half-size
- * replicas with quorum 1, minZoneSpread 2 (the implied per-zone cap
- * keeps the pair in distinct zones) and pdbMaxUnavailable 1. Requires
- * a deployment with at least two zones to be satisfiable.
- */
-void applyTopologyOverlay(std::vector<sim::Application> &apps);
 
 /** One point of the recovery time series. */
 struct RecoverySample
@@ -109,7 +93,7 @@ struct RecoveryResult
     size_t maxPending = 0;
     /** Kube invariant-checker violations (0 in a healthy run). */
     size_t invariantViolations = 0;
-    /** Controller activity (zero for RecoveryScheme::Default). */
+    /** Controller activity (zero for TestbedScheme::Default). */
     size_t replans = 0;
     double planSecondsTotal = 0.0;
     size_t deletes = 0;

@@ -1,41 +1,40 @@
 /**
  * @file
  * End-to-end serving harness: the CloudLab testbed + a failure
- * scenario + a live request front end, run under one resilience
- * scheme. The serving analogue of exp::runRecovery — where that
- * harness measures recovery *dynamics* (availability over time), this
- * one measures what live traffic experienced: per-class goodput,
+ * scenario + a live request front end (src/serve), run under one
+ * resilience scheme. The serving analogue of exp::runRecovery — where
+ * that harness measures recovery *dynamics* (availability over time),
+ * this one measures what live traffic experienced: per-class goodput,
  * SLO-violation seconds split critical/non-critical, and the
  * admission shed fraction.
  *
  * The kube invariant checker is force-enabled for every run.
  */
 
-#ifndef PHOENIX_SERVE_HARNESS_H
-#define PHOENIX_SERVE_HARNESS_H
+#ifndef PHOENIX_EXP_SERVING_H
+#define PHOENIX_EXP_SERVING_H
 
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "apps/cloudlab.h"
-#include "kube/kube.h"
+#include "exp/testbed.h"
 #include "serve/frontend.h"
 #include "sim/scenario.h"
 
-namespace phoenix::serve {
+namespace phoenix::exp {
 
 /** One serving run: testbed + scenario + front end + scheme. */
 struct ServeConfig
 {
-    ServeScheme scheme = ServeScheme::PhoenixCost;
+    TestbedScheme scheme = TestbedScheme::PhoenixCost;
     apps::CloudLabConfig testbed;
     kube::KubeConfig kube; //!< validateInvariants is forced on
     sim::Scenario scenario;
     sim::ScenarioOptions scenarioOptions;
     /** Front-end knobs. startAt/endAt are overwritten from warmupSec
      * and endTime — the harness owns the serving window. */
-    FrontendConfig frontend;
+    serve::FrontendConfig frontend;
     /** Serving starts here: initial placement needs to settle first
      * (scheduler binds + pod startup, ~60-100 s). */
     double warmupSec = 300.0;
@@ -51,7 +50,7 @@ struct ServeConfig
 /** Harness outcome. */
 struct ServeResult
 {
-    std::vector<ClassReport> classes;
+    std::vector<serve::ClassReport> classes;
 
     size_t offered = 0;
     size_t served = 0;
@@ -83,6 +82,6 @@ struct ServeResult
 /** Run one serving scenario end to end. */
 ServeResult runServe(const ServeConfig &config);
 
-} // namespace phoenix::serve
+} // namespace phoenix::exp
 
-#endif // PHOENIX_SERVE_HARNESS_H
+#endif // PHOENIX_EXP_SERVING_H

@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <memory>
-#include <numeric>
 #include <optional>
 #include <set>
 
-#include "core/controller.h"
-#include "core/schemes.h"
 #include "exp/timeseries.h"
 #include "sim/metrics.h"
 #include "sim/scenario.h"
@@ -44,10 +40,10 @@ generateSoakWaves(const SoakConfig &config)
     const double max_duration = 480.0;
     // Leave the tail quiet so the final convergence checks always see
     // a settled cluster before the horizon cuts the run off.
-    const double tail = max_duration + config.settleSeconds + 120.0;
+    const double tail = max_duration + kSoakSettleSeconds + 120.0;
 
     const auto max_disturbed = static_cast<size_t>(std::max(
-        1.0, std::floor(config.maxDisturbedFraction *
+        1.0, std::floor(kSoakMaxDisturbedFraction *
                         static_cast<double>(node_count))));
 
     // Per-node exclusive claims: a node joins a wave only when its
@@ -58,7 +54,7 @@ generateSoakWaves(const SoakConfig &config)
     std::vector<double> claimed_until(node_count, 0.0);
 
     std::vector<SoakWave> waves;
-    double t = config.warmupSeconds;
+    double t = kSoakWarmupSeconds;
     while (true) {
         t += config.meanWaveGap * rng.uniform(0.5, 1.5);
         if (t + tail > horizon)
@@ -74,7 +70,7 @@ generateSoakWaves(const SoakConfig &config)
         // that would blow the disturbance bound, demotes to an
         // observation-only fault — same cadence, no over-razing.
         if (config.zoneCount > 0 &&
-            rng.bernoulli(config.zoneFailProbability)) {
+            rng.bernoulli(kSoakZoneFailProbability)) {
             wave.kind = SoakWaveKind::ZoneFail;
             wave.duration =
                 static_cast<double>(rng.uniformInt(60, 480));
@@ -199,43 +195,6 @@ disturbedNodesAt(const std::vector<SoakWave> &waves, double t)
 
 namespace {
 
-sim::Scenario
-buildScenario(const std::vector<SoakWave> &waves)
-{
-    sim::Scenario scenario;
-    for (const SoakWave &wave : waves) {
-        switch (wave.kind) {
-        case SoakWaveKind::Fail:
-        case SoakWaveKind::ZoneFail:
-            scenario.failNodes(wave.at, wave.nodes);
-            scenario.recoverNodes(wave.at + wave.duration, wave.nodes);
-            break;
-        case SoakWaveKind::Flap:
-            for (NodeId node : wave.nodes)
-                scenario.flapKubelet(wave.at, node, wave.duration);
-            break;
-        case SoakWaveKind::Partition:
-            scenario.partitionNodes(wave.at, wave.nodes,
-                                    wave.duration);
-            break;
-        case SoakWaveKind::Degrade:
-            scenario.degradeNodes(wave.at, wave.nodes, wave.factor,
-                                  wave.duration);
-            break;
-        case SoakWaveKind::ApiOutage:
-            scenario.apiOutage(wave.at, wave.duration);
-            break;
-        case SoakWaveKind::ClockSkew:
-            for (NodeId node : wave.nodes) {
-                scenario.skewClock(wave.at, node, wave.skew);
-                scenario.skewClock(wave.at + wave.duration, node, 0.0);
-            }
-            break;
-        }
-    }
-    return scenario;
-}
-
 /** True when no wave touches @p node anywhere in [from, to]. */
 bool
 nodeQuietOver(const std::vector<SoakWave> &waves, NodeId node,
@@ -272,45 +231,10 @@ runSoak(const SoakConfig &config)
     if (obs::metricsEnabled())
         delta.emplace();
 
-    sim::EventQueue events;
-    kube::KubeConfig kube_config = config.kube;
-    // The whole point of the soak is the continuous oracle — never
-    // let a caller turn the invariant checker off.
-    kube_config.validateInvariants = true;
-    kube::KubeCluster cluster(events, kube_config);
-
-    const apps::CloudLabTestbed testbed =
-        apps::makeCloudLabTestbed(config.testbed);
-    for (size_t n = 0; n < testbed.config.nodeCount; ++n) {
-        cluster.addNode(testbed.config.cpusPerNode,
-                        config.zoneCount > 0
-                            ? static_cast<uint32_t>(n % config.zoneCount)
-                            : 0);
-    }
-    std::vector<sim::Application> testbed_apps = testbed.applications();
-    if (config.zoneCount >= 2)
-        applyTopologyOverlay(testbed_apps);
-    for (const auto &app : testbed_apps)
-        cluster.addApplication(app);
-
-    std::unique_ptr<core::PhoenixController> controller;
-    if (config.scheme != RecoveryScheme::Default) {
-        const core::Objective objective =
-            config.scheme == RecoveryScheme::PhoenixCost
-                ? core::Objective::Cost
-                : core::Objective::Fair;
-        controller = std::make_unique<core::PhoenixController>(
-            events, cluster,
-            std::make_unique<core::PhoenixScheme>(objective));
-    }
-
-    std::set<PodRef> critical;
-    for (const auto &app : cluster.apps()) {
-        for (const auto &ms : app.services) {
-            if (ms.criticality == sim::kC1)
-                critical.insert(PodRef{app.id, ms.id});
-        }
-    }
+    Testbed bed(config.scheme, config.testbed, config.kube,
+                config.zoneCount);
+    sim::EventQueue &events = bed.events;
+    kube::KubeCluster &cluster = bed.cluster;
 
     SoakResult result;
     result.simSeconds = config.hours * 3600.0;
@@ -345,11 +269,14 @@ runSoak(const SoakConfig &config)
         });
     }
 
+    // The soak runs its own repro's script: a violation's CheckCase
+    // replays exactly the steps armed here.
     sim::ScenarioOptions scenario_options;
     scenario_options.seed = config.seed;
-    sim::ScenarioRunner runner(events, cluster,
-                               buildScenario(result.waves),
-                               scenario_options);
+    sim::ScenarioRunner runner(
+        events, cluster,
+        makeSoakRepro(config, result.waves, result.simSeconds).scenario(),
+        scenario_options);
 
     for (size_t i = 0; i < result.waves.size(); ++i) {
         const double end =
@@ -430,7 +357,7 @@ runSoak(const SoakConfig &config)
         }
 
         // Per-node convergence: quiet nodes must have healed.
-        const double from = now - config.settleSeconds;
+        const double from = now - kSoakSettleSeconds;
         if (from > 0.0) {
             for (NodeId n = 0; n < cluster.nodeCount(); ++n) {
                 if (!nodeQuietOver(result.waves, n, from, now))
@@ -603,17 +530,13 @@ runSoak(const SoakConfig &config)
 
         // Availability bookkeeping (recorded, not asserted).
         sim::ActiveSet active = sim::emptyActiveSet(cluster.apps());
-        size_t running_critical = 0;
-        for (const PodRef &pod : running) {
+        for (const PodRef &pod : running)
             active[pod.app][pod.ms] = true;
-            if (critical.count(pod))
-                ++running_critical;
-        }
         const double availability =
             sim::criticalServiceAvailability(cluster.apps(), active);
         availability_series.push_back(
             {now, availability >= 1.0 - 1e-9});
-        if (now >= config.warmupSeconds) {
+        if (now >= kSoakWarmupSeconds) {
             result.minAvailability =
                 std::min(result.minAvailability, availability);
             availability_sum += availability;
@@ -649,9 +572,9 @@ runSoak(const SoakConfig &config)
     result.timeToAvailabilityRecovery = recoveryTimeSince(
         availability_series,
         result.waves.empty() ? -1.0 : result.waves.front().at);
-    if (controller) {
-        result.replans = controller->history().size();
-        for (const auto &record : controller->history()) {
+    if (bed.controller) {
+        result.replans = bed.controller->history().size();
+        for (const auto &record : bed.controller->history()) {
             result.deletes += record.deletes;
             result.migrations += record.migrations;
             result.restarts += record.restarts;
@@ -675,14 +598,10 @@ makeSoakRepro(const SoakConfig &config,
     repro.lifecycle = false;
     for (size_t n = 0; n < testbed.config.nodeCount; ++n) {
         repro.nodeCapacities.push_back(testbed.config.cpusPerNode);
-        if (config.zoneCount > 0) {
-            repro.nodeZones.push_back(
-                static_cast<uint32_t>(n % config.zoneCount));
-        }
+        if (config.zoneCount > 0)
+            repro.nodeZones.push_back(testbedZone(n, config.zoneCount));
     }
-    repro.apps = testbed.applications();
-    if (config.zoneCount >= 2)
-        applyTopologyOverlay(repro.apps);
+    repro.apps = testbedApplications(testbed, config.zoneCount);
 
     for (const SoakWave &wave : waves) {
         if (wave.at > upTo)

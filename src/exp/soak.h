@@ -47,7 +47,7 @@
 
 #include "apps/cloudlab.h"
 #include "check/case.h"
-#include "exp/recovery.h"
+#include "exp/testbed.h"
 #include "kube/kube.h"
 
 namespace phoenix::exp {
@@ -76,9 +76,21 @@ struct SoakWave
     double skew = 0.0;              //!< ClockSkew only
 };
 
+/** Fault-quiet time a node (or the cluster) needs before the
+ * convergence / stranded-pod properties are asserted. Covers grace +
+ * heartbeat + controller poll + pod startup. */
+constexpr double kSoakSettleSeconds = 600.0;
+/** Cap on the fraction of nodes disturbed at any instant. */
+constexpr double kSoakMaxDisturbedFraction = 0.4;
+/** Quiet lead-in before the first wave (lets every pod start). */
+constexpr double kSoakWarmupSeconds = 300.0;
+/** Probability a wave becomes a zone-correlated failure (every node
+ * of one zone fails together); only with SoakConfig::zoneCount > 0. */
+constexpr double kSoakZoneFailProbability = 0.3;
+
 struct SoakConfig
 {
-    RecoveryScheme scheme = RecoveryScheme::PhoenixCost;
+    TestbedScheme scheme = TestbedScheme::PhoenixCost;
     apps::CloudLabConfig testbed;
     kube::KubeConfig kube; //!< validateInvariants is forced on
     uint64_t seed = 7;
@@ -89,20 +101,12 @@ struct SoakConfig
     double meanWaveGap = 240.0;
     /** Convergence-check cadence (seconds). */
     double checkPeriod = 60.0;
-    /** Fault-quiet time a node (or the cluster) needs before the
-     * convergence / stranded-pod properties are asserted. Must cover
-     * grace + heartbeat + controller poll + pod startup. */
-    double settleSeconds = 600.0;
-    /** Cap on the fraction of nodes disturbed at any instant. */
-    double maxDisturbedFraction = 0.4;
-    /** Quiet lead-in before the first wave (lets every pod start). */
-    double warmupSeconds = 300.0;
     /** Inject a deliberately wrong invariant (used <= fraction *
      * capacity on live state) to demo the violation->repro path. */
     bool injectFault = false;
     double injectTightCapacityFraction = 0.5;
     /**
-     * Zones the nodes are striped over (node n -> zone n % zoneCount).
+     * Zones the nodes are striped over (testbedZone).
      * 0 (default) keeps the classic untopologied soak and its wave
      * stream byte-identical. With >= 2 zones the testbed gets the
      * spread/PDB overlay (exp::applyTopologyOverlay), the schedule may
@@ -110,9 +114,6 @@ struct SoakConfig
      * constraint-cap / stranded-constraint properties arm.
      */
     size_t zoneCount = 0;
-    /** Probability a wave becomes a zone-correlated failure (every
-     * node of one zone fails together); only with zoneCount > 0. */
-    double zoneFailProbability = 0.3;
 };
 
 /** One failed soak property. */
@@ -184,7 +185,9 @@ SoakResult runSoak(const SoakConfig &config);
  * Self-contained CheckCase reproducing the soak's fault script up to
  * @p upTo seconds (every wave starting by then, with its full healing
  * window): the bridge from a soak violation to the src/check
- * shrinker and the regression corpus.
+ * shrinker and the regression corpus. runSoak arms the scenario of
+ * this case over the whole horizon, so a repro is by construction
+ * the script the soak ran.
  */
 check::CheckCase makeSoakRepro(const SoakConfig &config,
                                const std::vector<SoakWave> &waves,

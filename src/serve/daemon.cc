@@ -206,8 +206,7 @@ ServeDaemon::cmdStartController(const util::JsonValue &command)
     }
     controller_ = std::make_unique<core::PhoenixController>(
         events_, cluster_,
-        std::make_unique<core::PhoenixScheme>(objective),
-        config_.controller);
+        std::make_unique<core::PhoenixScheme>(objective));
 
     const util::JsonValue *forecastFlag = command.field("forecast");
     const bool forecastOn =

@@ -52,7 +52,6 @@ namespace phoenix::serve {
 struct DaemonConfig
 {
     kube::KubeConfig kube;
-    core::ControllerConfig controller;
     /** Template for serve-start (seed, sigma, admission, window). */
     FrontendConfig frontend;
     uint64_t seed = 42;

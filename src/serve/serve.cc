@@ -5,17 +5,6 @@
 
 namespace phoenix::serve {
 
-const char *
-serveSchemeName(ServeScheme scheme)
-{
-    switch (scheme) {
-    case ServeScheme::Default: return "Default";
-    case ServeScheme::PhoenixCost: return "PhoenixCost";
-    case ServeScheme::PhoenixFair: return "PhoenixFair";
-    }
-    return "?";
-}
-
 std::vector<RequestClass>
 buildRequestClasses(const std::vector<apps::ServiceApp> &serviceApps)
 {

@@ -1,8 +1,7 @@
 /**
  * @file
  * Common types of the serving layer (src/serve): request classes with
- * criticality and SLOs, and the scheme selector shared by the harness,
- * the bench and the phoenixd daemon.
+ * criticality and SLOs.
  *
  * The serving layer is the repo's answer to "degradation quality as
  * experienced by live traffic": where the batch benches evaluate
@@ -25,11 +24,6 @@
 #include "sim/types.h"
 
 namespace phoenix::serve {
-
-/** Which resilience scheme drives the serving run. */
-enum class ServeScheme { Default, PhoenixCost, PhoenixFair };
-
-const char *serveSchemeName(ServeScheme scheme);
 
 /** Per-class service-level objective, evaluated per window. */
 struct SloConfig

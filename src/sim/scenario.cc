@@ -311,18 +311,21 @@ ScenarioRunner::partitionedNodes() const
                                partitioned_.end());
 }
 
+size_t
+ScenarioRunner::zoneOf(NodeId node) const
+{
+    const int label = target_.nodeZone(node);
+    return label >= 0 ? static_cast<size_t>(label)
+                      : node % std::max<size_t>(options_.zoneCount, 1);
+}
+
 std::vector<NodeId>
 ScenarioRunner::zoneNodes(size_t zone) const
 {
-    const size_t zones = std::max<size_t>(options_.zoneCount, 1);
     std::vector<NodeId> nodes;
     for (size_t n = 0; n < target_.nodeCount(); ++n) {
         const NodeId id = static_cast<NodeId>(n);
-        const int explicit_zone = target_.nodeZone(id);
-        const size_t node_zone =
-            explicit_zone >= 0 ? static_cast<size_t>(explicit_zone)
-                               : id % zones;
-        if (node_zone == zone)
+        if (zoneOf(id) == zone)
             nodes.push_back(id);
     }
     return nodes;
@@ -469,14 +472,12 @@ ScenarioRunner::runStep(const Scenario::Step &step)
         break;
     }
 
-    case Kind::FailZone: {
-        const size_t zones = std::max<size_t>(options_.zoneCount, 1);
+    case Kind::FailZone:
         for (NodeId node : upNodes()) {
-            if (node % zones == step.zone)
+            if (zoneOf(node) == step.zone)
                 failNode(node);
         }
         break;
-    }
 
     case Kind::RollingFail: {
         if (step.count == 0)

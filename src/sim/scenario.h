@@ -114,7 +114,9 @@ struct ScenarioOptions
 {
     /** Seed for randomized node selection. */
     uint64_t seed = 42;
-    /** Zone assignment: node belongs to zone (id % zoneCount). */
+    /** Zone count for targets without zone labels: node id belongs
+     * to zone (id % zoneCount). Ignored where the target labels its
+     * nodes (FaultTarget::nodeZone). */
     size_t zoneCount = 5;
 };
 
@@ -194,6 +196,7 @@ class Scenario
      * the paper's "capacity reduced to X%" events). The fraction is
      * clamped into [0, 1]: <= 0 fails nothing, >= 1 fails everything. */
     Scenario &failCapacityFraction(SimTime at, double fraction);
+    /** Fail every up node of one zone (see FaultTarget::nodeZone). */
     Scenario &failZone(SimTime at, size_t zone);
     /** Fail @p count random up nodes, one every @p interval seconds
      * starting at @p at. A non-positive interval clamps to 0: every
@@ -217,7 +220,7 @@ class Scenario
      * until an explicit healPartition step or the end of the run). */
     Scenario &partitionNodes(SimTime at, std::vector<NodeId> nodes,
                              double duration = 0.0);
-    /** Partition every node of one zone (id % zoneCount == zone). */
+    /** Partition every node of one zone (see FaultTarget::nodeZone). */
     Scenario &partitionZone(SimTime at, size_t zone,
                             double duration = 0.0);
     Scenario &healPartition(SimTime at, std::vector<NodeId> nodes);
@@ -289,7 +292,10 @@ class ScenarioRunner
     void skewNode(NodeId node, double skew);
     void beginOutage();
     void endOutage();
-    /** Nodes of zone (id % zoneCount == zone), ascending. */
+    /** Zone of @p node: the target's label, or id % zoneCount when
+     * it has none. */
+    size_t zoneOf(NodeId node) const;
+    /** Nodes of @p zone (zoneOf), ascending. */
     std::vector<NodeId> zoneNodes(size_t zone) const;
     /** Up nodes (never failed or already recovered), ascending. */
     std::vector<NodeId> upNodes() const;

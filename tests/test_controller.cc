@@ -242,3 +242,194 @@ TEST(Controller, EqualCapacitySwapStillTriggersReplan)
     EXPECT_GE(availability, 1.0 - 1e-9);
     EXPECT_EQ(rig.cluster->invariantViolations(), 0u);
 }
+
+namespace {
+
+/**
+ * Scheme stub: apply() call i returns plans[i]; once they run out it
+ * keeps the last planned state and issues nothing.
+ */
+class ScriptedScheme : public ResilienceScheme
+{
+  public:
+    explicit ScriptedScheme(std::vector<SchemeResult> plans)
+        : plans_(std::move(plans))
+    {
+    }
+
+    std::string name() const override { return "Scripted"; }
+
+    SchemeResult
+    apply(const std::vector<sim::Application> &apps,
+          const sim::ClusterState &current) override
+    {
+        (void)apps;
+        (void)current;
+        if (next_ < plans_.size())
+            return plans_[next_++];
+        SchemeResult idle = plans_.back();
+        idle.pack.actions.clear();
+        return idle;
+    }
+
+  private:
+    std::vector<SchemeResult> plans_;
+    size_t next_ = 0;
+};
+
+/**
+ * One app on four 8-CPU nodes: service 0 has three replicas and a
+ * PodDisruptionBudget of one, service 1 has no budget, service 2 is
+ * the first plan's delete. The controller's first poll (t = 15) runs
+ * a plan that deletes service 2 and migrates every replica of
+ * services 0 and 1 to node 3; later replans run @p replans in order.
+ */
+struct DrainRig
+{
+    static kube::KubeConfig
+    checked()
+    {
+        kube::KubeConfig config;
+        config.validateInvariants = true;
+        return config;
+    }
+
+    sim::EventQueue events;
+    kube::KubeCluster cluster{events, checked()};
+    std::unique_ptr<PhoenixController> controller;
+
+    static constexpr sim::NodeId kTarget = 3;
+    const std::vector<PodRef> budgeted{
+        {0, 0, 0}, {0, 0, 1}, {0, 0, 2}};
+    const PodRef unbudgeted{0, 1, 0};
+    const PodRef victim{0, 2, 0};
+
+    explicit DrainRig(std::vector<std::vector<Action>> replans = {})
+    {
+        for (int n = 0; n < 4; ++n)
+            cluster.addNode(8.0);
+        sim::Application app;
+        app.name = "drain";
+        app.services.resize(3);
+        for (sim::MsId m = 0; m < 3; ++m) {
+            app.services[m].id = m;
+            app.services[m].cpu = 1.0;
+            app.services[m].criticality = sim::kC1;
+        }
+        app.services[0].replicas = 3;
+        app.services[0].pdbMaxUnavailable = 1;
+        cluster.addApplication(app);
+
+        // Every plan keeps all pods but the victim, so execute()
+        // scales nothing else down.
+        SchemeResult plan;
+        plan.pack.state = sim::ClusterState(sim::PodIndex::of({app}));
+        for (int n = 0; n < 4; ++n)
+            plan.pack.state.addNode(8.0);
+        for (const PodRef &pod : budgeted)
+            plan.pack.state.place(pod, kTarget, 1.0);
+        plan.pack.state.place(unbudgeted, kTarget, 1.0);
+
+        std::vector<SchemeResult> plans(1 + replans.size(), plan);
+        plans[0].pack.actions.push_back(
+            {ActionKind::Delete, victim, 0, 0});
+        for (const PodRef &pod : budgeted)
+            plans[0].pack.actions.push_back(
+                {ActionKind::Migrate, pod, 0, kTarget});
+        plans[0].pack.actions.push_back(
+            {ActionKind::Migrate, unbudgeted, 0, kTarget});
+        for (size_t i = 0; i < replans.size(); ++i)
+            plans[i + 1].pack.actions = std::move(replans[i]);
+        controller = std::make_unique<PhoenixController>(
+            events, cluster,
+            std::make_unique<ScriptedScheme>(std::move(plans)));
+    }
+
+    /** The controller asked kube to move @p pod to @p node
+     * (migratePod pins it there). */
+    bool
+    issued(const PodRef &pod, sim::NodeId node = kTarget) const
+    {
+        const kube::Pod *rec = cluster.pod(pod);
+        return rec && rec->pinnedNode == node;
+    }
+
+    bool
+    pinned(const PodRef &pod) const
+    {
+        const kube::Pod *rec = cluster.pod(pod);
+        return rec && rec->pinnedNode.has_value();
+    }
+};
+
+} // namespace
+
+TEST(ControllerDrain, BudgetedMigrationsRideOneWavePerWindow)
+{
+    // The plan deletes at t = 15, so wave w lands at 15 + 11 (w + 1):
+    // the deletes drain first, then the budget of one lets a single
+    // replica of service 0 move per 11 s window. The unbudgeted move
+    // rides the first window.
+    DrainRig rig;
+    rig.events.runUntil(25.5);
+    ASSERT_EQ(rig.controller->history().size(), 1u);
+    EXPECT_EQ(rig.controller->history()[0].deletes, 1u);
+    EXPECT_EQ(rig.controller->history()[0].migrations, 4u);
+    EXPECT_FALSE(rig.pinned(rig.unbudgeted));
+    for (const PodRef &pod : rig.budgeted)
+        EXPECT_FALSE(rig.pinned(pod));
+
+    rig.events.runUntil(26.5);
+    EXPECT_TRUE(rig.issued(rig.unbudgeted));
+    EXPECT_TRUE(rig.issued(rig.budgeted[0]));
+    EXPECT_FALSE(rig.pinned(rig.budgeted[1]));
+    EXPECT_FALSE(rig.pinned(rig.budgeted[2]));
+
+    rig.events.runUntil(36.5);
+    EXPECT_FALSE(rig.pinned(rig.budgeted[1]));
+    rig.events.runUntil(37.5);
+    EXPECT_TRUE(rig.issued(rig.budgeted[1]));
+    EXPECT_FALSE(rig.pinned(rig.budgeted[2]));
+
+    rig.events.runUntil(47.5);
+    EXPECT_FALSE(rig.pinned(rig.budgeted[2]));
+    rig.events.runUntil(48.5);
+    EXPECT_TRUE(rig.issued(rig.budgeted[2]));
+    EXPECT_EQ(rig.controller->history().size(), 1u);
+    EXPECT_EQ(rig.cluster.invariantViolations(), 0u);
+}
+
+TEST(ControllerDrain, ReplanDropsWavesStillPending)
+{
+    // A node joins at t = 20, so the poll at t = 30 replans. The new
+    // plan deletes nothing and moves the two replicas still waiting
+    // to node 2: its wave 0 fires at once, its wave 1 at t = 41. The
+    // first plan's waves 1 and 2, due at t = 37 and 48, never fire.
+    constexpr sim::NodeId kOther = 2;
+    DrainRig rig({{{ActionKind::Migrate, {0, 0, 1}, 0, kOther},
+                   {ActionKind::Migrate, {0, 0, 2}, 0, kOther}}});
+    rig.events.schedule(20.0, [&rig] { rig.cluster.addNode(8.0); });
+
+    rig.events.runUntil(30.5);
+    ASSERT_EQ(rig.controller->history().size(), 2u);
+    EXPECT_DOUBLE_EQ(rig.controller->history()[1].detectedAt, 30.0);
+    EXPECT_TRUE(rig.issued(rig.unbudgeted));
+    EXPECT_TRUE(rig.issued(rig.budgeted[0]));
+    EXPECT_TRUE(rig.issued(rig.budgeted[1], kOther));
+    EXPECT_FALSE(rig.pinned(rig.budgeted[2]));
+
+    // t = 37 passes without the first plan's wave 1.
+    rig.events.runUntil(40.5);
+    EXPECT_TRUE(rig.issued(rig.budgeted[1], kOther));
+    EXPECT_FALSE(rig.pinned(rig.budgeted[2]));
+
+    rig.events.runUntil(41.5);
+    EXPECT_TRUE(rig.issued(rig.budgeted[2], kOther));
+
+    // t = 48 passes without the first plan's wave 2.
+    rig.events.runUntil(60.0);
+    EXPECT_EQ(rig.controller->history().size(), 2u);
+    EXPECT_TRUE(rig.issued(rig.budgeted[1], kOther));
+    EXPECT_TRUE(rig.issued(rig.budgeted[2], kOther));
+    EXPECT_EQ(rig.cluster.invariantViolations(), 0u);
+}

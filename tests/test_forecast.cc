@@ -33,7 +33,7 @@
 using namespace phoenix;
 using exp::RecoveryConfig;
 using exp::RecoveryResult;
-using exp::RecoveryScheme;
+using exp::TestbedScheme;
 using forecast::Forecaster;
 using forecast::HysteresisConfig;
 using forecast::HysteresisGate;
@@ -48,7 +48,7 @@ RecoveryConfig
 decayZoneConfig(bool forecastOn)
 {
     RecoveryConfig config;
-    config.scheme = RecoveryScheme::PhoenixCost;
+    config.scheme = TestbedScheme::PhoenixCost;
     config.scenarioOptions.zoneCount = 5;
     config.scenario.failNodes(400.0, {0, 5})
         .failNodes(500.0, {10})

@@ -15,14 +15,14 @@
 using namespace phoenix;
 using exp::RecoveryConfig;
 using exp::RecoveryResult;
-using exp::RecoveryScheme;
+using exp::TestbedScheme;
 
 namespace {
 
 /** The bench's headline scenario: half the capacity fails at t=600,
  * nodes return one by one from t=1500. */
 RecoveryConfig
-cap50Config(RecoveryScheme scheme)
+cap50Config(TestbedScheme scheme)
 {
     RecoveryConfig config;
     config.scheme = scheme;
@@ -37,7 +37,7 @@ cap50Config(RecoveryScheme scheme)
 TEST(Recovery, QuietScenarioNeverDegrades)
 {
     RecoveryConfig config;
-    config.scheme = RecoveryScheme::PhoenixCost;
+    config.scheme = TestbedScheme::PhoenixCost;
     config.endTime = 900.0;
     const RecoveryResult result = exp::runRecovery(config);
 
@@ -50,7 +50,7 @@ TEST(Recovery, QuietScenarioNeverDegrades)
 
 TEST(Recovery, SamplesFollowTheConfiguredCadence)
 {
-    RecoveryConfig config = cap50Config(RecoveryScheme::Default);
+    RecoveryConfig config = cap50Config(TestbedScheme::Default);
     config.samplePeriod = 30.0;
     config.endTime = 1200.0;
     const RecoveryResult result = exp::runRecovery(config);
@@ -70,7 +70,7 @@ TEST(Recovery, SamplesFollowTheConfiguredCadence)
 TEST(Recovery, PhoenixRestoresCriticalServicesBeforeCapacityReturns)
 {
     const RecoveryResult result =
-        exp::runRecovery(cap50Config(RecoveryScheme::PhoenixCost));
+        exp::runRecovery(cap50Config(TestbedScheme::PhoenixCost));
 
     // Availability dips while the failure is detected (~100 s grace),
     // then Phoenix replans and brings every critical service back long
@@ -91,9 +91,9 @@ TEST(Recovery, PhoenixRestoresCriticalServicesBeforeCapacityReturns)
 TEST(Recovery, DefaultWaitsForCapacityPhoenixDoesNot)
 {
     const RecoveryResult phoenix =
-        exp::runRecovery(cap50Config(RecoveryScheme::PhoenixCost));
+        exp::runRecovery(cap50Config(TestbedScheme::PhoenixCost));
     const RecoveryResult fallback =
-        exp::runRecovery(cap50Config(RecoveryScheme::Default));
+        exp::runRecovery(cap50Config(TestbedScheme::Default));
 
     // The Default scheduler has no notion of criticality: critical
     // availability stays broken until nodes return at t=1500+.

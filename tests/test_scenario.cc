@@ -167,6 +167,39 @@ TEST(Scenario, FailZoneTakesExactlyTheZone)
     EXPECT_EQ(runner.downNodes(), (std::vector<NodeId>{2, 7}));
 }
 
+TEST(Scenario, ZoneStepsUseExplicitZoneLabels)
+{
+    // Zones in blocks of three (0,1,2 | 3,4,5), off the id % zoneCount
+    // stripe: every zone-scoped step must take exactly nodes 3-5.
+    class BlockZones : public FakeTarget
+    {
+      public:
+        BlockZones() : FakeTarget(6) {}
+        int nodeZone(NodeId node) const override
+        {
+            return static_cast<int>(node / 3);
+        }
+    };
+    EventQueue events;
+    BlockZones target;
+    Scenario scenario;
+    scenario.failZone(10.0, 1).partitionZone(20.0, 1).degradeZone(
+        30.0, 1, 0.5);
+    ScenarioOptions options;
+    options.zoneCount = 2;
+    ScenarioRunner runner(events, target, scenario, options);
+    events.runUntil(40.0);
+    const std::vector<NodeId> zone{3, 4, 5};
+    EXPECT_EQ(runner.downNodes(), zone);
+    EXPECT_EQ(runner.partitionedNodes(), zone);
+    std::vector<NodeId> degraded;
+    for (const ScenarioTraceEntry &entry : runner.trace()) {
+        if (entry.action == ScenarioAction::Degrade)
+            degraded.push_back(entry.node);
+    }
+    EXPECT_EQ(degraded, zone);
+}
+
 TEST(Scenario, RollingFailSpacesFailures)
 {
     EventQueue events;

@@ -3,8 +3,8 @@
  * Tests for the serving layer (src/serve): request-class derivation,
  * windowed SLO accounting, criticality-aware admission control with
  * hysteresis and plan-aware shedding, the end-to-end serving harness
- * (determinism + exact admission accounting), and the phoenixd
- * command protocol.
+ * (exp::runServe: determinism + exact admission accounting), and the
+ * phoenixd command protocol.
  */
 
 #include <gtest/gtest.h>
@@ -14,15 +14,19 @@
 #include <string>
 #include <vector>
 
+#include "exp/serving.h"
 #include "serve/admission.h"
 #include "serve/daemon.h"
-#include "serve/harness.h"
 #include "serve/serve.h"
 #include "serve/slo.h"
 #include "util/json.h"
 
 using namespace phoenix;
 using namespace phoenix::serve;
+using exp::runServe;
+using exp::ServeConfig;
+using exp::ServeResult;
+using exp::TestbedScheme;
 
 namespace {
 
@@ -296,7 +300,7 @@ TEST(Admission, DisabledControllerAdmitsEverything)
 namespace {
 
 ServeConfig
-miniConfig(ServeScheme scheme)
+miniConfig(TestbedScheme scheme)
 {
     ServeConfig config;
     config.scheme = scheme;
@@ -304,7 +308,7 @@ miniConfig(ServeScheme scheme)
     config.endTime = 700.0;
     config.frontend.rpsScale = 0.2;
     config.frontend.seed = 42;
-    config.frontend.admission.enabled = scheme != ServeScheme::Default;
+    config.frontend.admission.enabled = scheme != TestbedScheme::Default;
     return config;
 }
 
@@ -317,7 +321,7 @@ TEST(ServeHarness, HealthyClusterServesEverything)
     // the spread scheduler strands (see the Default test below). A
     // healthy cluster under Phoenix then serves every request.
     const ServeResult result =
-        runServe(miniConfig(ServeScheme::PhoenixCost));
+        runServe(miniConfig(TestbedScheme::PhoenixCost));
     EXPECT_GT(result.offered, 0u);
     EXPECT_EQ(result.offered, result.served + result.shed +
                                   result.failed);
@@ -344,7 +348,7 @@ TEST(ServeHarness, SpreadSchedulerStrandsLargePodsUnderDefault)
     // is untouched. This is the placement-fragility motivation for
     // planner-driven placement, pinned as serving-layer behavior.
     const ServeResult result =
-        runServe(miniConfig(ServeScheme::Default));
+        runServe(miniConfig(TestbedScheme::Default));
     EXPECT_EQ(result.offered, result.served + result.shed +
                                   result.failed);
     EXPECT_EQ(result.shed, 0u);
@@ -366,8 +370,8 @@ TEST(ServeHarness, SpreadSchedulerStrandsLargePodsUnderDefault)
 
 TEST(ServeHarness, RunsAreDeterministic)
 {
-    const ServeResult a = runServe(miniConfig(ServeScheme::PhoenixCost));
-    const ServeResult b = runServe(miniConfig(ServeScheme::PhoenixCost));
+    const ServeResult a = runServe(miniConfig(TestbedScheme::PhoenixCost));
+    const ServeResult b = runServe(miniConfig(TestbedScheme::PhoenixCost));
     EXPECT_EQ(a.offered, b.offered);
     EXPECT_EQ(a.served, b.served);
     EXPECT_EQ(a.shed, b.shed);
@@ -381,7 +385,7 @@ TEST(ServeHarness, RunsAreDeterministic)
     }
 
     // A different seed moves the arrival draws.
-    ServeConfig other = miniConfig(ServeScheme::PhoenixCost);
+    ServeConfig other = miniConfig(TestbedScheme::PhoenixCost);
     other.frontend.seed = 43;
     const ServeResult c = runServe(other);
     EXPECT_NE(a.offered, c.offered);
@@ -393,7 +397,7 @@ TEST(ServeHarness, CapacityCrunchProtectsCriticalClasses)
     // lands on degradable classes and every critical class keeps
     // serving (strictly less SLO damage than the no-admission run
     // would take — the bench smoke gate covers the full comparison).
-    ServeConfig config = miniConfig(ServeScheme::PhoenixCost);
+    ServeConfig config = miniConfig(TestbedScheme::PhoenixCost);
     config.endTime = 900.0;
     config.scenario.failCapacityFraction(500.0, 0.5);
     config.scenarioOptions.seed = 7;

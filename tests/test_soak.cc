@@ -57,7 +57,7 @@ TEST(SoakWaves, ScheduleIsDeterministicAndBounded)
     // The disturbance bound holds at every wave boundary (the extreme
     // points of the step function).
     const auto max_disturbed = static_cast<size_t>(
-        config.maxDisturbedFraction *
+        exp::kSoakMaxDisturbedFraction *
         static_cast<double>(config.testbed.nodeCount));
     for (const SoakWave &wave : a) {
         EXPECT_LE(exp::disturbedNodesAt(a, wave.at + 1e-9),
@@ -175,13 +175,13 @@ TEST(Soak, ConstrainedReproCarriesTopology)
 TEST(Soak, SmokeRunsCleanAcrossSchemes)
 {
     for (const auto scheme :
-         {exp::RecoveryScheme::PhoenixCost,
-          exp::RecoveryScheme::Default}) {
+         {exp::TestbedScheme::PhoenixCost,
+          exp::TestbedScheme::Default}) {
         SoakConfig config = smokeConfig();
         config.scheme = scheme;
         const SoakResult result = exp::runSoak(config);
         EXPECT_TRUE(result.ok())
-            << recoverySchemeName(scheme) << ": "
+            << testbedSchemeName(scheme) << ": "
             << result.violationCount << " violations, first: "
             << (result.violations.empty()
                     ? "-"

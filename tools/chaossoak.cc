@@ -37,7 +37,7 @@
 
 namespace {
 
-using phoenix::exp::RecoveryScheme;
+using phoenix::exp::TestbedScheme;
 using phoenix::exp::SoakConfig;
 using phoenix::exp::SoakResult;
 
@@ -101,7 +101,7 @@ dumpViolationArtifacts(const SoakConfig &config,
         SoakConfig window = config;
         window.hours =
             (result.firstViolationAt + 480.0 +
-             config.settleSeconds + 120.0 +
+             phoenix::exp::kSoakSettleSeconds + 120.0 +
              1.5 * config.meanWaveGap + 1.0) /
             3600.0;
         phoenix::obs::Tracer::global().clear();
@@ -173,7 +173,7 @@ printSummary(const SoakConfig &config, const SoakResult &result,
         return;
     }
     std::cout << "SOAK seed=" << config.seed
-              << " scheme=" << recoverySchemeName(config.scheme)
+              << " scheme=" << testbedSchemeName(config.scheme)
               << " hours=" << config.hours
               << " waves=" << result.waves.size()
               << " checks=" << result.checkTicks
@@ -227,11 +227,11 @@ main(int argc, char **argv)
         } else if (arg == "--scheme") {
             const std::string name = next();
             if (name == "cost")
-                config.scheme = RecoveryScheme::PhoenixCost;
+                config.scheme = TestbedScheme::PhoenixCost;
             else if (name == "fair")
-                config.scheme = RecoveryScheme::PhoenixFair;
+                config.scheme = TestbedScheme::PhoenixFair;
             else if (name == "default")
-                config.scheme = RecoveryScheme::Default;
+                config.scheme = TestbedScheme::Default;
             else
                 return usage(std::cerr, 2);
         } else if (arg == "--wave-gap") {
