@@ -6,18 +6,27 @@
 # digests mean both trees made the same decisions. Exits 1 on any
 # difference or missing digest, 2 on bad usage.
 #
-#   scripts/digest_parity.sh <rev> [workload:seed,seed,... ...]
+#   scripts/digest_parity.sh [--decisions-only] <rev> [workload:seed,...]
 #
 #   scripts/digest_parity.sh HEAD~1
 #   scripts/digest_parity.sh main adapt-100k:1,3,7 churn-5k:2
+#   scripts/digest_parity.sh --decisions-only HEAD~1
+#
+# --decisions-only leaves the kube event count out of both digests, for
+# changes that schedule fewer events but decide the same. It copies the
+# working tree and the revision into temporary directories, deletes the
+# line `digest.add(L.events);` from each copy's epochbench/epoch_bench.cc
+# (exit 2 unless the line occurs exactly once in each), and builds and
+# compares both copies as below.
 #
 # Default cases: zonekill-10k:1,2,3 churn-5k:1,2,3,4,5 adapt-100k:1,2,3
 # (about 6 minutes on a 4-core VM, the revision's cold build included;
 # runs are sequential, and adapt-100k peaks near 375 MiB RSS). The
 # working tree builds into $CARGO_TARGET_DIR (default .bench_build, as
-# epochbench/run.py); the revision is exported with `git archive` into
-# a temporary directory, built there, and removed on exit. Build output
-# lands in <tmp>/{here,there}.log and is shown only when a run fails.
+# epochbench/run.py), or beside its copy under --decisions-only; the
+# revision is exported with `git archive` into a temporary directory,
+# built there, and removed on exit. Build output lands in
+# <tmp>/{here,there}.log and is shown only when a run fails.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -27,7 +36,12 @@ usage() {
   sed -n '2,/^set -euo/p' "$0" | sed '$d' | sed 's/^# \{0,1\}//' >&2
 }
 
-if [[ $# -lt 1 || "$1" == "-h" || "$1" == "--help" ]]; then
+DECISIONS_ONLY=0
+if [[ "${1:-}" == "--decisions-only" ]]; then
+  DECISIONS_ONLY=1
+  shift
+fi
+if [[ $# -lt 1 || "$1" == "-h" || "$1" == "--help" || "$1" == -* ]]; then
   usage
   exit 2
 fi
@@ -53,8 +67,39 @@ trap 'rm -rf "$TMP"' EXIT
 mkdir -p "$TMP/tree"
 git archive "$REV" | tar -x -C "$TMP/tree"
 
+HERE_TREE="$ROOT"
 HERE_BUILD="${CARGO_TARGET_DIR:-$ROOT/.bench_build}"
 [[ "$HERE_BUILD" = /* ]] || HERE_BUILD="$ROOT/$HERE_BUILD"
+
+# drop_event_count <tree>: delete the event-count term from its digest.
+drop_event_count() {
+  local file="$1/epochbench/epoch_bench.cc"
+  local pattern='^[[:space:]]*digest\.add\(L\.events\);[[:space:]]*$'
+  local count
+  count="$(grep -cE "$pattern" "$file" || true)"
+  if [[ "$count" != 1 ]]; then
+    echo "digest_parity: expected one 'digest.add(L.events);' line in" \
+      "$file, found ${count:-0}" >&2
+    exit 2
+  fi
+  sed -i -E "/$pattern/d" "$file"
+}
+
+if [[ $DECISIONS_ONLY -eq 1 ]]; then
+  # Tracked and untracked, non-ignored files as they are on disk.
+  HERE_TREE="$TMP/here-tree"
+  HERE_BUILD="$TMP/here-build"
+  mkdir -p "$HERE_TREE"
+  git ls-files -z --cached --others --exclude-standard |
+    while IFS= read -r -d '' f; do
+      if [[ -e "$f" ]]; then printf '%s\0' "$f"; fi
+    done |
+    tar --null -T - -cf - | tar -xf - -C "$HERE_TREE"
+  drop_event_count "$HERE_TREE"
+  drop_event_count "$TMP/tree"
+  echo "digest_parity: decisions only: the kube event count is" \
+    "excluded from both digests"
+fi
 
 # digest <side> <tree> <build dir> <workload> <seed>
 digest() {
@@ -74,7 +119,7 @@ for spec in "${CASES[@]}"; do
   workload="${spec%%:*}"
   seeds="${spec#*:}"
   for seed in ${seeds//,/ }; do
-    here="$(digest here "$ROOT" "$HERE_BUILD" "$workload" "$seed")"
+    here="$(digest here "$HERE_TREE" "$HERE_BUILD" "$workload" "$seed")"
     there="$(digest there "$TMP/tree" "$TMP/build" "$workload" "$seed")"
     if [[ "$here" == "$there" && "$here" != *"<missing>"* ]]; then
       echo "same  $here"

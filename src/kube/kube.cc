@@ -1,6 +1,7 @@
 #include "kube.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -65,6 +66,8 @@ KubeCluster::KubeCluster(sim::EventQueue &events, KubeConfig config)
         &registry.counter("kube.pod_transitions", "to", "Terminating");
     obs_.binds = &registry.counter("kube.scheduler.binds");
     obs_.nodeProbes = &registry.counter("kube.scheduler.node_probes");
+    obs_.pendingVisits =
+        &registry.counter("kube.scheduler.pending_visits");
     obs_.evictedPods = &registry.counter("kube.evictions.pods");
     obs_.evictionEpisodes =
         &registry.counter("kube.evictions.episodes");
@@ -100,7 +103,7 @@ KubeCluster::addNode(double capacity, uint32_t zone)
     nodeKey_.push_back(freeKey(rec));
     capacityIndex_.insert(nodeKey_.back(), id);
     nodeEvictionEpisodes_.push_back(0);
-    scheduleHeartbeat(id);
+    startHeartbeatChain(id);
     return id;
 }
 
@@ -120,6 +123,7 @@ KubeCluster::addApplication(const sim::Application &app)
     apps_.push_back(app);
     const sim::AppId app_id = static_cast<sim::AppId>(apps_.size() - 1);
     apps_.back().id = app_id;
+    const Slot first = static_cast<Slot>(pods_.size());
     for (const auto &ms : apps_.back().services) {
         const int replicas = std::max(ms.replicas, 1);
         for (int r = 0; r < replicas; ++r) {
@@ -133,6 +137,10 @@ KubeCluster::addApplication(const sim::Application &app)
     assert(podIndex_->slotCount() == pods_.size());
     podEpoch_.resize(pods_.size(), 0);
     podPos_.resize(pods_.size(), 0);
+    // New pods are appended Pending; earlier slots keep their bits.
+    pendingBits_.resize((pods_.size() + 63) / 64, 0);
+    for (Slot slot = first; slot < pods_.size(); ++slot)
+        syncPending(slot);
     // Pods registered earlier may already occupy nodes.
     buildVacancy(vacancy_);
 }
@@ -150,19 +158,67 @@ KubeCluster::buildVacancy(sim::VacancyAllocator &vacancy) const
 }
 
 void
-KubeCluster::scheduleHeartbeat(NodeId node)
+KubeCluster::startHeartbeatChain(NodeId node)
 {
-    events_.scheduleAfter(config_.heartbeatPeriod, [this, node] {
+    // The chain's own event would carry the next sequence number; when
+    // that number directly follows the last armed group's and both are
+    // due at one instant, the two events would fire back to back, so
+    // one event serves both. Merging on the instant alone would let a
+    // chain started after a node-controller tick beat ahead of the
+    // next tick.
+    if (!beatGroups_.empty()) {
+        BeatGroup &last = beatGroups_[lastBeatGroup_];
+        if (last.armed && events_.nextSeq() == lastBeatSeq_ + 1 &&
+            last.due == events_.now() + config_.heartbeatPeriod) {
+            last.members.push_back(node);
+            return;
+        }
+    }
+    uint32_t group = static_cast<uint32_t>(beatGroups_.size());
+    if (freeBeatGroups_.empty()) {
+        beatGroups_.emplace_back();
+    } else {
+        group = freeBeatGroups_.back();
+        freeBeatGroups_.pop_back();
+    }
+    beatGroups_[group].members.push_back(node);
+    armBeatGroup(group);
+}
+
+void
+KubeCluster::armBeatGroup(uint32_t group)
+{
+    BeatGroup &g = beatGroups_[group];
+    g.armed = true;
+    g.due = events_.now() + config_.heartbeatPeriod;
+    lastBeatGroup_ = group;
+    lastBeatSeq_ = events_.nextSeq();
+    events_.scheduleAfter(config_.heartbeatPeriod,
+                          [this, group] { beat(group); });
+}
+
+void
+KubeCluster::beat(uint32_t group)
+{
+    BeatGroup &g = beatGroups_[group];
+    g.armed = false;
+    size_t kept = 0;
+    for (const NodeId node : g.members) {
         NodeRec &rec = nodes_[node];
         if (!rec.kubeletRunning)
-            return; // chain dies; startKubelet starts a new one
+            continue; // chain dies; startKubelet starts a new one
         // A partitioned kubelet keeps beating, but the updates never
         // reach the node controller; a skewed clock stamps the status
         // with its own (wrong) time.
         if (!rec.partitioned)
             rec.lastHeartbeat = events_.now() + rec.clockSkew;
-        scheduleHeartbeat(node);
-    });
+        g.members[kept++] = node;
+    }
+    g.members.resize(kept);
+    if (kept == 0)
+        freeBeatGroups_.push_back(group);
+    else
+        armBeatGroup(group);
 }
 
 void
@@ -180,7 +236,7 @@ KubeCluster::startKubelet(NodeId node)
     rec.kubeletRunning = true;
     if (!rec.partitioned)
         rec.lastHeartbeat = events_.now() + rec.clockSkew;
-    scheduleHeartbeat(node);
+    startHeartbeatChain(node);
 }
 
 void
@@ -345,12 +401,24 @@ KubeCluster::transition(Slot slot, PodPhase to, NodeId node)
         rekeyNode(from);
     if (now_on && moved)
         rekeyNode(node);
+    syncPending(slot);
     PHOENIX_COUNT(*obs_.transitions[static_cast<size_t>(to)], 1);
     PHOENIX_TRACE_INSTANT(
         "kube", transitionEventName(to), events_.now(),
         (obs::TraceArg{"app", static_cast<double>(pod.ref.app)}),
         (obs::TraceArg{"ms", static_cast<double>(pod.ref.ms)}),
         (obs::TraceArg{"node", static_cast<double>(node)}));
+}
+
+void
+KubeCluster::syncPending(Slot slot)
+{
+    const Pod &pod = pods_[slot];
+    const uint64_t bit = uint64_t{1} << (slot % 64);
+    if (pod.phase == PodPhase::Pending && !pod.scaledDown)
+        pendingBits_[slot / 64] |= bit;
+    else
+        pendingBits_[slot / 64] &= ~bit;
 }
 
 double
@@ -462,6 +530,42 @@ KubeCluster::validateAfterEvent()
     buildVacancy(validateVacancy_);
     if (!vacancy_.sameCounts(validateVacancy_))
         recordViolation("vacancy counts != a rescan of occupying pods");
+
+    // Pending bitset: exactly the Pending, not scaled-down slots.
+    for (Slot slot = 0; slot < pods_.size(); ++slot) {
+        const Pod &pod = pods_[slot];
+        const bool want = pod.phase == PodPhase::Pending && !pod.scaledDown;
+        if (((pendingBits_[slot / 64] >> (slot % 64)) & 1) != want) {
+            recordViolation("pending bit of slot " + std::to_string(slot) +
+                            " != its phase " + phaseName(pod.phase) +
+                            (pod.scaledDown ? " (scaled down)" : ""));
+        }
+    }
+
+    // Beat groups: armed ones are non-empty and name real nodes, and
+    // every running kubelet belongs to one.
+    validateCounts_.assign(nodes_.size(), 0);
+    for (const BeatGroup &group : beatGroups_) {
+        if (!group.armed)
+            continue;
+        if (group.members.empty())
+            recordViolation("armed heartbeat group without members");
+        for (const NodeId node : group.members) {
+            if (node >= nodes_.size()) {
+                recordViolation("heartbeat group member " +
+                                std::to_string(node) + " is no node");
+                continue;
+            }
+            validateCounts_[node] = 1;
+        }
+    }
+    for (size_t n = 0; n < nodes_.size(); ++n) {
+        if (nodes_[n].kubeletRunning && validateCounts_[n] == 0) {
+            recordViolation("node " + std::to_string(n) +
+                            " runs its kubelet but is in no heartbeat "
+                            "group");
+        }
+    }
 }
 
 void
@@ -471,7 +575,7 @@ KubeCluster::bindPod(Slot slot, NodeId node)
     transition(slot, PodPhase::Starting, node);
     // Bumping the epoch cancels any armed start-completion timer, so a
     // rebind (migrate-while-Starting) restarts the startup clock.
-    const uint64_t epoch = ++podEpoch_[slot];
+    const uint32_t epoch = ++podEpoch_[slot];
     // Draw first, then scale: a degraded (slow) node stretches the
     // startup delay by 1/factor without perturbing the rng sequence.
     double delay =
@@ -519,55 +623,67 @@ KubeCluster::evictionEpisodes(NodeId node) const
 void
 KubeCluster::schedulerTick()
 {
-    // Deterministic PodRef order, spread (least-allocated) scoring.
+    // Deterministic PodRef order, over the pending bits only. A bind
+    // clears only its own slot's bit, so walking a copy of each word
+    // visits what a walk over every slot would.
     uint64_t probes = 0;
-    for (Slot slot = 0; slot < pods_.size(); ++slot) {
-        const Pod &pod = pods_[slot];
-        if (pod.phase != PodPhase::Pending || pod.scaledDown)
-            continue;
-
-        if (pod.pinnedNode) {
-            ++probes;
-            const NodeId target = *pod.pinnedNode;
-            if (nodes_[target].ready &&
-                usedOn(target) + pod.cpu <=
-                    effectiveCapacity(target) + kCapacityEps &&
-                vacancy_.canPlace(pod.ref, target,
-                                  nodes_[target].zone)) {
-                bindPod(slot, target);
-            }
-            continue;
+    uint64_t visits = 0;
+    for (size_t word = 0; word < pendingBits_.size(); ++word) {
+        for (uint64_t bits = pendingBits_[word]; bits != 0;
+             bits &= bits - 1) {
+            ++visits;
+            tryBind(static_cast<Slot>(word * 64 + std::countr_zero(bits)),
+                    probes);
         }
-
-        if (!config_.enableDefaultScheduler)
-            continue;
-
-        // The index yields Ready nodes most free first, lowest id on
-        // ties: the first that fits and has a vacancy is the node a
-        // scan keeping the strictly largest free capacity would pick.
-        NodeId best = 0;
-        double best_free = -1.0;
-        capacityIndex_.scanAtLeast(
-            -std::numeric_limits<double>::infinity(),
-            [&](const std::pair<double, NodeId> &entry) {
-                ++probes;
-                const double free = -entry.first;
-                if (free < pod.cpu - kCapacityEps)
-                    return false; // every later node is fuller
-                if (!vacancy_.canPlace(pod.ref, entry.second,
-                                       nodes_[entry.second].zone))
-                    return true;
-                best_free = free;
-                best = entry.second;
-                return false;
-            });
-        if (best_free >= 0.0)
-            bindPod(slot, best);
     }
     PHOENIX_COUNT(*obs_.nodeProbes, probes);
+    PHOENIX_COUNT(*obs_.pendingVisits, visits);
     validateAfterEvent();
     events_.scheduleAfter(config_.schedulerPeriod,
                           [this] { schedulerTick(); });
+}
+
+void
+KubeCluster::tryBind(Slot slot, uint64_t &probes)
+{
+    // Spread (least-allocated) scoring; pinned pods try only their pin.
+    const Pod &pod = pods_[slot];
+    if (pod.pinnedNode) {
+        ++probes;
+        const NodeId target = *pod.pinnedNode;
+        if (nodes_[target].ready &&
+            usedOn(target) + pod.cpu <=
+                effectiveCapacity(target) + kCapacityEps &&
+            vacancy_.canPlace(pod.ref, target, nodes_[target].zone)) {
+            bindPod(slot, target);
+        }
+        return;
+    }
+
+    if (!config_.enableDefaultScheduler)
+        return;
+
+    // The index yields Ready nodes most free first, lowest id on
+    // ties: the first that fits and has a vacancy is the node a
+    // scan keeping the strictly largest free capacity would pick.
+    NodeId best = 0;
+    double best_free = -1.0;
+    capacityIndex_.scanAtLeast(
+        -std::numeric_limits<double>::infinity(),
+        [&](const std::pair<double, NodeId> &entry) {
+            ++probes;
+            const double free = -entry.first;
+            if (free < pod.cpu - kCapacityEps)
+                return false; // every later node is fuller
+            if (!vacancy_.canPlace(pod.ref, entry.second,
+                                   nodes_[entry.second].zone))
+                return true;
+            best_free = free;
+            best = entry.second;
+            return false;
+        });
+    if (best_free >= 0.0)
+        bindPod(slot, best);
 }
 
 void
@@ -579,13 +695,14 @@ KubeCluster::deletePod(const PodRef &ref)
     Pod &pod = pods_[slot];
     pod.scaledDown = true;
     pod.pinnedNode.reset();
+    syncPending(slot);
     if (pod.phase == PodPhase::Pending ||
         pod.phase == PodPhase::Terminating) {
         return;
     }
     // Graceful drain: endpoints removed, SIGTERM, then gone.
     transition(slot, PodPhase::Terminating, pod.node);
-    const uint64_t epoch = ++podEpoch_[slot];
+    const uint32_t epoch = ++podEpoch_[slot];
     events_.scheduleAfter(config_.podTerminationSeconds,
                           [this, slot, epoch] {
                               if (podEpoch_[slot] != epoch)
@@ -610,6 +727,7 @@ KubeCluster::startPod(const PodRef &ref,
     Pod &pod = pods_[slot];
     pod.scaledDown = false;
     pod.pinnedNode = pinned;
+    syncPending(slot);
 
     if (pod.phase == PodPhase::Running ||
         pod.phase == PodPhase::Starting) {
@@ -634,6 +752,7 @@ KubeCluster::migratePod(const PodRef &ref, NodeId to)
     Pod &pod = pods_[slot];
     pod.scaledDown = false;
     pod.pinnedNode = to;
+    syncPending(slot);
     if (pod.phase == PodPhase::Pending) {
         return; // plain (re)start on the target
     }
@@ -935,10 +1054,8 @@ size_t
 KubeCluster::pendingCount() const
 {
     size_t count = 0;
-    for (const Pod &pod : pods_) {
-        if (pod.phase == PodPhase::Pending && !pod.scaledDown)
-            ++count;
-    }
+    for (const uint64_t word : pendingBits_)
+        count += static_cast<size_t>(std::popcount(word));
     return count;
 }
 

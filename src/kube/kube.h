@@ -28,9 +28,11 @@
  *    evolving), and per-node heartbeat clock skew;
  *  - indexes that keep the substrate's per-epoch cost near-linear at
  *    scale: a dense pod table in PodRef order, a max-free index of
- *    Ready nodes for the spread scheduler, per-node pod lists for
- *    eviction, and a sim::VacancyAllocator answering placement-policy
- *    checks in O(1), all maintained at one mutation point;
+ *    Ready nodes for the spread scheduler, a pending bitset the
+ *    scheduler tick walks, per-node pod lists for eviction, and a
+ *    sim::VacancyAllocator answering placement-policy checks in O(1),
+ *    all maintained at one mutation point; heartbeat chains that fire
+ *    back to back share one event per period (beat groups);
  *  - an invariant checker (capacity bounds, incremental-vs-scan usage
  *    equality, index consistency, phase-transition legality) that
  *    scenario tests enable to turn lifecycle bugs into hard failures.
@@ -81,8 +83,10 @@ struct KubeConfig
      * capacity, the incrementally maintained per-node usage matches a
      * full rescan, each node's pod list holds exactly the pods
      * occupying it, the capacity index holds exactly the Ready nodes
-     * under their current free capacity, and the vacancy allocator's
-     * per-scope counts equal a rebuild from the occupying pods.
+     * under their current free capacity, the vacancy allocator's
+     * per-scope counts equal a rebuild from the occupying pods, the
+     * pending bitset equals a rescan of phases, and every node whose
+     * kubelet runs belongs to an armed, non-empty heartbeat group.
      * Phase-transition legality is always checked (it is O(1)).
      * Violations are counted (see invariantViolations()) and assert
      * in debug builds. Defaults on in debug builds; scenario tests
@@ -341,8 +345,8 @@ class KubeCluster : public sim::FaultTarget
     /** Pods currently serving traffic (Running only). */
     std::set<sim::PodRef> runningPods() const;
 
-    /** Pods waiting for a bind: Pending and not scaled down
-     * (diagnostics; O(pods)). */
+    /** Pods waiting for a bind: Pending and not scaled down (a popcount
+     * of the pending bitset; O(pods / 64)). */
     size_t pendingCount() const;
 
     /** The pod for @p ref, or nullptr when no registered deployment
@@ -382,7 +386,28 @@ class KubeCluster : public sim::FaultTarget
         double clockSkew = 0.0;
     };
 
-    void scheduleHeartbeat(sim::NodeId node);
+    /**
+     * Heartbeat chains that fire back to back, sharing one event per
+     * period: members are stamped in join order, and a member whose
+     * kubelet has stopped leaves (its chain dies). A node restarted
+     * within one period belongs to two groups, as it had two chains.
+     */
+    struct BeatGroup
+    {
+        sim::SimTime due = 0.0;
+        bool armed = false;
+        std::vector<sim::NodeId> members;
+    };
+
+    /** Start @p node's heartbeat chain. It joins the last armed group
+     * when its first beat would fire right after that group's event:
+     * due at the same instant, with nothing scheduled since the group
+     * was armed (EventQueue::nextSeq). Otherwise it arms a new group. */
+    void startHeartbeatChain(sim::NodeId node);
+    void armBeatGroup(uint32_t group);
+    /** One beat of every member of @p group; re-arms while any
+     * member's kubelet runs. */
+    void beat(uint32_t group);
     /** Build the planner snapshot from live state. */
     sim::ClusterState buildState() const;
     /** Capacity a node reports in the live snapshot: its nameplate, or
@@ -407,6 +432,10 @@ class KubeCluster : public sim::FaultTarget
     using Slot = sim::Slot;
     static constexpr Slot kNoSlot = sim::kNoSlot;
 
+    /** Bind one pending pod if a node takes it, counting the nodes
+     * examined into @p probes. */
+    void tryBind(Slot slot, uint64_t &probes);
+
     /** Used capacity on a node from Starting/Running/Terminating pods
      * (incrementally maintained; the invariant sweep checks it against
      * a full rescan). */
@@ -429,10 +458,14 @@ class KubeCluster : public sim::FaultTarget
     /**
      * The single mutation point for (phase, node): checks transition
      * legality and maintains every index over pods — the per-node
-     * usage book, the per-node pod lists, the capacity index and the
-     * vacancy allocator.
+     * usage book, the per-node pod lists, the capacity index, the
+     * vacancy allocator and the pending bitset.
      */
     void transition(Slot slot, PodPhase to, sim::NodeId node);
+
+    /** Set @p slot's pending bit from its pod: Pending and not scaled
+     * down. Called wherever a phase or scaledDown changes. */
+    void syncPending(Slot slot);
 
     /** Begin starting a pod on a node (capacity is consumed now; any
      * armed start-completion timer is invalidated via the epoch). */
@@ -467,8 +500,21 @@ class KubeCluster : public sim::FaultTarget
     std::shared_ptr<const sim::PodIndex> podIndex_;
     /** Every pod, in podIndex_'s slot order. */
     std::vector<Pod> pods_;
-    /** Per-slot monotone counter to invalidate stale timers. */
-    std::vector<uint64_t> podEpoch_;
+    /** Per-slot counter to invalidate stale timers. 32 bits keep a
+     * timer's (this, slot, epoch) capture at 16 bytes, which
+     * std::function stores without allocating. */
+    std::vector<uint32_t> podEpoch_;
+    /** One bit per slot: Pending and not scaled down. The scheduler
+     * tick visits only set bits. */
+    std::vector<uint64_t> pendingBits_;
+    /** Heartbeat groups by id; unarmed ones are listed in
+     * freeBeatGroups_ for reuse. */
+    std::vector<BeatGroup> beatGroups_;
+    std::vector<uint32_t> freeBeatGroups_;
+    /** The group armed last and the sequence number its event got
+     * (meaningless while beatGroups_ is empty). */
+    uint32_t lastBeatGroup_ = 0;
+    uint64_t lastBeatSeq_ = 0;
     /** Incremental Starting+Running+Terminating usage per node. */
     std::vector<double> nodeUsed_;
     /** Slots occupying each node, unordered (swap-remove). */
@@ -505,6 +551,7 @@ class KubeCluster : public sim::FaultTarget
                                         nullptr};
         obs::Counter *binds = nullptr;
         obs::Counter *nodeProbes = nullptr;
+        obs::Counter *pendingVisits = nullptr;
         obs::Counter *evictedPods = nullptr;
         obs::Counter *evictionEpisodes = nullptr;
         obs::Counter *invariantViolations = nullptr;

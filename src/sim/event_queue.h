@@ -12,6 +12,14 @@
  * timestamp must interleave identically on every run, or BENCH_serve
  * sweep sections would not be byte-identical across --jobs counts.
  * EventQueue.SameTimestampFifo is the regression test.
+ *
+ * nextSeq() exposes the sequence number the next scheduled event will
+ * carry, read-only. Two events armed for one instant fire back to back
+ * when their numbers are consecutive, so a caller that notes
+ * nextSeq() as it arms an event can tell later whether anything was
+ * scheduled since. The kube substrate's heartbeat beat groups rely on
+ * it to merge chains without changing the firing order (DESIGN.md,
+ * "Hot-path data structures (kube substrate)").
  */
 
 #ifndef PHOENIX_SIM_EVENT_QUEUE_H
@@ -57,6 +65,8 @@ class EventQueue
     SimTime now() const { return now_; }
     bool empty() const { return heap_.empty(); }
     size_t pending() const { return heap_.size(); }
+    /** Sequence number the next schedule() call will assign. */
+    uint64_t nextSeq() const { return seq_; }
 
     /** The instant of the next pending event; -1 when empty. */
     SimTime

@@ -220,3 +220,54 @@ TEST(HotPath, LongLivedSchemeReachesAllocationFloor)
     EXPECT_LE(third, second);
     EXPECT_GT(second, 0u); // the result copies are real allocations
 }
+
+TEST(HotPath, WarmPodTimersAllocateNothing)
+{
+    if (!util::allocCounterActive())
+        GTEST_SKIP() << "alloc counter not installed (sanitizer build)";
+
+    // Start and drain timers capture (this, slot, epoch) in 16 bytes,
+    // which std::function stores inline, so once the event heap and
+    // the node lists have grown, a cycle that binds, starts, deletes,
+    // drains and restarts 2,000 pods allocates nothing.
+    sim::EventQueue events;
+    kube::KubeConfig config;
+    config.validateInvariants = false; // the sweep's rebuilds allocate
+    kube::KubeCluster cluster{events, config};
+    for (int n = 0; n < 200; ++n)
+        cluster.addNode(16.0);
+    sim::Application app;
+    app.services.resize(1);
+    app.services[0].id = 0;
+    app.services[0].cpu = 1.0;
+    app.services[0].replicas = 2000;
+    cluster.addApplication(app);
+    std::vector<sim::PodRef> refs;
+    for (uint32_t r = 0; r < 2000; ++r)
+        refs.push_back(sim::PodRef{0, 0, r});
+
+    size_t running = 0;
+    size_t drained = 0;
+    const auto cycle = [&] {
+        // A tick binds within 5 s; startup takes at most 60 s.
+        events.runUntil(events.now() + 70.0);
+        running = 0;
+        for (const sim::PodRef &ref : refs)
+            running += cluster.pod(ref)->phase == kube::PodPhase::Running;
+        for (const sim::PodRef &ref : refs)
+            cluster.deletePod(ref);
+        events.runUntil(events.now() + 15.0); // 10 s drains
+        drained = 0;
+        for (const sim::PodRef &ref : refs)
+            drained += cluster.pod(ref)->phase == kube::PodPhase::Pending;
+        for (const sim::PodRef &ref : refs)
+            cluster.startPod(ref);
+    };
+    cycle(); // warm-up grows the event heap and the node lists
+    ASSERT_EQ(running, 2000u);
+    ASSERT_EQ(drained, 2000u);
+    const uint64_t allocs = util::allocationsDuring(cycle);
+    EXPECT_EQ(running, 2000u);
+    EXPECT_EQ(drained, 2000u);
+    EXPECT_EQ(allocs, 0u) << "a warm pod lifecycle cycle allocated";
+}

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <stdexcept>
 #include <tuple>
@@ -593,6 +594,102 @@ TEST(Kube, PositiveSkewMasksAKubeletDeath)
     EXPECT_FALSE(cluster.isReady(node)); // finally past 310 + grace
 }
 
+TEST(Kube, ShortFlapKeepsTheOldHeartbeatChain)
+{
+    // A kubelet stopped at t=12 and started at t=15 keeps the chain
+    // armed at t=0: its beat at t=20 finds the kubelet running again.
+    // The node then beats on two chains until the stop at t=31, and
+    // the old one stamped 30 last: Ready at the t=130 tick (age 100),
+    // NotReady at t=140. Restarted at t=25 instead, the old chain died
+    // at t=20 and the new one's first beat (t=35) comes after the
+    // stop, so the last stamp is the restart's own 25.
+    for (const double restart : {15.0, 25.0}) {
+        sim::EventQueue events;
+        KubeCluster cluster(events, checkedConfig());
+        const auto node = cluster.addNode(8.0);
+        events.schedule(12.0, [&] { cluster.stopKubelet(node); });
+        events.schedule(restart, [&] { cluster.startKubelet(node); });
+        events.schedule(31.0, [&] { cluster.stopKubelet(node); });
+        if (restart == 15.0) {
+            events.runUntil(16.0);
+            // Two controller loops, the stop at t=31, two beat chains.
+            EXPECT_EQ(events.pending(), 5u);
+            events.runUntil(135.0);
+            EXPECT_TRUE(cluster.isReady(node));
+            events.runUntil(140.0);
+            EXPECT_FALSE(cluster.isReady(node));
+        } else {
+            events.runUntil(125.0);
+            EXPECT_TRUE(cluster.isReady(node));
+            events.runUntil(130.0);
+            EXPECT_FALSE(cluster.isReady(node));
+        }
+        EXPECT_EQ(cluster.invariantViolations(), 0u);
+    }
+}
+
+TEST(Kube, RestartOnEitherSideOfATickKeepsBeatOrder)
+{
+    // Skew -100 puts every age the controller computes on the grace
+    // boundary, so a node's readiness depends on whether its beats
+    // fire before or after the controller tick of the same instant.
+    // Both kubelets stop before their first beat (last stamp t=0).
+    // Node a is restarted by an event armed at t=0 for t=400, which
+    // fires before the t=400 tick (armed at t=390): its chain beats
+    // ahead of every later tick, so a is Ready from t=400 on. Node b
+    // is restarted by an event armed at t=395 for t=400, which fires
+    // after that tick: b's chain beats after every tick and b never
+    // looks fresh. Merging b's chain into a's because both are due at
+    // t=410 would turn b Ready at t=410.
+    sim::EventQueue events;
+    KubeCluster cluster(events, checkedConfig());
+    const auto a = cluster.addNode(8.0);
+    const auto b = cluster.addNode(8.0);
+    for (const sim::NodeId node : {a, b}) {
+        cluster.setClockSkew(node, -100.0);
+        cluster.stopKubelet(node);
+    }
+    events.schedule(400.0, [&] { cluster.startKubelet(a); });
+    events.schedule(395.0, [&] {
+        events.schedule(400.0, [&] { cluster.startKubelet(b); });
+    });
+
+    events.runUntil(395.0);
+    EXPECT_FALSE(cluster.isReady(a));
+    EXPECT_FALSE(cluster.isReady(b));
+    for (double t = 400.0; t <= 600.0; t += 10.0) {
+        events.runUntil(t);
+        EXPECT_TRUE(cluster.isReady(a)) << "t=" << t;
+        EXPECT_FALSE(cluster.isReady(b)) << "t=" << t;
+    }
+    EXPECT_EQ(cluster.invariantViolations(), 0u);
+}
+
+TEST(Kube, HeartbeatsCostOneEventPerGroup)
+{
+    // Nodes added at one instant with nothing scheduled in between
+    // beat in one group: one event per period for all 2,000, so the
+    // queue holds the node controller, the scheduler and that group.
+    // Per-node chains would hold 2,002 events and run 200,300 by
+    // t=1000.
+    sim::EventQueue events;
+    KubeCluster cluster(events, checkedConfig());
+    for (int n = 0; n < 2000; ++n)
+        cluster.addNode(8.0);
+    EXPECT_EQ(events.pending(), 3u);
+
+    size_t ran = 0;
+    while (!events.empty() && events.nextEventAt() <= 1000.0) {
+        events.step();
+        ++ran;
+    }
+    // 100 beats, 100 node controller ticks, 200 scheduler ticks.
+    EXPECT_EQ(ran, 400u);
+    for (sim::NodeId n = 0; n < 2000; ++n)
+        ASSERT_TRUE(cluster.isReady(n)) << "node " << n;
+    EXPECT_EQ(cluster.invariantViolations(), 0u);
+}
+
 TEST(Kube, ZoneCapacitiesMatchTheSnapshotDerivation)
 {
     // Six nodes striped over three fallback zones (node n -> n % 3).
@@ -1031,4 +1128,61 @@ TEST(Kube, UnplaceablePodCostsOneProbePerTick)
     events.runUntil(50.0); // ten ticks
     EXPECT_EQ(counterValue("kube.scheduler.node_probes") - probes0, 10u);
     EXPECT_EQ(cluster.pendingCount(), 1u);
+}
+
+namespace {
+
+/** Runs @p ticks scheduler ticks (period 5 s, from t=0) and returns
+ * pendingCount() summed just before each. */
+size_t
+pendingSummedOverTicks(sim::EventQueue &events, const KubeCluster &cluster,
+                       int ticks)
+{
+    size_t sum = 0;
+    for (int i = 0; i < ticks; ++i) {
+        const double tick = (std::floor(events.now() / 5.0) + 1.0) * 5.0;
+        events.runUntil(tick - 0.5);
+        sum += cluster.pendingCount();
+        events.runUntil(tick);
+    }
+    return sum;
+}
+
+} // namespace
+
+TEST(Kube, SchedulerTickVisitsOnlyPendingPods)
+{
+    // The tick walks the pending bitset: it visits exactly the pods
+    // that are Pending and not scaled down, so a fully bound cluster
+    // costs no visit at all, however many pods it runs.
+    MetricsOn metrics;
+    const char *visits = "kube.scheduler.pending_visits";
+    {
+        sim::EventQueue events;
+        KubeCluster cluster(events);
+        for (int n = 0; n < 2000; ++n)
+            cluster.addNode(16.0);
+        sim::Application app = simpleApp(1, 1.0);
+        app.services[0].replicas = 6000;
+        cluster.addApplication(app);
+
+        const uint64_t visits0 = counterValue(visits);
+        EXPECT_EQ(pendingSummedOverTicks(events, cluster, 1), 6000u);
+        EXPECT_EQ(counterValue(visits) - visits0, 6000u);
+        const uint64_t bound = counterValue(visits);
+        EXPECT_EQ(pendingSummedOverTicks(events, cluster, 100), 0u);
+        EXPECT_EQ(counterValue(visits) - bound, 0u);
+    }
+    {
+        // One pod larger than any node: one visit per tick.
+        sim::EventQueue events;
+        KubeCluster cluster(events);
+        for (int n = 0; n < 100; ++n)
+            cluster.addNode(8.0);
+        cluster.addApplication(simpleApp(1, 100.0));
+
+        const uint64_t visits0 = counterValue(visits);
+        EXPECT_EQ(pendingSummedOverTicks(events, cluster, 10), 10u);
+        EXPECT_EQ(counterValue(visits) - visits0, 10u);
+    }
 }

@@ -234,8 +234,11 @@ TEST(EventQueue, SameTimestampFifo)
     std::vector<int> order;
     for (int i = 0; i < 8; ++i)
         queue.schedule(5.0, [&order, i] { order.push_back(i); });
+    // One sequence number per scheduled event; firing takes none.
+    EXPECT_EQ(queue.nextSeq(), 8u);
     queue.runAll();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+    EXPECT_EQ(queue.nextSeq(), 8u);
 }
 
 TEST(EventQueue, HandlerScheduledSameInstantRunsAfterExisting)
