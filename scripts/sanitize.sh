@@ -11,7 +11,9 @@
 # The fuzz smoke gate runs as part of the suite, so every generated
 # case's plan/pack/LP/kube paths execute under the sanitizer too. The
 # address and undefined trees also define _GLIBCXX_ASSERTIONS, so an
-# out-of-range index into a standard container aborts the test.
+# out-of-range index into a standard container aborts the test. The
+# undefined tree adds -fsanitize=float-cast-overflow and builds with
+# -fno-sanitize-recover=all, so any UBSan report fails its test.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -4,8 +4,8 @@
 #include <cmath>
 
 #include "sim/metrics.h"
+#include "util/bucketed_kv.h"
 #include "util/rng.h"
-#include "util/sorted_kv.h"
 
 namespace phoenix::adaptlab {
 
@@ -103,47 +103,61 @@ buildEnvironment(const EnvironmentConfig &config)
         env.apps.back().id = static_cast<sim::AppId>(a);
     }
 
-    // Cluster + initial placement: first-fit-decreasing best-fit; at
-    // the default 80% aggregate demand everything places.
+    // Cluster + initial placement: best-fit decreasing; at the default
+    // 80% aggregate demand everything places.
     env.cluster = sim::ClusterState(sim::PodIndex::of(env.apps));
     env.cluster.reserveNodes(config.nodeCount);
     for (size_t n = 0; n < config.nodeCount; ++n)
         env.cluster.addNode(config.nodeCapacity);
 
-    struct Item
+    // One row per service. Its replicas share its size, so rows sorted
+    // by (cpu desc, app, ms) expand to the pods in (cpu desc, PodRef)
+    // order.
+    struct Row
     {
         double cpu;
-        PodRef pod;
+        PodRef pod; //!< replica 0
+        uint32_t replicas;
     };
-    std::vector<Item> items;
+    std::vector<Row> rows;
     for (size_t a = 0; a < env.apps.size(); ++a) {
         for (const auto &ms : env.apps[a].services) {
-            for (int r = 0; r < std::max(ms.replicas, 1); ++r) {
-                items.push_back(
-                    Item{ms.cpu, PodRef{static_cast<sim::AppId>(a),
-                                        ms.id,
-                                        static_cast<uint32_t>(r)}});
-            }
+            rows.push_back(
+                Row{ms.cpu, PodRef{static_cast<sim::AppId>(a), ms.id, 0},
+                    static_cast<uint32_t>(std::max(ms.replicas, 1))});
         }
     }
-    std::sort(items.begin(), items.end(), [](const Item &x,
-                                             const Item &y) {
+    std::sort(rows.begin(), rows.end(), [](const Row &x, const Row &y) {
         if (x.cpu != y.cpu)
             return x.cpu > y.cpu;
         return x.pod < y.pod;
     });
 
-    util::SortedKv<double, NodeId> by_remaining;
+    // Each pod goes to the node with the least remaining capacity >=
+    // its cpu (lowest id on ties). Once a row's replica lands on a
+    // node, that node answers every further query of the row while it
+    // still fits one: its key only falls, and no other key lay between
+    // cpu and its old one. So the row fills the node with one index
+    // erase and one insert. A row no node fits skips its other
+    // replicas, which could not fit either.
+    util::BucketedKv<NodeId> by_remaining;
     for (NodeId id : env.cluster.healthyNodes())
         by_remaining.insert(env.cluster.remaining(id), id);
-    for (const Item &item : items) {
-        const auto slot = by_remaining.firstAtLeast(item.cpu);
-        if (!slot)
-            continue; // oversubscribed environment: leave unplaced
-        by_remaining.erase(slot->first, slot->second);
-        env.cluster.place(item.pod, slot->second, item.cpu);
-        by_remaining.insert(env.cluster.remaining(slot->second),
-                            slot->second);
+    for (const Row &row : rows) {
+        PodRef pod = row.pod;
+        while (pod.replica < row.replicas) {
+            const auto fit = by_remaining.firstAtLeast(row.cpu);
+            if (!fit)
+                break; // oversubscribed environment: leave unplaced
+            const NodeId node = fit->second;
+            by_remaining.erase(fit->first, node);
+            while (pod.replica < row.replicas &&
+                   env.cluster.remaining(node) >= row.cpu) {
+                env.cluster.place(pod, node, row.cpu);
+                ++pod.replica;
+            }
+            by_remaining.insert(env.cluster.remaining(node), node);
+        }
     }
     return env;
 }

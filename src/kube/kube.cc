@@ -53,7 +53,7 @@ transitionEventName(PodPhase to)
 
 KubeCluster::KubeCluster(sim::EventQueue &events, KubeConfig config)
     : events_(events), config_(config), rng_(config.seed),
-      podIndex_(sim::PodIndex::empty())
+      podIndex_(std::make_shared<sim::PodIndex>())
 {
     obs::Registry &registry = obs::Registry::global();
     obs_.transitions[0] =
@@ -133,8 +133,11 @@ KubeCluster::addApplication(const sim::Application &app)
             pods_.push_back(pod);
         }
     }
-    podIndex_ = sim::PodIndex::of(apps_);
-    assert(podIndex_->slotCount() == pods_.size());
+    // The allocators let go of the index, so that podIndex() can
+    // append to it in place: they are rebuilt below and on the next
+    // sweep.
+    vacancy_ = sim::VacancyAllocator();
+    validateVacancy_ = sim::VacancyAllocator();
     podEpoch_.resize(pods_.size(), 0);
     podPos_.resize(pods_.size(), 0);
     // New pods are appended Pending; earlier slots keep their bits.
@@ -145,10 +148,31 @@ KubeCluster::addApplication(const sim::Application &app)
     buildVacancy(vacancy_);
 }
 
+const std::shared_ptr<sim::PodIndex> &
+KubeCluster::podIndex() const
+{
+    if (indexedApps_ < apps_.size()) {
+        // Whatever else holds the index (a snapshot, the outage-frozen
+        // state, a packed plan) keeps it as it is.
+        if (podIndex_.use_count() > 1)
+            podIndex_ = std::make_shared<sim::PodIndex>(*podIndex_);
+        podIndex_->append(std::span(apps_).subspan(indexedApps_));
+        indexedApps_ = apps_.size();
+        assert(podIndex_->slotCount() == pods_.size());
+    }
+    return podIndex_;
+}
+
 void
 KubeCluster::buildVacancy(sim::VacancyAllocator &vacancy) const
 {
-    vacancy.build(apps_, podIndex_);
+    // An allocator over unconstrained apps keeps no index, so only a
+    // constrained app brings the index up to date here.
+    const bool constrained =
+        std::any_of(apps_.begin(), apps_.end(), [](const auto &app) {
+            return app.topologyConstrained();
+        });
+    vacancy.build(apps_, constrained ? podIndex() : nullptr);
     if (vacancy.empty())
         return;
     for (const Pod &pod : pods_) {
@@ -293,6 +317,9 @@ void
 KubeCluster::endApiOutage()
 {
     apiOutage_ = false;
+    // Nothing reads the frozen state outside an outage; releasing it
+    // lets the index take later apps in place.
+    frozenState_ = sim::ClusterState();
 }
 
 void
@@ -689,7 +716,7 @@ KubeCluster::tryBind(Slot slot, uint64_t &probes)
 void
 KubeCluster::deletePod(const PodRef &ref)
 {
-    const Slot slot = podIndex_->slotOf(ref);
+    const Slot slot = podIndex()->slotOf(ref);
     if (slot == kNoSlot)
         return;
     Pod &pod = pods_[slot];
@@ -721,7 +748,7 @@ void
 KubeCluster::startPod(const PodRef &ref,
                       std::optional<NodeId> pinned)
 {
-    const Slot slot = podIndex_->slotOf(ref);
+    const Slot slot = podIndex()->slotOf(ref);
     if (slot == kNoSlot || (pinned && *pinned >= nodes_.size()))
         return;
     Pod &pod = pods_[slot];
@@ -746,7 +773,7 @@ KubeCluster::startPod(const PodRef &ref,
 void
 KubeCluster::migratePod(const PodRef &ref, NodeId to)
 {
-    const Slot slot = podIndex_->slotOf(ref);
+    const Slot slot = podIndex()->slotOf(ref);
     if (slot == kNoSlot || to >= nodes_.size())
         return;
     Pod &pod = pods_[slot];
@@ -886,9 +913,9 @@ KubeCluster::observedCapacity(const NodeRec &rec) const
 ClusterState
 KubeCluster::buildState() const
 {
-    // The snapshot shares podIndex_, and pods_ runs in its slot order,
+    // The snapshot shares the index, and pods_ runs in its slot order,
     // so every place() appends at its node list's tail.
-    ClusterState state(podIndex_);
+    ClusterState state(podIndex());
     state.reserveNodes(nodes_.size());
     for (const NodeRec &rec : nodes_) {
         state.addNode(observedCapacity(rec), rec.zone);
@@ -1062,7 +1089,7 @@ KubeCluster::pendingCount() const
 const Pod *
 KubeCluster::pod(const PodRef &ref) const
 {
-    const Slot slot = podIndex_->slotOf(ref);
+    const Slot slot = podIndex()->slotOf(ref);
     return slot == kNoSlot ? nullptr : &pods_[slot];
 }
 

@@ -139,8 +139,10 @@ class KubeCluster : public sim::FaultTarget
      * policy (anti-affinity caps, zone spread). Microservice ids must
      * equal their index in app.services (the manifest loader already
      * guarantees it); throws std::invalid_argument otherwise and
-     * registers nothing. The vacancy allocator is rebuilt over every
-     * app and reseeded from the pods already occupying nodes.
+     * registers nothing. The pod index takes this app's pods on its
+     * next use; snapshots taken earlier keep the index they were built
+     * on. The vacancy allocator is rebuilt over every app and reseeded
+     * from the pods already occupying nodes.
      */
     void addApplication(const sim::Application &app);
 
@@ -479,9 +481,12 @@ class KubeCluster : public sim::FaultTarget
      */
     void evictPodsOn(sim::NodeId node);
 
-    /** Rebuild @p vacancy over podIndex_ and count every occupying
+    /** Rebuild @p vacancy over every app and count every occupying
      * pod in it, in slot order. */
     void buildVacancy(sim::VacancyAllocator &vacancy) const;
+
+    /** podIndex_, first brought up to every registered app. */
+    const std::shared_ptr<sim::PodIndex> &podIndex() const;
 
     void recordViolation(const std::string &what);
     /** Full invariant sweep; no-op unless config.validateInvariants. */
@@ -495,10 +500,14 @@ class KubeCluster : public sim::FaultTarget
     /** Any node carries a nonzero zone label (topology declared). */
     bool hasExplicitZones_ = false;
     std::vector<sim::Application> apps_;
-    /** Every registered pod, rebuilt by addApplication(); snapshots
-     * share it. */
-    std::shared_ptr<const sim::PodIndex> podIndex_;
-    /** Every pod, in podIndex_'s slot order. */
+    /** The pods of apps_[0, indexedApps_). Snapshots share it.
+     * podIndex() appends the apps added since in one batch, in place,
+     * after copying it while anything else holds it. A cluster's apps
+     * all arrive before its first snapshot, so the index is built once
+     * at its exact size. */
+    mutable std::shared_ptr<sim::PodIndex> podIndex_;
+    mutable size_t indexedApps_ = 0;
+    /** Every pod, in podIndex()'s slot order. */
     std::vector<Pod> pods_;
     /** Per-slot counter to invalidate stale timers. 32 bits keep a
      * timer's (this, slot, epoch) capture at 16 bytes, which

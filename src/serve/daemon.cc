@@ -1,9 +1,13 @@
 #include "daemon.h"
 
+#include <cmath>
 #include <istream>
+#include <limits>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 
 #include "apps/cloudlab.h"
 #include "core/schemes.h"
@@ -18,6 +22,39 @@ std::string
 errorReply(const std::string &message)
 {
     return "{\"ok\":false,\"error\":" + util::jsonQuote(message) + "}";
+}
+
+/** @p value as a T when it is a finite, integral JSON number within
+ * T's range; std::nullopt for anything else. */
+template <typename T>
+std::optional<T>
+integerOf(const util::JsonValue &value)
+{
+    static_assert(std::is_unsigned_v<T>);
+    const double v = value.number;
+    if (!value.isNumber() || !std::isfinite(v) || v != std::trunc(v) ||
+        v < 0.0 || v >= std::ldexp(1.0, std::numeric_limits<T>::digits))
+        return std::nullopt;
+    return static_cast<T>(v);
+}
+
+/** Field @p key of @p object through integerOf(), or @p fallback when
+ * the field is absent. */
+template <typename T>
+std::optional<T>
+integerAt(const util::JsonValue &object, const std::string &key,
+          T fallback)
+{
+    const util::JsonValue *value = object.field(key);
+    return value ? integerOf<T>(*value) : std::optional<T>(fallback);
+}
+
+/** Reply for a node id that names no node. */
+std::string
+nodeIdError(const std::string &cmd, size_t nodeCount)
+{
+    return errorReply(cmd + " needs node ids below the node count " +
+                      std::to_string(nodeCount));
 }
 
 /** Shift a curve's control points by @p offset seconds (serve-start
@@ -121,12 +158,16 @@ ServeDaemon::cmdLoadTestbed(const util::JsonValue &command)
 std::string
 ServeDaemon::cmdAddNodes(const util::JsonValue &command)
 {
-    const auto count =
-        static_cast<size_t>(command.numberAt("count", 1.0));
+    // Every node id stays a NodeId below the kNoNode sentinel.
+    const size_t room =
+        static_cast<size_t>(sim::kNoNode) - cluster_.nodeCount();
+    const std::optional<size_t> count =
+        integerAt<size_t>(command, "count", 1);
     const double capacity = command.numberAt("capacity", 8.0);
-    if (count == 0 || capacity <= 0.0)
-        return errorReply("add-nodes needs count >= 1, capacity > 0");
-    for (size_t n = 0; n < count; ++n)
+    if (!count || *count == 0 || *count > room || capacity <= 0.0)
+        return errorReply("add-nodes needs an integral count in [1, " +
+                          std::to_string(room) + "] and capacity > 0");
+    for (size_t n = 0; n < *count; ++n)
         cluster_.addNode(capacity);
     std::ostringstream out;
     out << "{\"ok\":true,\"nodes\":" << cluster_.nodeCount() << "}";
@@ -204,23 +245,23 @@ ServeDaemon::cmdStartController(const util::JsonValue &command)
         return errorReply("unknown scheme " + util::jsonQuote(scheme) +
                           " (PhoenixCost | PhoenixFair)");
     }
-    controller_ = std::make_unique<core::PhoenixController>(
-        events_, cluster_,
-        std::make_unique<core::PhoenixScheme>(objective));
-
     const util::JsonValue *forecastFlag = command.field("forecast");
     const bool forecastOn =
         forecastFlag &&
         ((forecastFlag->kind == util::JsonValue::Kind::Bool &&
           forecastFlag->boolean) ||
          (forecastFlag->isNumber() && forecastFlag->number != 0.0));
+    forecast::ForecastConfig forecastConfig;
+    const std::optional<size_t> zones = integerAt<size_t>(
+        command, "zones", forecastConfig.fallbackZoneCount);
+    if (!zones)
+        return errorReply("start-controller needs an integral 'zones'");
+    controller_ = std::make_unique<core::PhoenixController>(
+        events_, cluster_,
+        std::make_unique<core::PhoenixScheme>(objective));
+
     if (forecastOn) {
-        forecast::ForecastConfig forecastConfig;
-        forecastConfig.fallbackZoneCount = static_cast<size_t>(
-            command.numberAt(
-                "zones",
-                static_cast<double>(
-                    forecastConfig.fallbackZoneCount)));
+        forecastConfig.fallbackZoneCount = *zones;
         forecastConfig.horizonSeconds = command.numberAt(
             "horizon", forecastConfig.horizonSeconds);
         forecaster_ = std::make_unique<forecast::Forecaster>(
@@ -332,6 +373,7 @@ ServeDaemon::cmdInjectScenario(const util::JsonValue &command)
         return errorReply(
             "inject-scenario needs a non-empty 'steps' array");
 
+    const size_t nodeCount = cluster_.nodeCount();
     sim::Scenario scenario;
     for (const util::JsonValue &step : steps->items) {
         if (!step.isObject())
@@ -343,33 +385,44 @@ ServeDaemon::cmdInjectScenario(const util::JsonValue &command)
             if (!nodes || !nodes->isArray())
                 return errorReply(kind + " needs a 'nodes' array");
             std::vector<sim::NodeId> ids;
-            for (const util::JsonValue &node : nodes->items)
-                ids.push_back(
-                    static_cast<sim::NodeId>(node.number));
+            for (const util::JsonValue &node : nodes->items) {
+                const std::optional<sim::NodeId> id =
+                    integerOf<sim::NodeId>(node);
+                if (!id || *id >= nodeCount)
+                    return nodeIdError(kind, nodeCount);
+                ids.push_back(*id);
+            }
             if (kind == "fail-nodes")
                 scenario.failNodes(at, std::move(ids));
             else
                 scenario.recoverNodes(at, std::move(ids));
-        } else if (kind == "fail-count") {
-            scenario.failCount(
-                at,
-                static_cast<size_t>(step.numberAt("count", 1.0)));
+        } else if (kind == "fail-count" || kind == "rolling-fail") {
+            const std::optional<size_t> count =
+                integerAt<size_t>(step, "count", 1);
+            if (!count)
+                return errorReply(kind + " needs an integral 'count'");
+            if (kind == "fail-count") {
+                scenario.failCount(at, *count);
+            } else {
+                scenario.rollingFail(at, *count,
+                                     step.numberAt("interval", 60.0));
+            }
         } else if (kind == "fail-capacity-fraction") {
             scenario.failCapacityFraction(
                 at, step.numberAt("fraction", 0.0));
         } else if (kind == "fail-zone") {
-            scenario.failZone(
-                at, static_cast<size_t>(step.numberAt("zone", 0.0)));
-        } else if (kind == "rolling-fail") {
-            scenario.rollingFail(
-                at,
-                static_cast<size_t>(step.numberAt("count", 1.0)),
-                step.numberAt("interval", 60.0));
+            const std::optional<size_t> zone =
+                integerAt<size_t>(step, "zone", 0);
+            if (!zone)
+                return errorReply("fail-zone needs an integral 'zone'");
+            scenario.failZone(at, *zone);
         } else if (kind == "flap") {
-            scenario.flapKubelet(
-                at,
-                static_cast<sim::NodeId>(step.numberAt("node", 0.0)),
-                step.numberAt("downtime", 30.0));
+            const std::optional<sim::NodeId> node =
+                integerAt<sim::NodeId>(step, "node", 0);
+            if (!node || *node >= nodeCount)
+                return nodeIdError(kind, nodeCount);
+            scenario.flapKubelet(at, *node,
+                                 step.numberAt("downtime", 30.0));
         } else if (kind == "recover-all") {
             scenario.recoverAll(at, step.numberAt("stagger", 0.0));
         } else {
@@ -379,10 +432,15 @@ ServeDaemon::cmdInjectScenario(const util::JsonValue &command)
     }
 
     sim::ScenarioOptions options;
-    options.seed = static_cast<uint64_t>(
-        command.numberAt("seed", static_cast<double>(config_.seed)));
-    options.zoneCount = static_cast<size_t>(command.numberAt(
-        "zones", static_cast<double>(options.zoneCount)));
+    const std::optional<uint64_t> seed =
+        integerAt<uint64_t>(command, "seed", config_.seed);
+    const std::optional<size_t> zones =
+        integerAt<size_t>(command, "zones", options.zoneCount);
+    if (!seed || !zones)
+        return errorReply(
+            "inject-scenario needs an integral 'seed' and 'zones'");
+    options.seed = *seed;
+    options.zoneCount = *zones;
     runners_.push_back(std::make_unique<sim::ScenarioRunner>(
         events_, cluster_, std::move(scenario), options));
     std::ostringstream out;
@@ -445,30 +503,35 @@ ServeDaemon::cmdPodVerb(const std::string &verb,
 {
     const util::JsonValue *app = command.field("app");
     const util::JsonValue *ms = command.field("ms");
-    if (!app || !app->isNumber() || !ms || !ms->isNumber())
-        return errorReply(verb + " needs numeric 'app' and 'ms'");
-    sim::PodRef ref;
-    ref.app = static_cast<sim::AppId>(app->number);
-    ref.ms = static_cast<sim::MsId>(ms->number);
-    ref.replica =
-        static_cast<uint32_t>(command.numberAt("replica", 0.0));
+    const std::optional<sim::AppId> appId =
+        app ? integerOf<sim::AppId>(*app) : std::nullopt;
+    const std::optional<sim::MsId> msId =
+        ms ? integerOf<sim::MsId>(*ms) : std::nullopt;
+    const std::optional<uint32_t> replica =
+        integerAt<uint32_t>(command, "replica", 0);
+    if (!appId || !msId || !replica)
+        return errorReply(verb + " needs integral 'app' and 'ms' (and "
+                                 "'replica', when given)");
+    const sim::PodRef ref{*appId, *msId, *replica};
     if (!cluster_.pod(ref))
         return errorReply("no such pod");
 
+    // The kube verbs ignore a node that does not exist; say so instead
+    // of replying ok.
+    const util::JsonValue *node = command.field("node");
+    const std::optional<sim::NodeId> nodeId =
+        node ? integerOf<sim::NodeId>(*node) : std::nullopt;
+    const bool nodeExists = nodeId && *nodeId < cluster_.nodeCount();
     if (verb == "delete-pod") {
         cluster_.deletePod(ref);
     } else if (verb == "restart-pod") {
-        std::optional<sim::NodeId> pinned;
-        const util::JsonValue *node = command.field("node");
-        if (node && node->isNumber())
-            pinned = static_cast<sim::NodeId>(node->number);
-        cluster_.startPod(ref, pinned);
+        if (node && !nodeExists) // 'node' is optional here
+            return nodeIdError(verb, cluster_.nodeCount());
+        cluster_.startPod(ref, nodeId);
     } else { // migrate-pod
-        const util::JsonValue *node = command.field("node");
-        if (!node || !node->isNumber())
-            return errorReply("migrate-pod needs a numeric 'node'");
-        cluster_.migratePod(ref,
-                            static_cast<sim::NodeId>(node->number));
+        if (!nodeExists)
+            return nodeIdError(verb, cluster_.nodeCount());
+        cluster_.migratePod(ref, *nodeId);
     }
     return "{\"ok\":true}";
 }

@@ -31,6 +31,37 @@ PodIndex::empty()
     return index;
 }
 
+void
+PodIndex::append(std::span<const Application> apps)
+{
+    size_t rows = 0;
+    size_t slots = 0;
+    for (const Application &app : apps) {
+        rows += app.services.size();
+        for (const Microservice &ms : app.services)
+            slots += slotsOf(ms);
+    }
+    const auto grow = [](auto &table, size_t more) {
+        if (table.capacity() < table.size() + more) {
+            table.reserve(std::max(table.size() + more,
+                                   2 * table.size()));
+        }
+    };
+    grow(pods_, slots);
+    grow(rowSlot_, rows);
+    grow(appRow_, apps.size());
+    for (const Application &app : apps) {
+        const AppId a = static_cast<AppId>(appCount());
+        for (size_t m = 0; m < app.services.size(); ++m) {
+            const Slot count = slotsOf(app.services[m]);
+            for (Slot r = 0; r < count; ++r)
+                pods_.push_back(PodRef{a, static_cast<MsId>(m), r});
+            rowSlot_.push_back(static_cast<Slot>(pods_.size()));
+        }
+        appRow_.push_back(rowSlot_.size() - 1);
+    }
+}
+
 bool
 PodIndex::covers(const std::vector<Application> &apps) const
 {

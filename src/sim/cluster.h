@@ -6,8 +6,8 @@
  * holds the live state) operate on.
  *
  * Pods live in one dense slot table in PodRef order. A sim::PodIndex
- * maps PodRefs to slots; it is immutable and shared by every copy of a
- * state, so a copy is a handful of flat vector copies.
+ * maps PodRefs to slots; states treat it as immutable and every copy of
+ * a state shares it, so a copy is a handful of flat vector copies.
  */
 
 #ifndef PHOENIX_SIM_CLUSTER_H
@@ -18,6 +18,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -31,9 +32,10 @@ constexpr Slot kNoSlot = std::numeric_limits<Slot>::max();
 constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
 
 /**
- * Immutable PodRef -> slot map. Slots run in PodRef order: app a's
- * service m holds slots [rowSlot[appRow[a] + m], rowSlot[appRow[a] + m
- * + 1]), one per replica. A row is one (app, ms) service.
+ * PodRef -> slot map, immutable once a state holds it. Slots run in
+ * PodRef order: app a's service m holds slots [rowSlot[appRow[a] + m],
+ * rowSlot[appRow[a] + m + 1]), one per replica. A row is one (app, ms)
+ * service.
  */
 class PodIndex
 {
@@ -50,6 +52,15 @@ class PodIndex
 
     /** A shared empty index (what default-constructed states use). */
     static const std::shared_ptr<const PodIndex> &empty();
+
+    /** Add @p apps as apps appCount(), appCount() + 1, ...: position m
+     * of each one's services is MsId m, max(replicas, 1) slots each.
+     * An empty index is sized exactly for the batch; a non-empty one
+     * grows at least twofold when it must move, so appends stay
+     * O(their slots) amortized. Earlier slots keep their numbers, but a
+     * state sized to this index would no longer match it, so only an
+     * owner sharing it with nothing may append. */
+    void append(std::span<const Application> apps);
 
     size_t slotCount() const { return pods_.size(); }
     size_t rowCount() const { return rowSlot_.size() - 1; }

@@ -46,8 +46,9 @@ class VacancyAllocator
     /**
      * Rebuild the scope table from the app descriptors over the rows
      * of @p index, which must cover @p apps; every count starts at 0.
-     * PodRef.app is the app *position* (the convention everywhere in
-     * the scheduler).
+     * When no app is constrained the allocator keeps no index, and
+     * @p index may be null. PodRef.app is the app *position* (the
+     * convention everywhere in the scheduler).
      */
     void build(const std::vector<Application> &apps,
                std::shared_ptr<const PodIndex> index);

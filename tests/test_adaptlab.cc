@@ -9,9 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "adaptlab/environment.h"
 #include "adaptlab/replay.h"
 #include "adaptlab/runner.h"
+#include "reference_placement.h"
 
 using namespace phoenix;
 using namespace phoenix::adaptlab;
@@ -30,6 +33,63 @@ smallEnv(uint64_t seed = 1)
     config.alibaba.appCount = 10;
     config.alibaba.sizeScale = 0.08; // 240 .. ~4 services
     return config;
+}
+
+/** The epoch benchmark's environment: 16-CPU nodes, 0.5-8 CPU
+ * containers, 80% demand. */
+EnvironmentConfig
+epochEnv(size_t nodes, uint64_t seed)
+{
+    EnvironmentConfig config;
+    config.nodeCount = nodes;
+    config.seed = seed;
+    config.demandFraction = 0.8;
+    config.nodeCapacity = 16.0;
+    config.alibaba.appCount = 18;
+    config.alibaba.sizeScale = std::max(
+        0.05, std::min(1.0, static_cast<double>(nodes) / 1e5));
+    config.resources.minCpu = 0.5;
+    config.resources.maxCpu = 8.0;
+    return config;
+}
+
+/** Checks that buildEnvironment(@p config) places pod for pod and node
+ * for node as the per-pod reference, with bit-equal node usage;
+ * returns the environment. */
+Environment
+expectReferencePlacement(const EnvironmentConfig &config)
+{
+    Environment env = buildEnvironment(config);
+    const sim::ClusterState want = reference::bestFitDecreasing(
+        env.apps, config.nodeCount, config.nodeCapacity);
+    const auto got = env.cluster.assignment();
+    EXPECT_EQ(got.size(), want.assignment().size())
+        << "seed " << config.seed;
+    auto g = got.begin();
+    for (const auto &[pod, node] : want.assignment()) {
+        if (g == got.end())
+            break;
+        const auto [got_pod, got_node] = *g;
+        if (got_pod != pod || got_node != node) {
+            ADD_FAILURE() << "seed " << config.seed << ": pod ("
+                          << pod.app << "," << pod.ms << ","
+                          << pod.replica << ") on node " << node
+                          << ", got (" << got_pod.app << ","
+                          << got_pod.ms << "," << got_pod.replica
+                          << ") on node " << got_node;
+            break;
+        }
+        ++g;
+    }
+    for (sim::NodeId n = 0; n < config.nodeCount; ++n) {
+        if (env.cluster.used(n) != want.used(n)) {
+            ADD_FAILURE() << "seed " << config.seed << ": node " << n
+                          << " uses " << env.cluster.used(n)
+                          << ", reference " << want.used(n);
+            break;
+        }
+    }
+    return env;
 }
 
 } // namespace
@@ -62,6 +122,56 @@ TEST(Environment, DeterministicForSeed)
     EXPECT_EQ(a.cluster.assignment(), b.cluster.assignment());
     const Environment c = buildEnvironment(smallEnv(6));
     EXPECT_NE(a.cluster.assignment(), c.cluster.assignment());
+}
+
+TEST(Environment, PlacementMatchesPerPodBestFit)
+{
+    for (const size_t nodes : {1000, 3000}) {
+        for (uint64_t seed = 1; seed <= 10; ++seed)
+            expectReferencePlacement(epochEnv(nodes, seed));
+    }
+}
+
+TEST(Environment, PlacementMatchesPerPodBestFitSingleReplica)
+{
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+        EnvironmentConfig config = epochEnv(1000, seed);
+        config.maxReplicas = 1;
+        expectReferencePlacement(config);
+    }
+}
+
+TEST(Environment, PlacementMatchesPerPodBestFitOversubscribed)
+{
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+        EnvironmentConfig config = epochEnv(1000, seed);
+        config.demandFraction = 1.25;
+        const Environment env = expectReferencePlacement(config);
+        // Some pods find no node, so the skip path runs.
+        EXPECT_LT(env.cluster.assignment().size(),
+                  env.cluster.podIndex()->slotCount());
+    }
+}
+
+TEST(Environment, PlacementMatchesPerPodBestFitOnExactFits)
+{
+    // Every container is 4 CPU on 16-CPU nodes, so a node's remaining
+    // capacity meets a pod's size exactly. Two replicas per service
+    // keep the demand below target, so nothing rescales the sizes.
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+        EnvironmentConfig config = epochEnv(1000, seed);
+        config.resources.minCpu = 4.0;
+        config.resources.maxCpu = 4.0;
+        config.maxReplicas = 2;
+        const Environment env = expectReferencePlacement(config);
+        for (const auto &app : env.apps) {
+            for (const auto &ms : app.services) {
+                ASSERT_EQ(ms.cpu, 4.0);
+                ASSERT_EQ(ms.replicas, 2);
+            }
+        }
+        EXPECT_EQ(env.cluster.used(0), config.nodeCapacity);
+    }
 }
 
 TEST(Runner, TrialMetricsAreSane)

@@ -57,6 +57,37 @@ zoneCapacitiesFromSnapshot(const KubeCluster &cluster, size_t fallback)
     return zones;
 }
 
+/** Every pod of every registered app has a slot in @p snapshot's
+ * index, and pod() resolves it to itself. */
+void
+expectEveryPodResolves(const KubeCluster &cluster,
+                       const sim::ClusterState &snapshot)
+{
+    const auto &apps = cluster.apps();
+    size_t pods = 0;
+    for (sim::AppId a = 0; a < apps.size(); ++a) {
+        for (const auto &ms : apps[a].services) {
+            for (int r = 0; r < std::max(ms.replicas, 1); ++r) {
+                const PodRef ref{a, ms.id, static_cast<uint32_t>(r)};
+                const Pod *pod = cluster.pod(ref);
+                ASSERT_NE(pod, nullptr);
+                EXPECT_EQ(pod->ref, ref);
+                EXPECT_NE(snapshot.podIndex()->slotOf(ref), sim::kNoSlot);
+                ++pods;
+            }
+        }
+    }
+    EXPECT_EQ(snapshot.podIndex()->slotCount(), pods);
+}
+
+using Placement = std::vector<std::pair<PodRef, sim::NodeId>>;
+
+Placement
+placementOf(const sim::ClusterState &state)
+{
+    return Placement(state.assignment().begin(), state.assignment().end());
+}
+
 void
 expectZonesMatchSnapshot(const KubeCluster &cluster, size_t fallback)
 {
@@ -570,6 +601,113 @@ TEST(Kube, ApiOutageFreezesObservationWhileClusterEvolves)
     cluster.endApiOutage();
     EXPECT_DOUBLE_EQ(cluster.observedReadyCapacity(), 8.0);
     EXPECT_FALSE(cluster.observedState().isHealthy(b));
+    EXPECT_EQ(cluster.invariantViolations(), 0u);
+}
+
+TEST(Kube, SnapshotKeepsItsIndexAcrossAddApplication)
+{
+    sim::EventQueue events;
+    KubeCluster cluster(events);
+    cluster.addNode(8.0);
+    cluster.addNode(8.0);
+    sim::Application a = simpleApp(2, 1.0);
+    a.services[1].replicas = 3;
+    cluster.addApplication(a);
+    events.runUntil(60.0);
+
+    const sim::ClusterState held = cluster.observedState();
+    const size_t slots = held.podIndex()->slotCount();
+    const Placement placed = placementOf(held);
+    ASSERT_EQ(placed.size(), 4u);
+
+    cluster.addApplication(simpleApp(3, 0.5));
+    EXPECT_EQ(held.podIndex()->slotCount(), slots);
+    EXPECT_EQ(placementOf(held), placed);
+    // The index takes app 1 on its next use: here.
+    const sim::ClusterState fresh = cluster.observedState();
+    EXPECT_EQ(fresh.podIndex()->slotCount(), slots + 3);
+    expectEveryPodResolves(cluster, fresh);
+    EXPECT_EQ(held.podIndex()->slotCount(), slots);
+    EXPECT_EQ(placementOf(held), placed);
+
+    events.runUntil(300.0);
+    EXPECT_EQ(cluster.runningPods().size(), 7u);
+}
+
+TEST(Kube, SnapshotKeepsItsIndexAcrossConstrainedAddApplication)
+{
+    // The vacancy allocator and the invariant sweep's allocator hold the
+    // index too; they are rebuilt over the grown one.
+    sim::EventQueue events;
+    KubeConfig config;
+    config.validateInvariants = true;
+    KubeCluster cluster(events, config);
+    for (int n = 0; n < 3; ++n)
+        cluster.addNode(8.0);
+    sim::Application a = simpleApp(1, 1.0);
+    a.services[0].replicas = 3;
+    a.services[0].maxPerNode = 1;
+    cluster.addApplication(a);
+    events.runUntil(60.0);
+
+    const sim::ClusterState held = cluster.observedState();
+    const size_t slots = held.podIndex()->slotCount();
+    const Placement placed = placementOf(held);
+    ASSERT_EQ(placed.size(), 3u);
+
+    sim::Application b = simpleApp(1, 1.0);
+    b.services[0].replicas = 3;
+    b.services[0].maxPerNode = 1;
+    cluster.addApplication(b);
+    EXPECT_EQ(held.podIndex()->slotCount(), slots);
+    EXPECT_EQ(placementOf(held), placed);
+
+    events.runUntil(300.0);
+    const sim::ClusterState fresh = cluster.observedState();
+    expectEveryPodResolves(cluster, fresh);
+    // Both apps spread one replica per node.
+    for (sim::AppId app = 0; app < 2; ++app) {
+        std::vector<sim::NodeId> nodes;
+        for (uint32_t r = 0; r < 3; ++r)
+            nodes.push_back(cluster.pod(PodRef{app, 0, r})->node);
+        std::sort(nodes.begin(), nodes.end());
+        EXPECT_EQ(nodes, (std::vector<sim::NodeId>{0, 1, 2}));
+    }
+    EXPECT_EQ(cluster.runningPods().size(), 6u);
+    EXPECT_EQ(cluster.invariantViolations(), 0u);
+}
+
+TEST(Kube, FrozenStateKeepsItsIndexAcrossAddApplication)
+{
+    sim::EventQueue events;
+    KubeConfig config;
+    config.validateInvariants = true;
+    KubeCluster cluster(events, config);
+    cluster.addNode(8.0);
+    cluster.addNode(8.0);
+    cluster.addApplication(simpleApp(2, 2.0));
+    events.runUntil(60.0);
+
+    // Only the outage-frozen state holds the index while app 1 lands.
+    cluster.beginApiOutage();
+    const size_t slots = cluster.observedState().podIndex()->slotCount();
+    const Placement placed = placementOf(cluster.observedState());
+    ASSERT_EQ(placed.size(), 2u);
+    cluster.addApplication(simpleApp(1, 1.0));
+    events.runUntil(120.0);
+
+    const sim::ClusterState frozen = cluster.observedState();
+    EXPECT_EQ(frozen.podIndex()->slotCount(), slots);
+    EXPECT_EQ(placementOf(frozen), placed);
+    expectEveryPodResolves(cluster, cluster.liveState());
+    EXPECT_EQ(placementOf(cluster.liveState()).size(), 3u);
+    // The live state brought the index up to app 1; the frozen state
+    // kept the one it was built on.
+    EXPECT_EQ(frozen.podIndex()->slotCount(), slots);
+    EXPECT_EQ(placementOf(frozen), placed);
+
+    cluster.endApiOutage();
+    expectEveryPodResolves(cluster, cluster.observedState());
     EXPECT_EQ(cluster.invariantViolations(), 0u);
 }
 

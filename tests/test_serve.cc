@@ -576,6 +576,59 @@ TEST(ServeDaemon, RejectsMalformedCommands)
     // serve-start before any testbed/manifest is an error, not a crash.
     auto early = reply(daemon, R"({"cmd":"serve-start"})");
     EXPECT_FALSE(okOf(early));
+
+    // Numeric fields must be finite integers in their type's range, and
+    // node ids must name existing nodes. A rejected command changes
+    // nothing.
+    ASSERT_TRUE(okOf(reply(daemon, R"({"cmd":"load-testbed"})")));
+    const size_t nodes = daemon.cluster().nodeCount();
+    ASSERT_EQ(nodes, 25u);
+    const std::string inject = R"({"cmd":"inject-scenario","steps":[)";
+    for (const std::string &line : {
+             inject + R"({"kind":"fail-nodes","at":1,"nodes":[25]}]})",
+             inject + R"({"kind":"fail-nodes","at":1,"nodes":["x"]}]})",
+             std::string(R"({"cmd":"add-nodes","count":2.5})"),
+             inject + R"({"kind":"fail-nodes","at":1,"nodes":[1000]}]})",
+             inject + R"({"kind":"fail-nodes","at":1,"nodes":[-1]}]})",
+             inject + R"({"kind":"recover-nodes","at":1,"nodes":[25]}]})",
+             inject + R"({"kind":"flap","at":1,"node":25}]})",
+             inject + R"({"kind":"flap","at":1,"node":1.5}]})",
+             inject + R"({"kind":"fail-count","at":1,"count":-1}]})",
+             inject + R"({"kind":"rolling-fail","at":1,"count":1e30}]})",
+             inject + R"({"kind":"fail-zone","at":1,"zone":0.5}]})",
+             std::string(R"({"cmd":"inject-scenario","seed":-3,)") +
+                 R"("steps":[{"kind":"fail-count","at":1}]})",
+             std::string(R"({"cmd":"inject-scenario","zones":"2",)") +
+                 R"("steps":[{"kind":"fail-count","at":1}]})",
+             std::string(R"({"cmd":"add-nodes","count":-1})"),
+             std::string(R"({"cmd":"add-nodes","count":1e12})"),
+             std::string(R"({"cmd":"add-nodes","count":4294967295})"),
+             std::string(R"({"cmd":"delete-pod","app":0.5,"ms":0})"),
+             std::string(R"({"cmd":"delete-pod","app":0,"ms":-1})"),
+             std::string(
+                 R"({"cmd":"restart-pod","app":0,"ms":0,"replica":1e10})"),
+             std::string(
+                 R"({"cmd":"restart-pod","app":0,"ms":0,"node":-2})"),
+             std::string(R"({"cmd":"migrate-pod","app":0,"ms":0,)") +
+                 R"("node":4294967296})",
+             std::string(
+                 R"({"cmd":"migrate-pod","app":0,"ms":0,"node":25})"),
+             std::string(
+                 R"({"cmd":"restart-pod","app":0,"ms":0,"node":25})"),
+             std::string(R"({"cmd":"start-controller","zones":-1})"),
+         }) {
+        ASSERT_FALSE(okOf(reply(daemon, line))) << line;
+        EXPECT_EQ(daemon.cluster().nodeCount(), nodes) << line;
+    }
+    // No scenario was armed: every node is still Ready well past the
+    // heartbeat grace period.
+    ASSERT_TRUE(
+        okOf(reply(daemon, R"({"cmd":"advance","seconds":600})")));
+    const auto observed = reply(daemon, R"({"cmd":"observe"})");
+    EXPECT_EQ(observed.numberAt("ready_capacity"),
+              observed.numberAt("total_capacity"));
+    // start-controller with a bad field started nothing either.
+    EXPECT_TRUE(okOf(reply(daemon, R"({"cmd":"start-controller"})")));
 }
 
 TEST(ServeDaemon, ReplStopsOnShutdown)
