@@ -14,9 +14,11 @@
  *
  * A second table times the cluster-state operations every controller
  * epoch pays: copying a sim::ClusterState (10k and 100k nodes, from
- * buildEnvironment) and building a KubeCluster snapshot with
- * observedState() (1k and 10k nodes), with allocations per op. Neither
- * table is a gate.
+ * buildEnvironment), building a KubeCluster snapshot with
+ * observedState() (1k and 10k nodes), and a warm PackingScheduler::pack
+ * (5k nodes after one node failure, the shape of a small replan; 100k
+ * nodes after half the capacity failed), with allocations per op.
+ * Neither table is a gate.
  *
  * MICRO_GBENCH=1 switches to the google-benchmark suite covering the
  * planner stages, the packing scheduler, the simplex solver, and the
@@ -316,7 +318,6 @@ kvRace(util::Table &table, exp::Report &report)
                 sorted_phases);
 
         util::BucketedKv<uint32_t> bucketed;
-        bucketed.configure(kMaxKey, n);
         const auto [bucketed_phases, bucketed_sum] =
             runKvMix(bucketed, n, churn);
         addRows(table, report, "kv", "BucketedKv(flat)", n,
@@ -458,6 +459,47 @@ stateCosts(util::Table &table)
     }
 }
 
+/** Warm PhoenixCost packs, per op, on the epoch benchmark's
+ * environment shape. The pack state includes the result's copy of the
+ * input state. */
+void
+packCosts(util::Table &table)
+{
+    struct Case
+    {
+        const char *operation;
+        size_t nodes;
+        size_t reps;
+    };
+    for (const Case &c :
+         {Case{"pack, 1 node failed", 5000, 50},
+          Case{"pack, 50% capacity failed", 100000, 3}}) {
+        const adaptlab::Environment env =
+            adaptlab::buildEnvironment(denseEnvironmentConfig(c.nodes));
+        sim::ClusterState failed = env.cluster;
+        sim::FailureInjector injector{util::Rng(5)};
+        if (c.nodes > 10000)
+            injector.failCapacityFraction(failed, 0.5);
+        else
+            injector.failNodeCount(failed, 1);
+        Planner planner;
+        CostObjective cost;
+        const GlobalRank ranked =
+            planner.plan(env.apps, cost, failed.healthyCapacity());
+        const PackingScheduler packer;
+        (void)packer.pack(env.apps, failed, ranked); // warm the scratch
+        size_t actions = 0;
+        const PhaseResult pack = timedPhase("pack", c.reps, [&] {
+            for (size_t i = 0; i < c.reps; ++i)
+                actions += packer.pack(env.apps, failed, ranked)
+                               .actions.size();
+        });
+        benchmark::DoNotOptimize(actions);
+        addStateRow(table, c.operation, c.nodes,
+                    failed.assignment().size(), pack);
+    }
+}
+
 int
 microMain(int argc, char **argv)
 {
@@ -487,6 +529,7 @@ microMain(int argc, char **argv)
     util::Table state_table(
         {"operation", "nodes", "pods", "ms/op", "allocs/op"});
     stateCosts(state_table);
+    packCosts(state_table);
     state_table.print(std::cout);
     report.addTable("state_copy_and_snapshot", state_table);
 
@@ -496,7 +539,8 @@ microMain(int argc, char **argv)
                  "falls out of cache (1e5+ elements, the Fig 8(b) "
                  "regime) and roughly ties below. A state copy or a "
                  "snapshot allocates a fixed handful of flat arrays "
-                 "however many pods it holds.\n";
+                 "however many pods it holds; a warm pack allocates "
+                 "about that copy plus its action list.\n";
     exp::Options report_options = options;
     if (report.writeJsonFile(report_options.jsonPath))
         std::cout << "[report] JSON written to "

@@ -17,6 +17,7 @@ namespace phoenix::core {
 using sim::ClusterState;
 using sim::NodeId;
 using sim::PodRef;
+using sim::Slot;
 
 namespace {
 
@@ -26,7 +27,7 @@ constexpr size_t kUnranked = std::numeric_limits<size_t>::max();
  * lookup). */
 struct Move
 {
-    PodRef pod;
+    Slot slot = 0;
     NodeId target = 0;
     double cpu = 0.0;
 };
@@ -35,10 +36,14 @@ struct Move
  * Per-run buffers shared by both bookkeeping policies: the deletion
  * stack, pass-2 queue, and every transient vector the repack/deletion
  * stages used to allocate per call. All recycled across pack() calls.
+ * The deletion order, victims, moves and journal name pods by their
+ * slot in the working state's sim::PodIndex.
  */
 struct PackCommon
 {
-    std::vector<PodRef> deletionOrder;
+    /** Deletion candidates, popped from the back; filled by the
+     * book's buildDeletionOrder() on the pack's first cascade. */
+    std::vector<Slot> deletionOrder;
     std::vector<PodRef> topUp;
     std::vector<uint8_t> skippedApps; //!< app position -> skipped
     std::vector<std::pair<double, PodRef>> movable;
@@ -47,12 +52,12 @@ struct PackCommon
     struct Victim
     {
         size_t rank;
-        PodRef pod;
+        Slot slot;
         double cpu;
     };
     std::vector<Victim> victims;
-    std::vector<PodRef> bestList;
-    std::vector<PodRef> victimList;
+    std::vector<Slot> bestList;
+    std::vector<Slot> victimList;
     /** Undo log for the current pass-1 service attempt: placements
      * and evictions in order, so a below-quorum failure can be rolled
      * back instead of stranding its collateral damage. */
@@ -62,7 +67,7 @@ struct PackCommon
         /** The eviction popped this pod off deletionOrder; undo must
          * push it back or later services lose the candidate. */
         bool poppedDeletionOrder;
-        PodRef pod;
+        Slot slot;
         NodeId node;
         double cpu;
     };
@@ -79,9 +84,10 @@ struct PackCommon
 
 /**
  * Original bookkeeping: red-black-tree capacity index, std::map rank
- * index, std::set commit set. Rebuilt (and therefore reallocated)
- * per run, like the pre-flat packer. The oracle side of the
- * bit-identity suite.
+ * index, std::set commit set, keyed by PodRef (slots are converted
+ * through the state's index). Rebuilt (and therefore reallocated) per
+ * run, like the pre-flat packer. The oracle side of the bit-identity
+ * suite.
  */
 class ReferenceBook
 {
@@ -93,6 +99,7 @@ class ReferenceBook
     {
         (void)apps;
         ops_ = &ops;
+        podIndex_ = state.podIndex().get();
         byRemaining_ = util::SortedKv<double, NodeId>();
         rankIndex_.clear();
         committed_.clear();
@@ -102,6 +109,22 @@ class ReferenceBook
         }
         for (size_t i = 0; i < ranked.size(); ++i)
             rankIndex_[{ranked[i].app, ranked[i].ms}] = i;
+
+        // Deletion candidates sorted ascending by (rank, pod):
+        // decorate-sort-undecorate over every pod the start state
+        // places.
+        std::vector<std::pair<size_t, PodRef>> decorated;
+        decorated.reserve(state.assignment().size());
+        for (const auto &[pod, node] : state.assignment()) {
+            (void)node;
+            decorated.emplace_back(rankOfPod(pod), pod);
+        }
+        std::sort(decorated.begin(), decorated.end());
+        startOrder_.clear();
+        for (const auto &[rank, pod] : decorated) {
+            (void)rank;
+            startOrder_.push_back(podIndex_->slotOf(pod));
+        }
     }
 
     void
@@ -144,24 +167,18 @@ class ReferenceBook
         }
     }
 
-    size_t
-    rankOf(const PodRef &pod) const
+    size_t rankOf(Slot slot) const { return rankOfPod(podIndex_->pod(slot)); }
+
+    void commit(Slot slot) { committed_.insert(podIndex_->pod(slot)); }
+    void uncommit(Slot slot) { committed_.erase(podIndex_->pod(slot)); }
+    bool
+    committed(Slot slot) const
     {
-        auto it = rankIndex_.find({pod.app, pod.ms});
-        if (it == rankIndex_.end())
-            return kUnranked;
-        return it->second;
+        return committed_.count(podIndex_->pod(slot)) > 0;
     }
 
-    void commit(const PodRef &pod) { committed_.insert(pod); }
-    void uncommit(const PodRef &pod) { committed_.erase(pod); }
-    bool committed(const PodRef &pod) const
-    {
-        return committed_.count(pod) > 0;
-    }
-
-    void onPlaced(const PodRef &, NodeId) {}
-    void onEvicted(const PodRef &, NodeId) {}
+    void onPlaced(Slot, NodeId) {}
+    void onEvicted(Slot, NodeId) {}
 
     /** The oracle proves nothing futile: every repack and victim walk
      * runs in full (Alg. 2 as written). */
@@ -177,51 +194,53 @@ class ReferenceBook
         return it == parked_.end() ? 0.0 : it->second;
     }
 
-    /** Deletion candidates sorted ascending by (rank, pod):
-     * decorate-sort-undecorate over every placed pod. */
-    void
-    buildDeletionOrder(const ClusterState &state,
-                       std::vector<PodRef> &out)
+    /** The start state's deletion candidates, sorted by init(). */
+    void buildDeletionOrder(std::vector<Slot> &out) const
     {
-        std::vector<std::pair<size_t, PodRef>> decorated;
-        decorated.reserve(state.assignment().size());
-        for (const auto &[pod, node] : state.assignment()) {
-            (void)node;
-            decorated.emplace_back(rankOf(pod), pod);
-        }
-        std::sort(decorated.begin(), decorated.end());
-        out.clear();
-        out.reserve(decorated.size());
-        for (const auto &[rank, pod] : decorated) {
-            (void)rank;
-            out.push_back(pod);
-        }
+        out = startOrder_;
     }
 
   private:
+    size_t
+    rankOfPod(const PodRef &pod) const
+    {
+        auto it = rankIndex_.find({pod.app, pod.ms});
+        if (it == rankIndex_.end())
+            return kUnranked;
+        return it->second;
+    }
+
+    const sim::PodIndex *podIndex_ = nullptr;
     util::SortedKv<double, NodeId> byRemaining_;
     std::map<std::pair<sim::AppId, sim::MsId>, size_t> rankIndex_;
     std::set<PodRef> committed_;
     std::map<NodeId, double> parked_;
+    std::vector<Slot> startOrder_;
     OpCounters *ops_ = nullptr;
 };
 
 /**
  * Flat bookkeeping over the state's sim::PodIndex: the commit set is a
- * byte per slot and the rank index a size_t per row (service), both
+ * bit per slot and the rank index a size_t per row (service), both
  * O(1) with no tree walks or hashing; pod -> node lookups go to the
  * state's slot table. The capacity index is a BucketedKv whose
- * iteration order is byte-identical to the reference multiset. Two O(1)
- * facts let the packer skip walks that cannot succeed: a lower bound on
- * every pod size this pack can see (no pod can move once the emptiest
- * node is below it) and a per-node count of active pods not committed
- * (a node at zero holds no deletion victim). Every buffer persists
- * across runs; steady-state packing allocates nothing for bookkeeping.
- * The packer indexes its state from apps before init(), so every pod
- * it can name has a slot.
+ * iteration order is byte-identical to the reference multiset, loaded
+ * from one sort of the healthy nodes. Two O(1) facts let the packer
+ * skip walks that cannot succeed: a lower bound on every pod size this
+ * pack can see (no pod can move once the emptiest node is below it)
+ * and a per-node count of active pods not committed (a node at zero
+ * holds no deletion victim). A second bit per slot marks the start
+ * placement, from which the deletion order is built by a row walk when
+ * a pack first needs it. Every buffer persists across runs;
+ * steady-state packing allocates nothing for bookkeeping. The packer
+ * indexes its state from apps before init(), so every pod it can name
+ * has a slot.
  */
 class FlatBook
 {
+    static constexpr uint8_t kCommitted = 1;
+    static constexpr uint8_t kPlacedAtStart = 2;
+
   public:
     void
     init(const std::vector<sim::Application> &apps,
@@ -233,51 +252,48 @@ class FlatBook
         podIndex_ = state.podIndex().get();
 
         rankRow_.assign(podIndex_->rowCount(), kUnranked);
+        rankedRows_.resize(ranked.size());
         for (size_t i = 0; i < ranked.size(); ++i) {
             const size_t row =
                 podIndex_->rowOf(ranked[i].app, ranked[i].ms);
+            rankedRows_[i] = row;
             if (row != sim::PodIndex::kNoRow)
                 rankRow_[row] = i; // last writer wins, like map::operator[]
         }
-        rankedSize_ = ranked.size();
-
-        const size_t slots = podIndex_->slotCount();
-        committedBits_.assign(slots, 0);
 
         // Pass 1 places services the input state may not hold, so the
         // size bound covers every service as well as every placed pod.
+        // The slot pass also marks the start placement.
         double min_cpu = std::numeric_limits<double>::infinity();
         for (const auto &app : apps) {
             for (const auto &ms : app.services)
                 min_cpu = std::min(min_cpu, ms.cpu);
         }
-        for (sim::Slot slot = 0; slot < slots; ++slot) {
-            if (state.slotNode(slot) != sim::kNoNode)
+        const size_t slots = podIndex_->slotCount();
+        slotBits_.resize(slots);
+        for (Slot slot = 0; slot < slots; ++slot) {
+            const bool placed = state.slotNode(slot) != sim::kNoNode;
+            slotBits_[slot] = placed ? kPlacedAtStart : 0;
+            if (placed)
                 min_cpu = std::min(min_cpu, state.slotCpu(slot));
         }
         minPodCpu_ = min_cpu;
 
-        // Per-node uncommitted count (nothing is committed yet), with
-        // capacity index sizing riding along.
+        // Per-node uncommitted count (nothing is committed yet), and
+        // the capacity index: every healthy node keyed by remaining
+        // capacity, sorted once and bulk-loaded.
         const size_t node_count = state.nodeCount();
-        uncommittedOn_.assign(node_count, 0);
-        double max_capacity = 0.0;
-        size_t healthy = 0;
+        uncommittedOn_.resize(node_count);
+        loadPairs_.clear();
         for (NodeId id = 0; id < node_count; ++id) {
-            max_capacity =
-                std::max(max_capacity, state.node(id).capacity);
-            healthy += state.isHealthy(id) ? 1 : 0;
             uncommittedOn_[id] =
                 static_cast<uint32_t>(state.podsOn(id).size());
-        }
-
-        // Capacity index: every healthy node keyed by remaining capacity.
-        index_.configure(max_capacity, healthy + 1);
-        for (NodeId id = 0; id < node_count; ++id) {
             if (state.isHealthy(id))
-                index_.insert(state.remaining(id), id);
+                loadPairs_.emplace_back(state.remaining(id), id);
         }
-        ops_->kvOps += healthy;
+        std::sort(loadPairs_.begin(), loadPairs_.end());
+        index_.loadSorted(loadPairs_);
+        ops_->kvOps += loadPairs_.size();
 
         parked_.assign(node_count, 0.0);
         parkedTouched_.clear();
@@ -320,54 +336,48 @@ class FlatBook
     }
 
     size_t
-    rankOf(const PodRef &pod) const
+    rankOf(Slot slot) const
     {
-        const size_t row = podIndex_->rowOf(pod.app, pod.ms);
-        return row == sim::PodIndex::kNoRow ? kUnranked : rankRow_[row];
+        const PodRef &pod = podIndex_->pod(slot);
+        return rankRow_[podIndex_->rowOf(pod.app, pod.ms)];
     }
 
     void
-    commit(const PodRef &pod)
+    commit(Slot slot)
     {
-        const sim::Slot slot = podIndex_->slotOf(pod);
-        if (committedBits_[slot])
+        if (committed(slot))
             return;
         const NodeId node = state_->slotNode(slot);
         if (node != sim::kNoNode)
             --uncommittedOn_[node];
-        committedBits_[slot] = 1;
+        slotBits_[slot] |= kCommitted;
     }
 
     void
-    uncommit(const PodRef &pod)
+    uncommit(Slot slot)
     {
-        const sim::Slot slot = podIndex_->slotOf(pod);
-        if (!committedBits_[slot])
+        if (!committed(slot))
             return;
         const NodeId node = state_->slotNode(slot);
         if (node != sim::kNoNode)
             ++uncommittedOn_[node];
-        committedBits_[slot] = 0;
+        slotBits_[slot] &= static_cast<uint8_t>(~kCommitted);
     }
 
-    bool
-    committed(const PodRef &pod) const
-    {
-        return committedBits_[podIndex_->slotOf(pod)] != 0;
-    }
+    bool committed(Slot slot) const { return slotBits_[slot] & kCommitted; }
 
     void
-    onPlaced(const PodRef &pod, NodeId node)
+    onPlaced(Slot slot, NodeId node)
     {
-        if (!committed(pod))
+        if (!committed(slot))
             ++uncommittedOn_[node];
     }
 
-    /** Called after the state evicted @p pod from @p node. */
+    /** Called after the state evicted @p slot's pod from @p node. */
     void
-    onEvicted(const PodRef &pod, NodeId node)
+    onEvicted(Slot slot, NodeId node)
     {
-        if (!committed(pod))
+        if (!committed(slot))
             --uncommittedOn_[node];
     }
 
@@ -407,52 +417,51 @@ class FlatBook
 
     double parkedAt(NodeId node) const { return parked_[node]; }
 
-    /** Deletion candidates ascending by (rank, pod) via a counting
-     * sort over the rank domain — stable over the slot table's
-     * PodRef-ascending order, so the output matches the reference
-     * decorate-sort exactly. */
+    /** The start placement's deletion candidates ascending by (rank,
+     * pod): the ranked rows in rank order, then the unranked rows in
+     * row order, each row's slots in slot (= PodRef) order. */
     void
-    buildDeletionOrder(const ClusterState &state,
-                       std::vector<PodRef> &out)
+    buildDeletionOrder(std::vector<Slot> &out) const
     {
-        // Rank domain: [0, R) for ranked pods plus one unranked
-        // bucket, mapped to R (every stored rank is < ranked.size(),
-        // so no scan of the rank table is needed).
-        const size_t max_rank = rankedSize_;
-        const size_t slots = podIndex_->slotCount();
-        const auto key_of = [&](sim::Slot slot) {
-            const size_t r = rankOf(podIndex_->pod(slot));
-            return r == kUnranked ? max_rank : r;
-        };
-        sortCounts_.assign(max_rank + 2, 0);
-        for (sim::Slot slot = 0; slot < slots; ++slot) {
-            if (state.slotNode(slot) != sim::kNoNode)
-                ++sortCounts_[key_of(slot) + 1];
+        out.clear();
+        for (size_t i = 0; i < rankedRows_.size(); ++i) {
+            // A row ranked again later sorts at its last rank.
+            const size_t row = rankedRows_[i];
+            if (row != sim::PodIndex::kNoRow && rankRow_[row] == i)
+                appendPlacedAtStart(row, out);
         }
-        for (size_t k = 1; k < sortCounts_.size(); ++k)
-            sortCounts_[k] += sortCounts_[k - 1];
-        out.resize(state.assignment().size());
-        for (sim::Slot slot = 0; slot < slots; ++slot) {
-            if (state.slotNode(slot) != sim::kNoNode)
-                out[sortCounts_[key_of(slot)]++] = podIndex_->pod(slot);
+        for (size_t row = 0; row < rankRow_.size(); ++row) {
+            if (rankRow_[row] == kUnranked)
+                appendPlacedAtStart(row, out);
         }
     }
 
   private:
+    void
+    appendPlacedAtStart(size_t row, std::vector<Slot> &out) const
+    {
+        const Slot end = podIndex_->firstSlot(row + 1);
+        for (Slot slot = podIndex_->firstSlot(row); slot < end; ++slot) {
+            if (slotBits_[slot] & kPlacedAtStart)
+                out.push_back(slot);
+        }
+    }
+
     /** Capacity index: healthy nodes keyed by remaining capacity. */
     util::BucketedKv<NodeId> index_;
+    std::vector<std::pair<double, NodeId>> loadPairs_;
     const ClusterState *state_ = nullptr;
     const sim::PodIndex *podIndex_ = nullptr;
-    size_t rankedSize_ = 0;
-    std::vector<size_t> rankRow_; //!< row -> rank (kUnranked if none)
-    std::vector<uint8_t> committedBits_; //!< slot -> committed
+    std::vector<size_t> rankRow_;    //!< row -> rank (kUnranked if none)
+    std::vector<size_t> rankedRows_; //!< rank -> row (kNoRow if none)
+    /** slot -> kCommitted | kPlacedAtStart */
+    std::vector<uint8_t> slotBits_;
     /** node -> active pods not committed (zero: no deletion victim) */
     std::vector<uint32_t> uncommittedOn_;
     /** Lower bound on every pod size this pack can place or move. */
     double minPodCpu_ = 0.0;
     std::vector<double> parked_;         //!< node -> hypothetical usage
     std::vector<NodeId> parkedTouched_;
-    std::vector<size_t> sortCounts_;
     OpCounters *ops_ = nullptr;
 };
 
@@ -477,6 +486,7 @@ class Packer
         // Pass 1 names every service of apps; give each a slot now so
         // no place() widens the index mid-pack.
         result_.state.coverApps(apps);
+        index_ = result_.state.podIndex().get();
         book_.init(apps, result_.state, ranked, result_.ops);
         c_.vacancy.build(apps, result_.state);
         result_.reconcileSeconds =
@@ -488,7 +498,6 @@ class Packer
     PackResult
     run()
     {
-        book_.buildDeletionOrder(result_.state, c_.deletionOrder);
         c_.topUp.clear();
         c_.skippedApps.assign(apps_.size(), 0);
 
@@ -502,6 +511,7 @@ class Packer
             const auto &ms = apps_[entry.app].services[entry.ms];
             const double size = ms.cpu; // per-replica size
             const int replicas = std::max(ms.replicas, 1);
+            const Slot first = firstSlotOf(entry); // replica r: first + r
 
             // Pass 1 places the minimum viable (quorum) replica set of
             // every ranked microservice, in rank order; extra replicas
@@ -526,35 +536,34 @@ class Packer
             bool blocked = false;
             for (int r = 0; r < replicas && placed_replicas < quorum;
                  ++r) {
-                const PodRef pod{entry.app, entry.ms,
-                                 static_cast<uint32_t>(r)};
-                if (result_.state.isActive(pod)) {
-                    book_.commit(pod);
+                const Slot slot = first + static_cast<Slot>(r);
+                if (active(slot)) {
+                    book_.commit(slot);
                     ++placed_replicas;
                     continue;
                 }
                 if (blocked)
                     continue;
+                const PodRef pod = index_->pod(slot);
                 std::optional<NodeId> node = bestFitFor(pod, size);
                 if (!node && options_.allowMigrations)
                     node = repackToFit(pod, size);
                 if (!node && options_.allowDeletions)
-                    node = deleteLowerRanksToFit(pod, size);
+                    node = deleteLowerRanksToFit(slot, size);
                 if (!node) {
                     blocked = true;
                     continue;
                 }
-                placePod(pod, *node, size, ActionKind::Restart);
-                book_.commit(pod);
+                placePod(slot, *node, size, ActionKind::Restart);
+                book_.commit(slot);
                 ++placed_replicas;
             }
             // Keep surviving extras committed so pass-1 deletions for
             // lower-ranked services do not reap them before pass 2.
             for (int r = 0; r < replicas; ++r) {
-                const PodRef pod{entry.app, entry.ms,
-                                 static_cast<uint32_t>(r)};
-                if (result_.state.isActive(pod))
-                    book_.commit(pod);
+                const Slot slot = first + static_cast<Slot>(r);
+                if (active(slot))
+                    book_.commit(slot);
             }
 
             if (placed_replicas >= quorum) {
@@ -574,11 +583,10 @@ class Packer
             result_.complete = false;
             rollbackAttempt(actions_checkpoint);
             for (int r = 0; r < replicas; ++r) {
-                const PodRef pod{entry.app, entry.ms,
-                                 static_cast<uint32_t>(r)};
-                book_.uncommit(pod);
-                if (result_.state.isActive(pod))
-                    evictPod(pod, ActionKind::Delete);
+                const Slot slot = first + static_cast<Slot>(r);
+                book_.uncommit(slot);
+                if (active(slot))
+                    evictPod(slot, ActionKind::Delete);
             }
             if (options_.abortOnUnplaceable)
                 aborted = true;
@@ -592,39 +600,53 @@ class Packer
         for (const PodRef &entry : c_.topUp) {
             const auto &ms = apps_[entry.app].services[entry.ms];
             const int replicas = std::max(ms.replicas, 1);
+            const Slot first = firstSlotOf(entry);
             for (int r = 0; r < replicas; ++r) {
-                const PodRef pod{entry.app, entry.ms,
-                                 static_cast<uint32_t>(r)};
-                if (result_.state.isActive(pod))
+                const Slot slot = first + static_cast<Slot>(r);
+                if (active(slot))
                     continue;
-                const auto node = bestFitFor(pod, ms.cpu);
+                const auto node = bestFitFor(index_->pod(slot), ms.cpu);
                 if (!node) {
                     result_.complete = false;
                     break;
                 }
-                placePod(pod, *node, ms.cpu, ActionKind::Restart);
-                book_.commit(pod);
+                placePod(slot, *node, ms.cpu, ActionKind::Restart);
+                book_.commit(slot);
             }
         }
         return std::move(result_);
     }
 
   private:
+    /** Replica 0's slot of ranked service @p entry (every service of
+     * apps_ has a row, see coverApps()). */
+    Slot
+    firstSlotOf(const PodRef &entry) const
+    {
+        return index_->firstSlot(index_->rowOf(entry.app, entry.ms));
+    }
+
+    bool active(Slot slot) const
+    {
+        return result_.state.slotNode(slot) != sim::kNoNode;
+    }
+
     /** Keep the capacity index in sync while mutating the state. */
     void
-    placePod(const PodRef &pod, NodeId node, double size, ActionKind kind,
+    placePod(Slot slot, NodeId node, double size, ActionKind kind,
              NodeId from = 0)
     {
+        const PodRef pod = index_->pod(slot);
         const double before = result_.state.remaining(node);
         const bool ok = result_.state.place(pod, node, size);
         if (!ok)
             return; // defensive; callers pre-check capacity
         book_.kvUpdate(before, result_.state.remaining(node), node);
-        book_.onPlaced(pod, node);
+        book_.onPlaced(slot, node);
         if (!c_.vacancy.empty())
             c_.vacancy.onPlace(pod, node, result_.state.zoneOf(node));
         c_.journal.push_back(
-            PackCommon::JournalEntry{true, false, pod, node, size});
+            PackCommon::JournalEntry{true, false, slot, node, size});
         Action action;
         action.kind = kind;
         action.pod = pod;
@@ -634,26 +656,26 @@ class Packer
     }
 
     void
-    evictPod(const PodRef &pod, ActionKind kind, NodeId to = 0)
+    evictPod(Slot slot, ActionKind kind)
     {
-        const auto node = result_.state.nodeOf(pod);
-        if (!node)
+        const NodeId node = result_.state.slotNode(slot);
+        if (node == sim::kNoNode)
             return;
-        const double before = result_.state.remaining(*node);
-        const double cpu = result_.state.podCpu(pod);
+        const PodRef pod = index_->pod(slot);
+        const double before = result_.state.remaining(node);
+        const double cpu = result_.state.slotCpu(slot);
         result_.state.evict(pod);
-        book_.kvUpdate(before, result_.state.remaining(*node), *node);
-        book_.onEvicted(pod, *node);
+        book_.kvUpdate(before, result_.state.remaining(node), node);
+        book_.onEvicted(slot, node);
         if (!c_.vacancy.empty())
-            c_.vacancy.onEvict(pod, *node, result_.state.zoneOf(*node));
+            c_.vacancy.onEvict(pod, node, result_.state.zoneOf(node));
         c_.journal.push_back(PackCommon::JournalEntry{
-            false, journalPoppedDeletionOrder_, pod, *node, cpu});
+            false, journalPoppedDeletionOrder_, slot, node, cpu});
         if (kind == ActionKind::Delete) {
             Action action;
             action.kind = ActionKind::Delete;
             action.pod = pod;
-            action.from = *node;
-            action.to = to;
+            action.from = node;
             result_.actions.push_back(action);
         }
     }
@@ -683,21 +705,22 @@ class Packer
         while (!c_.journal.empty()) {
             const PackCommon::JournalEntry e = c_.journal.back();
             c_.journal.pop_back();
+            const PodRef pod = index_->pod(e.slot);
             const double before = result_.state.remaining(e.node);
             if (e.placed) {
-                result_.state.evict(e.pod);
-                book_.onEvicted(e.pod, e.node);
+                result_.state.evict(pod);
+                book_.onEvicted(e.slot, e.node);
                 if (!c_.vacancy.empty())
-                    c_.vacancy.onEvict(e.pod, e.node,
+                    c_.vacancy.onEvict(pod, e.node,
                                        result_.state.zoneOf(e.node));
             } else {
-                result_.state.place(e.pod, e.node, e.cpu);
-                book_.onPlaced(e.pod, e.node);
+                result_.state.place(pod, e.node, e.cpu);
+                book_.onPlaced(e.slot, e.node);
                 if (!c_.vacancy.empty())
-                    c_.vacancy.onPlace(e.pod, e.node,
+                    c_.vacancy.onPlace(pod, e.node,
                                        result_.state.zoneOf(e.node));
                 if (e.poppedDeletionOrder)
-                    c_.deletionOrder.push_back(e.pod);
+                    c_.deletionOrder.push_back(e.slot);
             }
             book_.kvUpdate(before, result_.state.remaining(e.node),
                            e.node);
@@ -761,8 +784,8 @@ class Packer
             if (!planMigrations(node, size))
                 continue;
             for (const Move &move : c_.moves) {
-                evictPod(move.pod, ActionKind::Migrate);
-                placePod(move.pod, move.target, move.cpu,
+                evictPod(move.slot, ActionKind::Migrate);
+                placePod(move.slot, move.target, move.cpu,
                          ActionKind::Migrate, node);
             }
             if (result_.state.remaining(node) + 1e-9 >= size)
@@ -846,7 +869,7 @@ class Packer
             if (!target)
                 continue; // this pod cannot move; try a bigger one
             book_.parkedAdd(*target, cpu);
-            c_.moves.push_back(Move{pod, *target, cpu});
+            c_.moves.push_back(Move{index_->slotOf(pod), *target, cpu});
             freed += cpu;
         }
         return freed + 1e-9 >= size;
@@ -889,10 +912,11 @@ class Packer
                 const auto &pods = result_.state.podsOn(node);
                 result_.ops.podScans += pods.size();
                 for (const auto &[pod, cpu] : pods) {
-                    const size_t rank = book_.rankOf(pod);
-                    if (rank > incoming_rank && !book_.committed(pod))
+                    const Slot slot = index_->slotOf(pod);
+                    const size_t rank = book_.rankOf(slot);
+                    if (rank > incoming_rank && !book_.committed(slot))
                         victims.push_back(
-                            PackCommon::Victim{rank, pod, cpu});
+                            PackCommon::Victim{rank, slot, cpu});
                 }
                 std::sort(victims.begin(), victims.end(),
                           [](const auto &x, const auto &y) {
@@ -910,27 +934,27 @@ class Packer
                     // The whole victim set of this candidate must fit
                     // each service's remaining disruption budget, so
                     // track what this plan already spends per service.
+                    const PodRef &pod = index_->pod(victim.slot);
                     const uint64_t key =
-                        (static_cast<uint64_t>(victim.pod.app) << 32) |
-                        victim.pod.ms;
-                    size_t slot = tentative.size();
+                        (static_cast<uint64_t>(pod.app) << 32) | pod.ms;
+                    size_t at = tentative.size();
                     int planned = 0;
                     for (size_t i = 0; i < tentative.size(); ++i) {
                         if (tentative[i].first == key) {
-                            slot = i;
+                            at = i;
                             planned = tentative[i].second;
                             break;
                         }
                     }
-                    if (planned >= c_.vacancy.pdbRemaining(victim.pod))
+                    if (planned >= c_.vacancy.pdbRemaining(pod))
                         continue;
-                    if (slot == tentative.size())
+                    if (at == tentative.size())
                         tentative.emplace_back(key, 1);
                     else
-                        ++tentative[slot].second;
+                        ++tentative[at].second;
                 }
                 free += victim.cpu;
-                list.push_back(victim.pod);
+                list.push_back(victim.slot);
             }
             if (free + 1e-9 >= size && list.size() < best_victims) {
                 best_victims = list.size();
@@ -941,9 +965,9 @@ class Packer
 
         if (!best_node)
             return std::nullopt;
-        for (const PodRef &victim : best_list) {
+        for (const Slot victim : best_list) {
             if (pdb_active)
-                c_.vacancy.consumePdb(victim);
+                c_.vacancy.consumePdb(index_->pod(victim));
             evictPod(victim, ActionKind::Delete);
         }
         return best_node;
@@ -952,31 +976,37 @@ class Packer
     /**
      * Deletion stage: remove active containers in reverse planner
      * order (unranked first, then lowest-ranked) until the incoming
-     * container fits by best-fit or repacking.
+     * container fits by best-fit or repacking. The order covers the
+     * pack's start placement; the book builds it on the first cascade,
+     * which is the same order: nothing pops it before then.
      */
     std::optional<NodeId>
-    deleteLowerRanksToFit(const PodRef &incoming, double size)
+    deleteLowerRanksToFit(Slot incoming_slot, double size)
     {
-        const size_t incoming_rank = book_.rankOf(incoming);
+        const PodRef incoming = index_->pod(incoming_slot);
+        const size_t incoming_rank = book_.rankOf(incoming_slot);
         if (auto node = clearOneNodeToFit(incoming, incoming_rank, size))
             return node;
+        if (!deletionOrderBuilt_) {
+            book_.buildDeletionOrder(c_.deletionOrder);
+            deletionOrderBuilt_ = true;
+        }
         size_t deletions = 0;
         while (!c_.deletionOrder.empty()) {
-            const PodRef victim = c_.deletionOrder.back();
+            const Slot victim = c_.deletionOrder.back();
             c_.deletionOrder.pop_back();
-            if (!result_.state.isActive(victim) ||
-                book_.committed(victim)) {
+            if (!active(victim) || book_.committed(victim))
                 continue;
-            }
             if (book_.rankOf(victim) <= incoming_rank)
                 break; // nothing lower-priority left
             // A service whose disruption budget is spent is off
             // limits for the rest of the epoch (the budget is never
             // refunded), so dropping the candidate permanently is
             // safe.
-            if (!c_.vacancy.pdbAllows(victim))
+            const PodRef &victim_pod = index_->pod(victim);
+            if (!c_.vacancy.pdbAllows(victim_pod))
                 continue;
-            c_.vacancy.consumePdb(victim);
+            c_.vacancy.consumePdb(victim_pod);
             journalPoppedDeletionOrder_ = true;
             evictPod(victim, ActionKind::Delete);
             journalPoppedDeletionOrder_ = false;
@@ -1004,6 +1034,10 @@ class Packer
     Book &book_;
     PackCommon &c_;
     PackResult result_;
+    /** The working state's index; the pack never widens it. */
+    const sim::PodIndex *index_ = nullptr;
+    /** Set once c_.deletionOrder holds this pack's order. */
+    bool deletionOrderBuilt_ = false;
     /** Set around the deletionOrder-driven eviction in
      * deleteLowerRanksToFit so the journal entry remembers to restore
      * the popped candidate on rollback. */

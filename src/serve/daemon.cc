@@ -49,6 +49,22 @@ integerAt(const util::JsonValue &object, const std::string &key,
     return value ? integerOf<T>(*value) : std::optional<T>(fallback);
 }
 
+/** Field @p key of @p object when it is a finite JSON number,
+ * @p fallback when the field is absent, std::nullopt for anything
+ * else (a string, infinity from an overflowing literal such as 1e999,
+ * ...). */
+std::optional<double>
+finiteAt(const util::JsonValue &object, const std::string &key,
+         double fallback)
+{
+    const util::JsonValue *value = object.field(key);
+    if (!value)
+        return fallback;
+    if (!value->isNumber() || !std::isfinite(value->number))
+        return std::nullopt;
+    return value->number;
+}
+
 /** Reply for a node id that names no node. */
 std::string
 nodeIdError(const std::string &cmd, size_t nodeCount)
@@ -136,10 +152,11 @@ std::string
 ServeDaemon::cmdLoadTestbed(const util::JsonValue &command)
 {
     apps::CloudLabConfig testbedConfig;
-    const double demand =
-        command.numberAt("demand_fraction",
-                         testbedConfig.demandFraction);
-    testbedConfig.demandFraction = demand;
+    const std::optional<double> demand = finiteAt(
+        command, "demand_fraction", testbedConfig.demandFraction);
+    if (!demand)
+        return errorReply("load-testbed needs a finite 'demand_fraction'");
+    testbedConfig.demandFraction = *demand;
     const apps::CloudLabTestbed testbed =
         apps::makeCloudLabTestbed(testbedConfig);
     for (size_t n = 0; n < testbed.config.nodeCount; ++n)
@@ -163,12 +180,15 @@ ServeDaemon::cmdAddNodes(const util::JsonValue &command)
         static_cast<size_t>(sim::kNoNode) - cluster_.nodeCount();
     const std::optional<size_t> count =
         integerAt<size_t>(command, "count", 1);
-    const double capacity = command.numberAt("capacity", 8.0);
-    if (!count || *count == 0 || *count > room || capacity <= 0.0)
+    const std::optional<double> capacity =
+        finiteAt(command, "capacity", 8.0);
+    if (!count || *count == 0 || *count > room || !capacity ||
+        *capacity <= 0.0)
         return errorReply("add-nodes needs an integral count in [1, " +
-                          std::to_string(room) + "] and capacity > 0");
+                          std::to_string(room) +
+                          "] and a finite capacity > 0");
     for (size_t n = 0; n < *count; ++n)
-        cluster_.addNode(capacity);
+        cluster_.addNode(*capacity);
     std::ostringstream out;
     out << "{\"ok\":true,\"nodes\":" << cluster_.nodeCount() << "}";
     return out.str();
@@ -254,16 +274,18 @@ ServeDaemon::cmdStartController(const util::JsonValue &command)
     forecast::ForecastConfig forecastConfig;
     const std::optional<size_t> zones = integerAt<size_t>(
         command, "zones", forecastConfig.fallbackZoneCount);
-    if (!zones)
-        return errorReply("start-controller needs an integral 'zones'");
+    const std::optional<double> horizon =
+        finiteAt(command, "horizon", forecastConfig.horizonSeconds);
+    if (!zones || !horizon)
+        return errorReply("start-controller needs an integral 'zones' "
+                          "and a finite 'horizon'");
     controller_ = std::make_unique<core::PhoenixController>(
         events_, cluster_,
         std::make_unique<core::PhoenixScheme>(objective));
 
     if (forecastOn) {
         forecastConfig.fallbackZoneCount = *zones;
-        forecastConfig.horizonSeconds = command.numberAt(
-            "horizon", forecastConfig.horizonSeconds);
+        forecastConfig.horizonSeconds = *horizon;
         forecaster_ = std::make_unique<forecast::Forecaster>(
             cluster_,
             [objective] {
@@ -324,29 +346,35 @@ ServeDaemon::cmdServeStart(const util::JsonValue &command)
         return errorReply(
             "nothing to serve (load-testbed or ingest-manifest first)");
 
-    const double duration = command.numberAt("duration", 600.0);
-    if (duration <= 0.0)
-        return errorReply("serve-start needs duration > 0");
-
     FrontendConfig frontendConfig = config_.frontend;
+    const std::optional<double> duration =
+        finiteAt(command, "duration", 600.0);
+    // The window tick re-arms itself one window later: a window of 0
+    // would re-arm at the same instant forever.
+    const std::optional<double> window =
+        finiteAt(command, "window", frontendConfig.windowSec);
+    const std::optional<double> rpsScale =
+        finiteAt(command, "rps_scale", frontendConfig.rpsScale);
+    if (!duration || *duration <= 0.0 || !window || *window <= 0.0 ||
+        !rpsScale)
+        return errorReply("serve-start needs finite duration > 0, "
+                          "window > 0 and rps_scale");
     frontendConfig.seed = config_.seed;
     frontendConfig.startAt = events_.now();
-    frontendConfig.endAt = events_.now() + duration;
-    frontendConfig.windowSec =
-        command.numberAt("window", frontendConfig.windowSec);
-    frontendConfig.rpsScale =
-        command.numberAt("rps_scale", frontendConfig.rpsScale);
+    frontendConfig.endAt = events_.now() + *duration;
+    frontendConfig.windowSec = *window;
+    frontendConfig.rpsScale = *rpsScale;
 
     const std::string shape = command.stringAt("shape", "steady");
     if (shape == "steady") {
         frontendConfig.curve = apps::RateCurve();
     } else if (shape == "diurnal") {
         frontendConfig.curve = shiftCurve(
-            apps::RateCurve::diurnal(duration, 0.5, 1.5),
+            apps::RateCurve::diurnal(*duration, 0.5, 1.5),
             events_.now());
     } else if (shape == "burst") {
         frontendConfig.curve = shiftCurve(
-            apps::RateCurve::burst(duration * 0.4, duration * 0.3,
+            apps::RateCurve::burst(*duration * 0.4, *duration * 0.3,
                                    1.0, 2.0),
             events_.now());
     } else {
@@ -379,7 +407,10 @@ ServeDaemon::cmdInjectScenario(const util::JsonValue &command)
         if (!step.isObject())
             return errorReply("scenario step must be an object");
         const std::string kind = step.stringAt("kind");
-        const double at = step.numberAt("at", events_.now());
+        const std::optional<double> at =
+            finiteAt(step, "at", events_.now());
+        if (!at)
+            return errorReply("scenario step needs a finite 'at'");
         if (kind == "fail-nodes" || kind == "recover-nodes") {
             const util::JsonValue *nodes = step.field("nodes");
             if (!nodes || !nodes->isArray())
@@ -393,38 +424,49 @@ ServeDaemon::cmdInjectScenario(const util::JsonValue &command)
                 ids.push_back(*id);
             }
             if (kind == "fail-nodes")
-                scenario.failNodes(at, std::move(ids));
+                scenario.failNodes(*at, std::move(ids));
             else
-                scenario.recoverNodes(at, std::move(ids));
+                scenario.recoverNodes(*at, std::move(ids));
         } else if (kind == "fail-count" || kind == "rolling-fail") {
             const std::optional<size_t> count =
                 integerAt<size_t>(step, "count", 1);
-            if (!count)
-                return errorReply(kind + " needs an integral 'count'");
-            if (kind == "fail-count") {
-                scenario.failCount(at, *count);
-            } else {
-                scenario.rollingFail(at, *count,
-                                     step.numberAt("interval", 60.0));
-            }
+            const std::optional<double> interval =
+                finiteAt(step, "interval", 60.0);
+            if (!count || !interval)
+                return errorReply(kind + " needs an integral 'count' "
+                                         "and a finite 'interval'");
+            if (kind == "fail-count")
+                scenario.failCount(*at, *count);
+            else
+                scenario.rollingFail(*at, *count, *interval);
         } else if (kind == "fail-capacity-fraction") {
-            scenario.failCapacityFraction(
-                at, step.numberAt("fraction", 0.0));
+            const std::optional<double> fraction =
+                finiteAt(step, "fraction", 0.0);
+            if (!fraction)
+                return errorReply(kind + " needs a finite 'fraction'");
+            scenario.failCapacityFraction(*at, *fraction);
         } else if (kind == "fail-zone") {
             const std::optional<size_t> zone =
                 integerAt<size_t>(step, "zone", 0);
             if (!zone)
                 return errorReply("fail-zone needs an integral 'zone'");
-            scenario.failZone(at, *zone);
+            scenario.failZone(*at, *zone);
         } else if (kind == "flap") {
             const std::optional<sim::NodeId> node =
                 integerAt<sim::NodeId>(step, "node", 0);
             if (!node || *node >= nodeCount)
                 return nodeIdError(kind, nodeCount);
-            scenario.flapKubelet(at, *node,
-                                 step.numberAt("downtime", 30.0));
+            const std::optional<double> downtime =
+                finiteAt(step, "downtime", 30.0);
+            if (!downtime)
+                return errorReply("flap needs a finite 'downtime'");
+            scenario.flapKubelet(*at, *node, *downtime);
         } else if (kind == "recover-all") {
-            scenario.recoverAll(at, step.numberAt("stagger", 0.0));
+            const std::optional<double> stagger =
+                finiteAt(step, "stagger", 0.0);
+            if (!stagger)
+                return errorReply("recover-all needs a finite 'stagger'");
+            scenario.recoverAll(*at, *stagger);
         } else {
             return errorReply("unknown scenario step kind " +
                               util::jsonQuote(kind));
@@ -453,10 +495,11 @@ ServeDaemon::cmdInjectScenario(const util::JsonValue &command)
 std::string
 ServeDaemon::cmdAdvance(const util::JsonValue &command)
 {
-    const double seconds = command.numberAt("seconds", 0.0);
-    if (seconds <= 0.0)
-        return errorReply("advance needs seconds > 0");
-    events_.runUntil(events_.now() + seconds);
+    const std::optional<double> seconds =
+        finiteAt(command, "seconds", 0.0);
+    if (!seconds || *seconds <= 0.0)
+        return errorReply("advance needs finite seconds > 0");
+    events_.runUntil(events_.now() + *seconds);
     std::ostringstream out;
     out << "{\"ok\":true,\"t\":" << util::jsonNumber(events_.now())
         << "}";

@@ -91,6 +91,10 @@ class PodIndex
         return first + pod.replica;
     }
 
+    /** First slot of @p row; row + 1's first slot ends the row's range
+     * (firstSlot(rowCount()) == slotCount()). */
+    Slot firstSlot(size_t row) const { return rowSlot_[row]; }
+
     const PodRef &pod(Slot slot) const { return pods_[slot]; }
 
     /** True when every pod of @p apps has a slot. */

@@ -35,6 +35,7 @@
 #define PHOENIX_UTIL_BUCKETED_KV_H
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -49,20 +50,38 @@ class BucketedKv
     using Pair = std::pair<double, Value>;
 
     /**
-     * Reset to empty. The parameters are sizing hints kept for
-     * interface stability; the block layout adapts to the data, so
-     * they are not needed. Every previously grown buffer (blocks,
-     * maxima, pool) is kept, so reconfiguration does not allocate in
-     * steady state.
+     * Reset to empty. Every previously grown buffer (blocks, maxima,
+     * pool) is kept, so clearing does not allocate in steady state.
      */
     void
-    configure(double max_key, size_t expected_count)
+    clear()
     {
-        (void)max_key;
-        (void)expected_count;
         while (!blocks_.empty())
             releaseBlock(blocks_.size() - 1);
         size_ = 0;
+    }
+
+    /**
+     * Replace the contents with @p sorted, which must be in ascending
+     * (key, value) order: one pass that fills pooled blocks to half the
+     * split size, where inserting the pairs one at a time would route
+     * and memmove each. Half-full blocks leave every block room to grow
+     * before it splits. The pairs iterate exactly as if inserted.
+     */
+    void
+    loadSorted(const std::vector<Pair> &sorted)
+    {
+        assert(std::is_sorted(sorted.begin(), sorted.end()));
+        clear();
+        for (size_t at = 0; at < sorted.size(); at += kLoadSize) {
+            const size_t end = std::min(sorted.size(), at + kLoadSize);
+            std::vector<Pair> block = takePooledBlock();
+            block.assign(sorted.begin() + static_cast<ptrdiff_t>(at),
+                         sorted.begin() + static_cast<ptrdiff_t>(end));
+            maxima_.push_back(block.back());
+            blocks_.push_back(std::move(block));
+        }
+        size_ = sorted.size();
     }
 
     size_t size() const { return size_; }
@@ -186,6 +205,8 @@ class BucketedKv
     // block-vector bookkeeping stays negligible, small enough that the
     // worst within-block memmove is ~2 KiB.
     static constexpr size_t kSplitSize = 256;
+    /** Pairs per block after loadSorted(). */
+    static constexpr size_t kLoadSize = kSplitSize / 2;
 
     /** Index of the first block whose max orders >= entry. */
     size_t
@@ -196,11 +217,16 @@ class BucketedKv
             maxima_.begin());
     }
 
+    /** An empty block buffer with room for kSplitSize pairs, so no
+     * block reallocates before it splits. */
     std::vector<Pair>
     takePooledBlock()
     {
-        if (pool_.empty())
-            return {};
+        if (pool_.empty()) {
+            std::vector<Pair> block;
+            block.reserve(kSplitSize);
+            return block;
+        }
         std::vector<Pair> block = std::move(pool_.back());
         pool_.pop_back();
         return block;

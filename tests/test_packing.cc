@@ -417,6 +417,70 @@ TEST(PackingBounds, EvictedVictimLeavesNoUncommittedPodBehind)
     checkInvariants(apps, cluster, flat);
 }
 
+// The deletion order is built when a pack first reaches the deletion
+// cascade, but it must be the order of the start placement, sorted by
+// (rank, pod). Here the state has moved away from the start by then:
+// pass 1 restarted A, and repack migrated the uncommitted Ud to make
+// room for B. C's first replica reaches the cascade (the order is built
+// there), which deletes every lower-ranked pod and still leaves C below
+// quorum, so C's attempt rolls back and pushes its victims back onto
+// the order. D's cascade then deletes from that order: unranked pods
+// by descending PodRef, then ranked ones by descending rank, where the
+// ranked services' rows run in a different order from their ranks.
+TEST(PackingBounds, DeletionOrderIsBuiltFromTheStartPlacement)
+{
+    // App 0: A, B, C (2 replicas, quorum 2), P, Q, Uc, Ud, L. App 1: D.
+    Application app0 =
+        makeApp(0, {2.0, 6.0, 9.0, 4.0, 4.0, 3.0, 2.0, 3.0});
+    app0.services[2].replicas = 2;
+    auto apps = std::vector<Application>{app0, makeApp(1, {9.0})};
+    const PodRef A{0, 0}, B{0, 1}, P{0, 3}, Q{0, 4}, Uc{0, 5}, Ud{0, 6},
+        L{0, 7}, D{1, 0};
+    ClusterState cluster(sim::PodIndex::of(apps));
+    cluster.addNode(10.0); // node 0: P, Q (2 free)
+    cluster.addNode(8.0);  // node 1: Uc, L (2 free)
+    cluster.addNode(6.0);  // node 2: Ud (4 free)
+    // Sixteen nodes with room for no pod: they are the emptiest, so
+    // every repack and targeted delete looks at them only, and C and D
+    // reach the cascade.
+    for (int n = 0; n < 16; ++n)
+        cluster.addNode(1.0);
+    cluster.place(P, 0, 4.0);
+    cluster.place(Q, 0, 4.0);
+    cluster.place(Uc, 1, 3.0);
+    cluster.place(L, 1, 3.0);
+    cluster.place(Ud, 2, 2.0);
+    // Ranks: A 0, B 1, C 2, D 3, Q 4, P 5, L 6; Uc and Ud unranked.
+    const GlobalRank ranked{A, B, PodRef{0, 2}, D, Q, P, L};
+
+    const auto [flat, ref] = packBothBooks(apps, cluster, ranked);
+    const std::vector<Action> expect{
+        {ActionKind::Restart, A, 0, 0},
+        {ActionKind::Migrate, Ud, 2, 1},
+        {ActionKind::Restart, B, 0, 2},
+        // D's cascade, in start-placement order from the back.
+        {ActionKind::Delete, Ud, 1, 0},
+        {ActionKind::Delete, Uc, 1, 0},
+        {ActionKind::Delete, L, 1, 0},
+        {ActionKind::Delete, P, 0, 0},
+        {ActionKind::Delete, Q, 0, 0},
+        // The order is spent: repack moves A off node 0 for D.
+        {ActionKind::Migrate, A, 0, 1},
+        {ActionKind::Restart, D, 0, 0},
+    };
+    ASSERT_EQ(flat.actions.size(), expect.size());
+    for (size_t i = 0; i < expect.size(); ++i) {
+        EXPECT_EQ(flat.actions[i].kind, expect[i].kind) << i;
+        EXPECT_EQ(flat.actions[i].pod, expect[i].pod) << i;
+        EXPECT_EQ(flat.actions[i].from, expect[i].from) << i;
+        EXPECT_EQ(flat.actions[i].to, expect[i].to) << i;
+    }
+    EXPECT_FALSE(flat.state.isActive(PodRef{0, 2, 0}));
+    EXPECT_FALSE(flat.state.isActive(PodRef{0, 2, 1}));
+    EXPECT_FALSE(flat.complete);
+    checkInvariants(apps, cluster, flat);
+}
+
 class PackingRandomized : public ::testing::TestWithParam<int>
 {
 };

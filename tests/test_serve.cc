@@ -577,14 +577,39 @@ TEST(ServeDaemon, RejectsMalformedCommands)
     auto early = reply(daemon, R"({"cmd":"serve-start"})");
     EXPECT_FALSE(okOf(early));
 
-    // Numeric fields must be finite integers in their type's range, and
-    // node ids must name existing nodes. A rejected command changes
-    // nothing.
+    // Integer fields must be finite integers in their type's range,
+    // node ids must name existing nodes, and other numeric fields must
+    // be finite numbers (1e999 parses as infinity). A rejected command
+    // changes nothing, and the daemon keeps answering.
     ASSERT_TRUE(okOf(reply(daemon, R"({"cmd":"load-testbed"})")));
     const size_t nodes = daemon.cluster().nodeCount();
     ASSERT_EQ(nodes, 25u);
+    const double t0 = reply(daemon, R"({"cmd":"observe"})").numberAt("t");
     const std::string inject = R"({"cmd":"inject-scenario","steps":[)";
     for (const std::string &line : {
+             // Accepted, these three would hang advance, re-arm the
+             // window tick at one instant forever (so the next advance
+             // hangs), and make observe print ready_capacity null.
+             std::string(R"({"cmd":"advance","seconds":1e999})"),
+             std::string(R"({"cmd":"serve-start","window":0})"),
+             std::string(R"({"cmd":"add-nodes","capacity":1e999})"),
+             std::string(R"({"cmd":"advance","seconds":"5"})"),
+             std::string(R"({"cmd":"advance","seconds":-1e999})"),
+             std::string(R"({"cmd":"serve-start","window":-5})"),
+             std::string(R"({"cmd":"serve-start","window":"5"})"),
+             std::string(R"({"cmd":"serve-start","duration":1e999})"),
+             std::string(R"({"cmd":"serve-start","rps_scale":1e999})"),
+             std::string(R"({"cmd":"add-nodes","capacity":"8"})"),
+             std::string(
+                 R"({"cmd":"load-testbed","demand_fraction":1e999})"),
+             std::string(R"({"cmd":"start-controller","horizon":1e999})"),
+             inject + R"({"kind":"fail-count","at":1e999}]})",
+             inject + R"({"kind":"fail-count","at":"1"}]})",
+             inject + R"({"kind":"rolling-fail","at":1,"interval":1e999}]})",
+             inject +
+                 R"({"kind":"fail-capacity-fraction","at":1,"fraction":"x"}]})",
+             inject + R"({"kind":"flap","at":1,"node":0,"downtime":1e999}]})",
+             inject + R"({"kind":"recover-all","at":1,"stagger":1e999}]})",
              inject + R"({"kind":"fail-nodes","at":1,"nodes":[25]}]})",
              inject + R"({"kind":"fail-nodes","at":1,"nodes":["x"]}]})",
              std::string(R"({"cmd":"add-nodes","count":2.5})"),
@@ -619,6 +644,9 @@ TEST(ServeDaemon, RejectsMalformedCommands)
          }) {
         ASSERT_FALSE(okOf(reply(daemon, line))) << line;
         EXPECT_EQ(daemon.cluster().nodeCount(), nodes) << line;
+        const auto observed = reply(daemon, R"({"cmd":"observe"})");
+        ASSERT_TRUE(okOf(observed)) << line;
+        EXPECT_EQ(observed.numberAt("t"), t0) << line;
     }
     // No scenario was armed: every node is still Ready well past the
     // heartbeat grace period.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -362,7 +363,6 @@ TEST(IndexedDaryHeap, MatchesSetOracleUnderRandomOps)
 TEST(BucketedKv, BestFitQueriesMatchSortedKv)
 {
     BucketedKv<uint32_t> kv;
-    kv.configure(10.0, 8);
     kv.insert(4.0, 1);
     kv.insert(2.0, 2);
     kv.insert(8.0, 3);
@@ -395,7 +395,6 @@ TEST(BucketedKv, MatchesMultisetOracleUnderRandomOps)
     using Pair = std::pair<double, uint32_t>;
     for (const double max_key : {1.0, 32.0, 4096.0}) {
         BucketedKv<uint32_t> kv;
-        kv.configure(max_key, 256);
         std::multiset<Pair> oracle;
         std::vector<Pair> live;
 
@@ -463,14 +462,147 @@ TEST(BucketedKv, MatchesMultisetOracleUnderRandomOps)
     }
 }
 
+namespace {
+
+std::vector<std::pair<double, uint32_t>>
+ascendingOf(const BucketedKv<uint32_t> &kv)
+{
+    std::vector<std::pair<double, uint32_t>> out;
+    kv.scanAtLeast(-std::numeric_limits<double>::infinity(),
+                   [&](const auto &entry) {
+                       out.push_back(entry);
+                       return true;
+                   });
+    return out;
+}
+
+} // namespace
+
+TEST(BucketedKv, BulkLoadMatchesInserts)
+{
+    // loadSorted() must leave the sequence that inserting the same
+    // pairs one at a time leaves, SortedKv's order, and keep matching
+    // under the operations a pack makes afterwards. Round 0 is a fresh
+    // homogeneous cluster: thousands of nodes at one key. One object is
+    // loaded in every round, so later loads reuse pooled blocks.
+    using Pair = std::pair<double, uint32_t>;
+    Rng rng(4242);
+    BucketedKv<uint32_t> loaded;
+    for (int round = 0; round < 4; ++round) {
+        const size_t n = round == 0 ? 3000
+                                    : static_cast<size_t>(
+                                          rng.uniformInt(1, 2500));
+        const auto tie_heavy_key = [&] {
+            return 16.0 * static_cast<double>(rng.uniformInt(0, 32)) /
+                   32.0;
+        };
+        std::vector<Pair> pairs;
+        for (uint32_t v = 0; v < n; ++v) {
+            const bool homogeneous = round == 0 && v % 64 != 0;
+            pairs.emplace_back(homogeneous ? 16.0 : tie_heavy_key(), v);
+        }
+        rng.shuffle(pairs);
+
+        BucketedKv<uint32_t> inserted;
+        SortedKv<double, uint32_t> oracle;
+        for (const auto &[key, value] : pairs) {
+            inserted.insert(key, value);
+            oracle.insert(key, value);
+        }
+        std::vector<Pair> sorted = pairs;
+        std::sort(sorted.begin(), sorted.end());
+        loaded.loadSorted(sorted);
+        ASSERT_EQ(loaded.size(), n);
+        ASSERT_EQ(ascendingOf(loaded),
+                  std::vector<Pair>(oracle.begin(), oracle.end()));
+        ASSERT_EQ(ascendingOf(inserted), ascendingOf(loaded));
+
+        std::vector<Pair> live = pairs;
+        uint32_t next_value = static_cast<uint32_t>(n);
+        for (int op = 0; op < 3000; ++op) {
+            const int choice = static_cast<int>(rng.uniformInt(0, 5));
+            if (choice == 0 || live.empty()) {
+                const Pair entry(tie_heavy_key(), next_value++);
+                loaded.insert(entry.first, entry.second);
+                inserted.insert(entry.first, entry.second);
+                oracle.insert(entry.first, entry.second);
+                live.push_back(entry);
+            } else if (choice == 1) {
+                const size_t pick = static_cast<size_t>(
+                    rng.uniformInt(0, live.size() - 1));
+                const Pair victim = live[pick];
+                ASSERT_TRUE(loaded.erase(victim.first, victim.second));
+                ASSERT_TRUE(inserted.erase(victim.first, victim.second));
+                ASSERT_TRUE(oracle.erase(victim.first, victim.second));
+                live[pick] = live.back();
+                live.pop_back();
+            } else if (choice == 2) {
+                const double bound = rng.uniform(0.0, 17.0);
+                const auto expect = oracle.firstAtLeast(bound);
+                ASSERT_EQ(loaded.firstAtLeast(bound), expect) << bound;
+                ASSERT_EQ(inserted.firstAtLeast(bound), expect) << bound;
+            } else if (choice == 3) {
+                const auto expect = oracle.largest();
+                ASSERT_EQ(loaded.largest(), expect);
+                ASSERT_EQ(inserted.largest(), expect);
+            } else {
+                // A bounded walk, as the packer's repack and victim
+                // scans stop early.
+                const size_t limit =
+                    static_cast<size_t>(rng.uniformInt(1, 300));
+                const auto walk = [&](const BucketedKv<uint32_t> &kv,
+                                      double bound) {
+                    std::vector<Pair> seen;
+                    const auto visit = [&](const Pair &entry) {
+                        seen.push_back(entry);
+                        return seen.size() < limit;
+                    };
+                    if (choice == 4)
+                        kv.scanAtLeast(bound, visit);
+                    else
+                        kv.scanDescending(visit);
+                    return seen;
+                };
+                const double bound = rng.uniform(0.0, 17.0);
+                std::vector<Pair> expect;
+                if (choice == 4) {
+                    for (auto it = oracle.lowerBound(bound);
+                         it != oracle.end() && expect.size() < limit;
+                         ++it)
+                        expect.push_back(*it);
+                } else {
+                    for (auto it = oracle.rbegin();
+                         it != oracle.rend() && expect.size() < limit;
+                         ++it)
+                        expect.push_back(*it);
+                }
+                ASSERT_EQ(walk(loaded, bound), expect) << op;
+                ASSERT_EQ(walk(inserted, bound), expect) << op;
+            }
+            ASSERT_EQ(loaded.size(), oracle.size());
+            ASSERT_EQ(inserted.size(), oracle.size());
+            if (op % 100 == 0) {
+                ASSERT_EQ(ascendingOf(loaded),
+                          std::vector<Pair>(oracle.begin(), oracle.end()))
+                    << op;
+            }
+        }
+        ASSERT_EQ(ascendingOf(loaded),
+                  std::vector<Pair>(oracle.begin(), oracle.end()));
+        ASSERT_EQ(ascendingOf(inserted), ascendingOf(loaded));
+    }
+    loaded.loadSorted({});
+    EXPECT_TRUE(loaded.empty());
+    EXPECT_FALSE(loaded.largest().has_value());
+}
+
 TEST(BucketedKv, ReconfigureClearsAndReuses)
 {
     BucketedKv<uint32_t> kv;
-    kv.configure(16.0, 1000);
     for (int i = 0; i < 100; ++i)
         kv.insert(static_cast<double>(i % 17), i);
     EXPECT_EQ(kv.size(), 100u);
-    kv.configure(16.0, 1000);
+    kv.clear();
     EXPECT_TRUE(kv.empty());
     EXPECT_FALSE(kv.firstAtLeast(0.0).has_value());
     kv.insert(3.0, 9);
