@@ -11,10 +11,10 @@
  *
  * Besides the plan/pack wall-clock phase breakdown, every cell reports
  * the deterministic hot-path operation counters (planner/packer queue
- * pushes, best-fit probes, reference-only child-sort elements, pods the
- * packer's repack and targeted-delete walks read) — these
- * are seed-stable, so regressions show up as exact integer diffs even
- * on noisy machines — and the run records its peak RSS.
+ * pushes, best-fit probes, pods the packer's repack and targeted-delete
+ * walks read) — these are seed-stable, so regressions show up as exact
+ * integer diffs even on noisy machines — and the run records its peak
+ * RSS.
  *
  * FIG8B_SMOKE=1 turns the harness into a ctest smoke gate: only the
  * 1,000-node Phoenix cells run, and their op counters are asserted
@@ -101,8 +101,7 @@ peakRssMiB()
 /**
  * Smoke bounds for the 1,000-node Phoenix cells (seedBase 1234, rate
  * 0.5, one trial): the counters are deterministic, so these are the
- * recorded values with ~30% headroom. childSortElems must be exactly
- * zero — the flat hot path never copies/sorts successor lists.
+ * recorded values with ~30% headroom.
  */
 struct SmokeBound
 {
@@ -144,7 +143,6 @@ smokeCheck(const exp::SweepAggregate &agg, const SmokeBound &bound,
           bound.maxHeapPushes);
     check("ops_best_fit_probes", agg.mean.opsBestFitProbes, 1.0,
           bound.maxBestFitProbes);
-    check("ops_child_sort_elems", agg.mean.opsChildSortElems, 0.0, 0.0);
     check("ops_pod_scans", agg.mean.opsPodScans, 0.0, bound.maxPodScans);
     return ok;
 }
@@ -203,8 +201,8 @@ main(int argc, char **argv)
                      "contention\n";
 
     util::Table table({"nodes", "scheme", "plan(s)", "pack(s)",
-                       "total(s)", "pushes", "probes", "sortelems",
-                       "podscans", "status"});
+                       "total(s)", "pushes", "probes", "podscans",
+                       "status"});
     exp::Report report("fig8b");
 
     const std::vector<size_t> sizes =
@@ -258,7 +256,6 @@ main(int argc, char **argv)
                 .cell(agg.mean.planSeconds + agg.mean.packSeconds, 4)
                 .cell(agg.mean.opsHeapPushes, 0)
                 .cell(agg.mean.opsBestFitProbes, 0)
-                .cell(agg.mean.opsChildSortElems, 0)
                 .cell(agg.mean.opsPodScans, 0)
                 .cell(failed ? "gave-up" : "ok");
             if (smoke)
@@ -271,10 +268,10 @@ main(int argc, char **argv)
         }
         if (!smoke && nodes > 1000 && options.filter.empty()) {
             table.row().cell(nodes).cell("LPFair").cell("-").cell("-")
-                .cell("-").cell("-").cell("-").cell("-").cell("-")
+                .cell("-").cell("-").cell("-").cell("-")
                 .cell("does-not-scale");
             table.row().cell(nodes).cell("LPCost").cell("-").cell("-")
-                .cell("-").cell("-").cell("-").cell("-").cell("-")
+                .cell("-").cell("-").cell("-").cell("-")
                 .cell("does-not-scale");
         }
         report.addSweep("nodes_" + std::to_string(nodes), aggregates);

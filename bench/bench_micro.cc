@@ -5,7 +5,7 @@
  *
  * The default mode is a self-contained harness that races the old
  * container-based data structures against their flat replacements —
- * util::SortedKv (std::multiset) vs util::BucketedKv, and
+ * std::multiset vs util::BucketedKv, and
  * std::set<pair> vs util::IndexedDaryHeap — on insert/erase/best-fit
  * mixes from 1e3 to 1e6 elements, reporting ops/sec and allocations
  * per operation (this binary installs the util/alloc_counter hook),
@@ -31,6 +31,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <set>
 
 #include "adaptlab/environment.h"
@@ -45,7 +46,6 @@
 #include "util/bucketed_kv.h"
 #include "util/heap.h"
 #include "util/rng.h"
-#include "util/sorted_kv.h"
 #include "util/table.h"
 
 PHOENIX_INSTALL_ALLOC_COUNTER();
@@ -242,15 +242,16 @@ timedPhase(const char *phase, size_t ops, Fn &&fn)
 }
 
 /**
- * Fill + churn mix shared by both key/value containers: @p n inserts,
- * then churn rounds of (erase one live entry, insert a fresh one,
- * best-fit query) — the packer's steady-state access pattern. The
- * checksum keeps the optimizer honest and doubles as an old-vs-new
- * agreement check.
+ * Fill + churn mix shared by both key/value containers, reached through
+ * @p insert, @p erase and @p first_at_least: @p n inserts, then churn
+ * rounds of (erase one live entry, insert a fresh one, best-fit query)
+ * — the packer's steady-state access pattern. The checksum keeps the
+ * optimizer honest and doubles as an old-vs-new agreement check.
  */
-template <typename Kv>
+template <typename Insert, typename Erase, typename FirstAtLeast>
 std::pair<std::vector<PhaseResult>, double>
-runKvMix(Kv &kv, size_t n, size_t churn)
+runKvMix(size_t n, size_t churn, Insert insert, Erase erase,
+         FirstAtLeast first_at_least)
 {
     util::Rng rng(2718);
     std::vector<std::pair<double, uint32_t>> live;
@@ -264,7 +265,7 @@ runKvMix(Kv &kv, size_t n, size_t churn)
                 kMaxKey * static_cast<double>(rng.uniformInt(0, 4096)) /
                 4096.0;
             const auto value = static_cast<uint32_t>(i);
-            kv.insert(key, value);
+            insert(key, value);
             live.emplace_back(key, value);
         }
     }));
@@ -274,13 +275,13 @@ runKvMix(Kv &kv, size_t n, size_t churn)
         for (size_t i = 0; i < churn; ++i) {
             const size_t pick = static_cast<size_t>(
                 rng.uniformInt(0, live.size() - 1));
-            kv.erase(live[pick].first, live[pick].second);
+            erase(live[pick].first, live[pick].second);
             const double key =
                 kMaxKey * static_cast<double>(rng.uniformInt(0, 4096)) /
                 4096.0;
-            kv.insert(key, live[pick].second);
+            insert(key, live[pick].second);
             live[pick].first = key;
-            const auto hit = kv.firstAtLeast(rng.uniform(0.0, kMaxKey));
+            const auto hit = first_at_least(rng.uniform(0.0, kMaxKey));
             if (hit)
                 checksum += hit->first;
         }
@@ -311,21 +312,33 @@ kvRace(util::Table &table, exp::Report &report)
     for (const size_t n : {1000ul, 10000ul, 100000ul, 1000000ul}) {
         const size_t churn = std::min<size_t>(n, 100000);
 
-        util::SortedKv<double, uint32_t> sorted;
-        const auto [sorted_phases, sorted_sum] =
-            runKvMix(sorted, n, churn);
-        addRows(table, report, "kv", "SortedKv(multiset)", n,
-                sorted_phases);
+        using Pair = std::pair<double, uint32_t>;
+        std::multiset<Pair> multiset;
+        const auto [multiset_phases, multiset_sum] = runKvMix(
+            n, churn,
+            [&](double key, uint32_t value) { multiset.emplace(key, value); },
+            [&](double key, uint32_t value) {
+                multiset.erase(multiset.find(Pair(key, value)));
+            },
+            [&](double bound) {
+                const auto fit = multiset.lower_bound(Pair(bound, 0));
+                return fit == multiset.end() ? std::optional<Pair>()
+                                             : std::optional<Pair>(*fit);
+            });
+        addRows(table, report, "kv", "std::multiset", n, multiset_phases);
 
         util::BucketedKv<uint32_t> bucketed;
-        const auto [bucketed_phases, bucketed_sum] =
-            runKvMix(bucketed, n, churn);
+        const auto [bucketed_phases, bucketed_sum] = runKvMix(
+            n, churn,
+            [&](double key, uint32_t value) { bucketed.insert(key, value); },
+            [&](double key, uint32_t value) { bucketed.erase(key, value); },
+            [&](double bound) { return bucketed.firstAtLeast(bound); });
         addRows(table, report, "kv", "BucketedKv(flat)", n,
                 bucketed_phases);
 
-        if (sorted_sum != bucketed_sum) {
+        if (multiset_sum != bucketed_sum) {
             std::cerr << "warning: kv containers disagree at n=" << n
-                      << " (" << sorted_sum << " vs " << bucketed_sum
+                      << " (" << multiset_sum << " vs " << bucketed_sum
                       << ")\n";
         }
     }
@@ -518,7 +531,7 @@ microMain(int argc, char **argv)
         {"container", "elements", "phase", "Mops/s", "allocs/op"});
     kvRace(kv_table, report);
     kv_table.print(std::cout);
-    report.addTable("sorted_kv_vs_bucketed_kv", kv_table);
+    report.addTable("multiset_vs_bucketed_kv", kv_table);
 
     util::Table heap_table(
         {"container", "elements", "phase", "Mops/s", "allocs/op"});

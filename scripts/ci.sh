@@ -31,8 +31,10 @@ JOBS="$(nproc)"
 
 step() { printf '\n==> %s\n' "$*"; }
 
+# Warnings fail the tier-1 build (CMake's own switch, 3.24+).
 step "tier-1 configure + build ($BUILD)"
-cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "$BUILD" -j "$JOBS"
 
 step "tier-1 ctest (unit + property + corpus suites)"

@@ -35,8 +35,6 @@ runFailureTrial(const Environment &env, core::ResilienceScheme &scheme,
         result.planOps.heapPushes + result.pack.ops.heapPushes);
     metrics.opsBestFitProbes = static_cast<double>(
         result.planOps.bestFitProbes + result.pack.ops.bestFitProbes);
-    metrics.opsChildSortElems = static_cast<double>(
-        result.planOps.childSortElems + result.pack.ops.childSortElems);
     metrics.opsPodScans = static_cast<double>(result.pack.ops.podScans);
     metrics.schemeFailed = result.failed;
     if (result.failed)
@@ -103,7 +101,6 @@ averageTrials(const std::vector<TrialMetrics> &trials)
         mean.requestsServed += t.requestsServed;
         mean.opsHeapPushes += t.opsHeapPushes;
         mean.opsBestFitProbes += t.opsBestFitProbes;
-        mean.opsChildSortElems += t.opsChildSortElems;
         mean.opsPodScans += t.opsPodScans;
         n += 1.0;
     }
@@ -122,7 +119,6 @@ averageTrials(const std::vector<TrialMetrics> &trials)
     mean.requestsServed /= n;
     mean.opsHeapPushes /= n;
     mean.opsBestFitProbes /= n;
-    mean.opsChildSortElems /= n;
     mean.opsPodScans /= n;
     return mean;
 }

@@ -64,7 +64,6 @@ struct TrialMetrics
      * excluded from exp::canonicalMetricString. */
     double opsHeapPushes = 0.0;
     double opsBestFitProbes = 0.0;
-    double opsChildSortElems = 0.0;
     double opsPodScans = 0.0;
     bool schemeFailed = false;
 };

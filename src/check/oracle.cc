@@ -6,6 +6,7 @@
 #include <memory>
 #include <sstream>
 
+#include "check/reference.h"
 #include "core/preemption.h"
 #include "core/schemes.h"
 #include "kube/kube.h"
@@ -19,7 +20,6 @@ using core::ActionKind;
 using core::Objective;
 using core::PackingOptions;
 using core::PhoenixScheme;
-using core::PlannerOptions;
 using core::SchemeResult;
 using sim::ActiveSet;
 using sim::Application;
@@ -894,15 +894,9 @@ checkCase(const CheckCase &c, const OracleOptions &options)
 
     // --- Flat vs reference bit identity ----------------------------
     for (Objective objective : {Objective::Fair, Objective::Cost}) {
-        PlannerOptions ref_planner;
-        ref_planner.referenceImpl = true;
-        PackingOptions ref_packing;
-        ref_packing.referenceImpl = true;
-        PhoenixScheme reference(objective, ref_planner, ref_packing);
+        ReferencePhoenixScheme reference(objective);
         const SchemeResult ref = reference.apply(c.apps, post);
-        const std::string name = objective == Objective::Fair
-                                     ? "PhoenixFair"
-                                     : "PhoenixCost";
+        const std::string name = reference.name();
         const SchemeResult &flat = results.at(name);
         if (ref.plan != flat.plan)
             report(result.violations, "flat-vs-reference", name,

@@ -3,20 +3,18 @@
  * Deterministic hot-path operation counters.
  *
  * Wall-clock numbers from the benches vary run to run; these counters
- * do not. Both the reference and the flat planner/packer
- * implementations count the same semantic events (priority-queue
- * inserts and pops, best-fit probes, sorted-kv maintenance), so equal
- * counts across implementations double as a cheap algorithm-identity
- * check, while childSortElems — the elements pushed through the
- * reference DFS's per-visit child sorts — is the work the presorted
- * CSR eliminates and must read zero in the flat path. podScans — the
- * pods the packer's repack and targeted-delete stages read off a node —
- * may differ too: the reference walks every candidate node, while the
- * flat book skips walks it can prove futile, so flat never exceeds
- * reference. The counters are exported per bench cell and asserted
- * against recorded bounds by the fig8b smoke test; they are
- * deliberately excluded from exp::canonicalMetricString, which
- * fingerprints planner/packer *decisions*, not implementation effort.
+ * do not. The planner and packer count semantic events (priority-queue
+ * inserts and pops, best-fit probes, capacity-index maintenance), and
+ * the literal Alg. 1/2 reference in src/check counts the same ones, so
+ * equal counts across the two double as a cheap algorithm-identity
+ * check. podScans — the pods the packer's repack and targeted-delete
+ * stages read off a node — may differ: the reference walks every
+ * candidate node, while the packer skips walks it can prove futile, so
+ * the packer never exceeds the reference. The counters are exported
+ * per bench cell and asserted against recorded bounds by the fig8b
+ * smoke test; they are deliberately excluded from
+ * exp::canonicalMetricString, which fingerprints planner/packer
+ * *decisions*, not implementation effort.
  */
 
 #ifndef PHOENIX_CORE_OP_COUNTERS_H
@@ -30,9 +28,8 @@ struct OpCounters
 {
     uint64_t heapPushes = 0; //!< priority-queue inserts (planner+packer)
     uint64_t heapPops = 0;   //!< priority-queue pops
-    uint64_t childSortElems = 0; //!< per-visit child-sort work (ref only)
     uint64_t bestFitProbes = 0;  //!< byRemaining probes in the packer
-    uint64_t kvOps = 0;          //!< sorted-kv inserts + erases
+    uint64_t kvOps = 0;          //!< capacity-index inserts + erases
     uint64_t podScans = 0; //!< pods read by repack/targeted-delete walks
 
     OpCounters &
@@ -40,7 +37,6 @@ struct OpCounters
     {
         heapPushes += o.heapPushes;
         heapPops += o.heapPops;
-        childSortElems += o.childSortElems;
         bestFitProbes += o.bestFitProbes;
         kvOps += o.kvOps;
         podScans += o.podScans;
@@ -48,13 +44,6 @@ struct OpCounters
     }
 
     void reset() { *this = OpCounters(); }
-
-    uint64_t
-    total() const
-    {
-        return heapPushes + heapPops + childSortElems + bestFitProbes +
-               kvOps + podScans;
-    }
 };
 
 } // namespace phoenix::core

@@ -75,22 +75,6 @@ struct PackingOptions
      * the paper-literal behaviour (ablation).
      */
     bool abortOnUnplaceable = false;
-
-    /**
-     * Run the original container-based bookkeeping (std::map rank
-     * index, std::set commit set, red-black-tree SortedKv capacity
-     * index) instead of the flat dense-pod-index bookkeeping. Both
-     * drive the identical packing algorithm and emit bit-identical
-     * action sequences — test_properties asserts it — so this exists
-     * as the oracle for that suite and as an A/B lever for the
-     * benches. The reference also walks every repack and victim
-     * candidate in full, as Alg. 2 is written, where the flat book
-     * skips walks its size bound and per-node uncommitted count
-     * prove futile; equal actions, assignments and best-fit probes
-     * are what prove those bounds exact, and OpCounters::podScans
-     * shows the walks saved.
-     */
-    bool referenceImpl = false;
 };
 
 /**

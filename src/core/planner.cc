@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 #include <utility>
 
 #include "lp/waterfill.h"
@@ -117,119 +116,6 @@ WeightedFairObjective::key(const Application &app,
 
 namespace {
 
-/**
- * Reference per-app ordering: the original std::set queue plus
- * per-visit child copy + sort. Kept verbatim (modulo counters) as the
- * oracle for the flat implementation's bit-identity suite.
- */
-void
-referenceAppOrder(const Application &app, const PlannerOptions &options,
-                  std::vector<MsId> &rank, OpCounters &ops)
-{
-    if (!app.hasDependencyGraph) {
-        // No DG: order purely by criticality (Alg. 1 lines 17-19).
-        std::vector<MsId> order(app.services.size());
-        for (MsId m = 0; m < order.size(); ++m)
-            order[m] = m;
-        std::stable_sort(
-            order.begin(), order.end(), [&](MsId x, MsId y) {
-                return effectiveCriticality(app, app.services[x]) <
-                       effectiveCriticality(app, app.services[y]);
-            });
-        rank = std::move(order);
-        return;
-    }
-
-    // DG present: criticality-keyed preorder traversal
-    // (Alg. 1 lines 6-16).
-    std::vector<bool> visited(app.services.size(), false);
-    // Q keyed by (criticality, node id) — most critical first.
-    std::set<std::pair<int, MsId>> queue;
-
-    auto tag = [&](MsId m) {
-        return effectiveCriticality(app, app.services[m]);
-    };
-
-    // Iterative DFS honouring the pseudocode: descend into children
-    // whose tag is >= the parent's (less or equally critical);
-    // queue children that are *more* critical than the parent so
-    // they pop by global criticality order.
-    auto dfs = [&](MsId start) {
-        std::vector<MsId> stack{start};
-        while (!stack.empty()) {
-            const MsId node = stack.back();
-            stack.pop_back();
-            if (visited[node])
-                continue;
-            visited[node] = true;
-            rank.push_back(node);
-
-            // Children sorted most-critical-first; push onto the
-            // stack in reverse so the most critical is explored
-            // first (preorder).
-            std::vector<MsId> children(app.dag.successors(node).begin(),
-                                       app.dag.successors(node).end());
-            ops.childSortElems += children.size();
-            std::sort(children.begin(), children.end(),
-                      [&](MsId x, MsId y) {
-                          if (tag(x) != tag(y))
-                              return tag(x) < tag(y);
-                          return x < y;
-                      });
-            for (auto it = children.rbegin(); it != children.rend();
-                 ++it) {
-                const MsId child = *it;
-                if (visited[child])
-                    continue;
-                const bool descend =
-                    options.eagerDfsDescend ? tag(child) >= tag(node)
-                                            : tag(child) == tag(node);
-                if (descend) {
-                    stack.push_back(child);
-                } else if (queue.emplace(tag(child), child).second) {
-                    ++ops.heapPushes;
-                }
-            }
-        }
-    };
-
-    for (MsId src : app.dag.sources()) {
-        if (queue.emplace(tag(src), src).second)
-            ++ops.heapPushes;
-    }
-    // Nodes unreachable from any source (cyclic components) still
-    // need a rank; seed them too so every service appears.
-    for (MsId m = 0; m < app.services.size(); ++m) {
-        if (app.dag.predecessors(m).empty() &&
-            app.dag.successors(m).empty()) {
-            if (queue.emplace(tag(m), m).second)
-                ++ops.heapPushes;
-        }
-    }
-
-    while (!queue.empty()) {
-        const MsId next = queue.begin()->second;
-        queue.erase(queue.begin());
-        ++ops.heapPops;
-        if (!visited[next])
-            dfs(next);
-    }
-
-    // Safety net: append anything a cyclic or disconnected DG left
-    // unvisited, in criticality order.
-    std::vector<MsId> leftovers;
-    for (MsId m = 0; m < app.services.size(); ++m) {
-        if (!visited[m])
-            leftovers.push_back(m);
-    }
-    std::sort(leftovers.begin(), leftovers.end(), [&](MsId x, MsId y) {
-        if (tag(x) != tag(y))
-            return tag(x) < tag(y);
-        return x < y;
-    });
-    rank.insert(rank.end(), leftovers.begin(), leftovers.end());
-}
-
 /** Fill @p keys with effective criticality tags for @p app. */
 void
 fillTags(const Application &app, std::vector<int> &keys)
@@ -277,10 +163,11 @@ sortIdsByTag(const std::vector<int> &keys, std::vector<uint32_t> &counts,
 }
 
 /**
- * Flat per-app ordering: identical traversal to referenceAppOrder, but
- * children come pre-sorted from the app's SortedCsr (no per-visit copy
- * or sort), the criticality queue is an indexed heap, and every buffer
- * lives in the shared scratch arena.
+ * Per-app ordering: the traversal of Alg. 1 lines 6-19 (check/
+ * reference.cc keeps it as written, with an ordered-set queue and
+ * per-visit child sorts), but children come pre-sorted from the app's
+ * SortedCsr (no per-visit copy or sort), the criticality queue is an
+ * indexed heap, and every buffer lives in the shared scratch arena.
  */
 void
 flatAppOrder(const Application &app, const PlannerOptions &options,
@@ -376,19 +263,15 @@ Planner::priorityEstimatorInto(const std::vector<Application> &apps,
 {
     ops_.reset();
     out.resize(apps.size());
-    if (!options_.referenceImpl && scratch_.csr.size() < apps.size())
+    if (scratch_.csr.size() < apps.size())
         scratch_.csr.resize(apps.size());
 
     for (size_t a = 0; a < apps.size(); ++a) {
         auto &rank = out[a];
         rank.clear();
         rank.reserve(apps[a].services.size());
-        if (options_.referenceImpl) {
-            referenceAppOrder(apps[a], options_, rank, ops_);
-        } else {
-            flatAppOrder(apps[a], options_, scratch_.csr[a], scratch_, rank,
-                         ops_);
-        }
+        flatAppOrder(apps[a], options_, scratch_.csr[a], scratch_, rank,
+                     ops_);
     }
 }
 
@@ -418,65 +301,11 @@ Planner::globalRankInto(const std::vector<Application> &apps,
     usage.assign(apps.size(), 0.0);
     cursor.assign(apps.size(), 0);
 
-    // The shared grant step: commit app a's head container, advance to
-    // its next one, and report whether the head was re-queued.
-    auto grant = [&](sim::AppId a) -> bool {
-        const MsId m = app_rank[a][cursor[a]];
-        const Microservice &ms = apps[a].services[m];
-        // Reserve the minimum viable allocation; the packer fills up
-        // to the full replica count when capacity allows.
-        const double need = ms.quorumCpu();
-
-        if (need > remaining + 1e-9)
-            return false;
-
-        remaining -= need;
-        out.push_back(PodRef{static_cast<sim::AppId>(a), m});
-        usage[a] += need;
-        objective.granted(apps[a], ms);
-        ++cursor[a];
-        return true;
-    };
-
-    if (options_.referenceImpl) {
-        // (key, app) entries; one live entry per app, re-inserted with
-        // the app's next container after each grant.
-        std::set<std::pair<double, sim::AppId>> queue;
-
-        auto push_head = [&](sim::AppId a) {
-            if (cursor[a] >= app_rank[a].size())
-                return;
-            const MsId m = app_rank[a][cursor[a]];
-            queue.emplace(
-                objective.key(apps[a], apps[a].services[m], usage[a]),
-                a);
-            ++ops_.heapPushes;
-        };
-
-        for (sim::AppId a = 0; a < apps.size(); ++a)
-            push_head(a);
-
-        while (!queue.empty()) {
-            const auto [key, a] = *queue.begin();
-            (void)key;
-            queue.erase(queue.begin());
-            ++ops_.heapPops;
-            if (!grant(a)) {
-                if (options_.stopAtFirstOverflow)
-                    break; // Alg. 1 line 28
-                // Ablation mode: drop this app (its later containers
-                // are lower priority and may not jump the queue) but
-                // keep ranking the others.
-                continue;
-            }
-            push_head(a);
-        }
-        return;
-    }
-
-    // Flat path: the same one-live-entry-per-app queue as an indexed
-    // heap keyed (objective key, app id) — identical pop order to the
-    // std::set of (key, app) pairs, zero allocation in steady state.
+    // One live entry per app, re-pushed with the app's next container
+    // after each grant, in an indexed heap keyed (objective key, app
+    // id): the pop order of an ordered set of (key, app) pairs (the
+    // reference in check/reference.cc), with zero allocation in steady
+    // state.
     auto &queue = scratch_.appQueue;
     queue.reset(apps.size());
 
@@ -495,11 +324,24 @@ Planner::globalRankInto(const std::vector<Application> &apps,
     while (!queue.empty()) {
         const sim::AppId a = queue.pop();
         ++ops_.heapPops;
-        if (!grant(a)) {
+        const MsId m = app_rank[a][cursor[a]];
+        const Microservice &ms = apps[a].services[m];
+        // Reserve the minimum viable allocation; the packer fills up
+        // to the full replica count when capacity allows.
+        const double need = ms.quorumCpu();
+        if (need > remaining + 1e-9) {
             if (options_.stopAtFirstOverflow)
                 break; // Alg. 1 line 28
+            // Default: drop this app (its later containers are lower
+            // priority and may not jump the queue) but keep ranking the
+            // others.
             continue;
         }
+        remaining -= need;
+        out.push_back(PodRef{a, m});
+        usage[a] += need;
+        objective.granted(apps[a], ms);
+        ++cursor[a];
         push_head(a);
     }
 }

@@ -153,15 +153,6 @@ struct PlannerOptions
      * (ablation).
      */
     bool eagerDfsDescend = false;
-
-    /**
-     * Run the original container-based implementation (std::set
-     * priority queues, per-visit child sorts) instead of the flat
-     * CSR + indexed-heap hot path. Both produce bit-identical
-     * rankings — test_properties asserts it — so this exists as the
-     * oracle for that suite and as an A/B lever for the benches.
-     */
-    bool referenceImpl = false;
 };
 
 /**

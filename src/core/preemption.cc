@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "core/planner.h"
-#include "util/sorted_kv.h"
+#include "util/bucketed_kv.h"
 
 namespace phoenix::core {
 
@@ -72,9 +72,12 @@ KubePreemptionScheme::apply(const std::vector<Application> &apps,
     }
     std::sort(queue.begin(), queue.end());
 
-    util::SortedKv<double, NodeId> by_remaining;
+    std::vector<std::pair<double, NodeId>> healthy;
     for (NodeId id : state.healthyNodes())
-        by_remaining.insert(state.remaining(id), id);
+        healthy.emplace_back(state.remaining(id), id);
+    std::sort(healthy.begin(), healthy.end());
+    util::BucketedKv<NodeId> by_remaining;
+    by_remaining.loadSorted(healthy);
 
     auto place = [&](const PodRef &pod, NodeId node, double cpu) {
         const double before = state.remaining(node);
@@ -105,11 +108,11 @@ KubePreemptionScheme::apply(const std::vector<Application> &apps,
         std::optional<NodeId> best_node;
         std::vector<PodRef> best_victims;
         size_t considered = 0;
-        for (auto it = by_remaining.rbegin();
-             it != by_remaining.rend() && considered < kCandidates;
-             ++it, ++considered) {
-            const NodeId node = it->second;
-            double free = it->first;
+        by_remaining.scanDescending([&](const auto &entry) {
+            if (considered++ == kCandidates)
+                return false;
+            const NodeId node = entry.second;
+            double free = entry.first;
             std::vector<std::pair<int, PodRef>> victims;
             for (const auto &[pod, cpu] : state.podsOn(node)) {
                 (void)cpu;
@@ -135,7 +138,8 @@ KubePreemptionScheme::apply(const std::vector<Application> &apps,
                 best_node = node;
                 best_victims = std::move(chosen);
             }
-        }
+            return true;
+        });
 
         if (!best_node) {
             result.pack.complete = false;

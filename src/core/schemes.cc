@@ -9,8 +9,8 @@
 #include "lp/waterfill.h"
 #include "obs/obs.h"
 #include "sim/vacancy.h"
+#include "util/bucketed_kv.h"
 #include "util/log.h"
-#include "util/sorted_kv.h"
 
 namespace phoenix::core {
 
@@ -186,9 +186,12 @@ DefaultScheme::apply(const std::vector<Application> &apps,
     // Topology-constrained pods walk past nodes without placement
     // vacancy (anti-affinity / zone caps), like kube-scheduler's
     // filter phase; unconstrained pods keep the single-probe path.
-    util::SortedKv<double, NodeId> by_remaining;
+    std::vector<std::pair<double, NodeId>> healthy;
     for (NodeId id : state.healthyNodes())
-        by_remaining.insert(state.remaining(id), id);
+        healthy.emplace_back(state.remaining(id), id);
+    std::sort(healthy.begin(), healthy.end());
+    util::BucketedKv<NodeId> by_remaining;
+    by_remaining.loadSorted(healthy);
     sim::VacancyAllocator vacancy;
     vacancy.build(apps, state);
 
@@ -208,16 +211,15 @@ DefaultScheme::apply(const std::vector<Application> &apps,
                     if (top && top->first + 1e-9 >= ms.cpu)
                         chosen = *top;
                 } else {
-                    for (auto it = by_remaining.rbegin();
-                         it != by_remaining.rend(); ++it) {
-                        if (it->first + 1e-9 < ms.cpu)
-                            break; // the rest are smaller
-                        if (!vacancy.canPlace(pod, it->second,
-                                              state.zoneOf(it->second)))
-                            continue;
-                        chosen = *it;
-                        break;
-                    }
+                    by_remaining.scanDescending([&](const auto &entry) {
+                        if (entry.first + 1e-9 < ms.cpu)
+                            return false; // the rest are smaller
+                        if (!vacancy.canPlace(pod, entry.second,
+                                              state.zoneOf(entry.second)))
+                            return true;
+                        chosen = entry;
+                        return false;
+                    });
                 }
                 if (!chosen) {
                     result.pack.complete = false;

@@ -87,7 +87,7 @@ aggregateGrid(const SweepGridSpec &spec,
             batch.reserve(static_cast<size_t>(spec.trials));
             std::vector<double> availability, strict, revenue, fair_pos,
                 fair_neg, planner_util, util, plan_s, pack_s, served,
-                ops_push, ops_probe, ops_sort, ops_scan;
+                ops_push, ops_probe, ops_scan;
             for (int t = 0; t < spec.trials; ++t, ++index) {
                 const CellResult &cell = results[index];
                 agg.wallSeconds += cell.wallSeconds;
@@ -110,7 +110,6 @@ aggregateGrid(const SweepGridSpec &spec,
                 served.push_back(cell.metrics.requestsServed);
                 ops_push.push_back(cell.metrics.opsHeapPushes);
                 ops_probe.push_back(cell.metrics.opsBestFitProbes);
-                ops_sort.push_back(cell.metrics.opsChildSortElems);
                 ops_scan.push_back(cell.metrics.opsPodScans);
             }
             // Same fold as the serial path, in the same trial order.
@@ -127,7 +126,6 @@ aggregateGrid(const SweepGridSpec &spec,
             agg.requestsServed = statsOf(served);
             agg.opsHeapPushes = statsOf(ops_push);
             agg.opsBestFitProbes = statsOf(ops_probe);
-            agg.opsChildSortElems = statsOf(ops_sort);
             agg.opsPodScans = statsOf(ops_scan);
             agg.obs.assign(obs_sums.begin(), obs_sums.end());
             aggregates.push_back(std::move(agg));

@@ -86,7 +86,6 @@ struct SweepAggregate
      * contract (equal decisions, fewer ops is the whole point). */
     MetricStats opsHeapPushes;
     MetricStats opsBestFitProbes;
-    MetricStats opsChildSortElems;
     MetricStats opsPodScans;
     /** Summed wall-clock of the group's cells (CPU-time proxy). */
     double wallSeconds = 0.0;

@@ -108,8 +108,6 @@ writeAggregate(std::ostream &os, const SweepAggregate &agg)
     os << ",";
     writeStats(os, "ops_best_fit_probes", agg.opsBestFitProbes);
     os << ",";
-    writeStats(os, "ops_child_sort_elems", agg.opsChildSortElems);
-    os << ",";
     writeStats(os, "ops_pod_scans", agg.opsPodScans);
     if (!agg.obs.empty()) {
         os << ",\"obs\":{";

@@ -18,6 +18,14 @@ namespace phoenix::serve {
 
 namespace {
 
+/** One advance runs at most a simulated day: the kube control loops and
+ * the serving window tick re-arm until the span ends, so an end 1e300 s
+ * away would never come. */
+constexpr double kMaxAdvanceSeconds = 24.0 * 3600.0;
+/** The window tick re-arms one window later: a window below the clock's
+ * resolution (1e-300 s) would re-arm at one instant forever. */
+constexpr double kMinWindowSeconds = 1.0;
+
 std::string
 errorReply(const std::string &message)
 {
@@ -349,16 +357,15 @@ ServeDaemon::cmdServeStart(const util::JsonValue &command)
     FrontendConfig frontendConfig = config_.frontend;
     const std::optional<double> duration =
         finiteAt(command, "duration", 600.0);
-    // The window tick re-arms itself one window later: a window of 0
-    // would re-arm at the same instant forever.
     const std::optional<double> window =
         finiteAt(command, "window", frontendConfig.windowSec);
     const std::optional<double> rpsScale =
         finiteAt(command, "rps_scale", frontendConfig.rpsScale);
-    if (!duration || *duration <= 0.0 || !window || *window <= 0.0 ||
-        !rpsScale)
+    if (!duration || *duration <= 0.0 || !window ||
+        *window < kMinWindowSeconds || !rpsScale)
         return errorReply("serve-start needs finite duration > 0, "
-                          "window > 0 and rps_scale");
+                          "window >= " + util::jsonNumber(kMinWindowSeconds) +
+                          " and rps_scale");
     frontendConfig.seed = config_.seed;
     frontendConfig.startAt = events_.now();
     frontendConfig.endAt = events_.now() + *duration;
@@ -497,8 +504,9 @@ ServeDaemon::cmdAdvance(const util::JsonValue &command)
 {
     const std::optional<double> seconds =
         finiteAt(command, "seconds", 0.0);
-    if (!seconds || *seconds <= 0.0)
-        return errorReply("advance needs finite seconds > 0");
+    if (!seconds || *seconds <= 0.0 || *seconds > kMaxAdvanceSeconds)
+        return errorReply("advance needs seconds in (0, " +
+                          util::jsonNumber(kMaxAdvanceSeconds) + "]");
     events_.runUntil(events_.now() + *seconds);
     std::ostringstream out;
     out << "{\"ok\":true,\"t\":" << util::jsonNumber(events_.now())

@@ -2,14 +2,15 @@
  * @file
  * Flat blocked sorted key/value container for the packing hot path.
  *
- * The packer keys every node by its remaining capacity and needs four
- * operations: insert, exact-pair erase, best-fit ("smallest key >=
- * bound"), and ordered scans from either end. util::SortedKv serves
- * those from a std::multiset — one node allocation plus a red-black
- * rebalance per placed pod, which is what Fig 8(b) spends its time on
- * at 10k+ nodes. BucketedKv keeps the same total order, (key, value)
- * ascending, in a flat two-level structure instead: a sorted sequence
- * of size-capped blocks (an unrolled sorted list).
+ * The packer and the Default and K8sPreemption baselines key every
+ * node by its remaining capacity and need four operations: insert,
+ * exact-pair erase, best-fit ("smallest key >= bound"), and ordered
+ * scans from either end. A std::multiset of (key, value) pairs serves
+ * those with one node allocation plus a red-black rebalance per placed
+ * pod, which is what Fig 8(b) spent its time on at 10k+ nodes.
+ * BucketedKv keeps the multiset's total order, (key, value) ascending,
+ * in a flat two-level structure instead: a sorted sequence of
+ * size-capped blocks (an unrolled sorted list).
  *
  *   - blocks partition the sequence by POSITION, not by key range;
  *     every pair in block i orders before every pair in block i+1;
@@ -27,8 +28,8 @@
  * Emptied block buffers are pooled and reused, so a packer that keeps
  * one BucketedKv in scratch stops allocating once its block pool has
  * grown to the workload's size. Iteration order is byte-identical to
- * the multiset, which the planner/packer bit-identity suite in
- * test_properties relies on.
+ * the multiset, which the packer's bit-identity suite against the
+ * multiset-backed reference in src/check relies on.
  */
 
 #ifndef PHOENIX_UTIL_BUCKETED_KV_H

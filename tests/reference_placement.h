@@ -3,19 +3,20 @@
  * Reference model of adaptlab::buildEnvironment's initial placement for
  * the differential test: best-fit decreasing one pod at a time. Every
  * pod becomes an item, the items are sorted by (cpu desc, PodRef asc),
- * and each asks a std::multiset capacity index (util::SortedKv) for the
- * node with the least remaining capacity that fits it. Written for
- * obvious correctness rather than speed.
+ * and each asks a std::multiset capacity index of (remaining, node)
+ * pairs for the node with the least remaining capacity that fits it.
+ * Written for obvious correctness rather than speed.
  */
 
 #ifndef PHOENIX_TESTS_REFERENCE_PLACEMENT_H
 #define PHOENIX_TESTS_REFERENCE_PLACEMENT_H
 
 #include <algorithm>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/cluster.h"
-#include "util/sorted_kv.h"
 
 namespace phoenix::reference {
 
@@ -51,17 +52,17 @@ bestFitDecreasing(const std::vector<sim::Application> &apps,
                   return x.pod < y.pod;
               });
 
-    util::SortedKv<double, sim::NodeId> by_remaining;
+    std::multiset<std::pair<double, sim::NodeId>> by_remaining;
     for (sim::NodeId id : cluster.healthyNodes())
-        by_remaining.insert(cluster.remaining(id), id);
+        by_remaining.emplace(cluster.remaining(id), id);
     for (const Item &item : items) {
-        const auto slot = by_remaining.firstAtLeast(item.cpu);
-        if (!slot)
+        const auto fit = by_remaining.lower_bound({item.cpu, 0});
+        if (fit == by_remaining.end())
             continue;
-        by_remaining.erase(slot->first, slot->second);
-        cluster.place(item.pod, slot->second, item.cpu);
-        by_remaining.insert(cluster.remaining(slot->second),
-                            slot->second);
+        const sim::NodeId node = fit->second;
+        by_remaining.erase(fit);
+        cluster.place(item.pod, node, item.cpu);
+        by_remaining.emplace(cluster.remaining(node), node);
     }
     return cluster;
 }

@@ -237,8 +237,9 @@ TEST(PodIndex, SlotsRunInPodRefOrder)
     EXPECT_TRUE(index->covers(apps));
     for (Slot s = 0; s < index->slotCount(); ++s) {
         EXPECT_EQ(index->slotOf(index->pod(s)), s);
-        if (s > 0)
+        if (s > 0) {
             EXPECT_LT(index->pod(s - 1), index->pod(s));
+        }
     }
     EXPECT_EQ(index->slotOf(PodRef{3, 0, 0}), kNoSlot);
     EXPECT_EQ(index->slotOf(PodRef{0, 4, 0}), kNoSlot);

@@ -16,6 +16,7 @@
 
 #include "adaptlab/environment.h"
 #include "adaptlab/runner.h"
+#include "check/reference.h"
 #include "core/schemes.h"
 #include "exp/engine.h"
 #include "exp/grid.h"
@@ -183,29 +184,28 @@ TEST(Grid, FilterIsCaseInsensitive)
 
 TEST(Engine, CanonicalStringIdenticalAcrossImplementations)
 {
-    // The flat hot path and the reference containers must agree on
-    // every deterministic byte of a whole sweep — the ops counters and
-    // wall-clock fields are deliberately outside the canonical string,
-    // everything else must match exactly.
+    // The flat hot path and the Alg. 1/2 reference in src/check must
+    // agree on every deterministic byte of a whole sweep — the ops
+    // counters and wall-clock fields are deliberately outside the
+    // canonical string, everything else must match exactly.
     const adaptlab::Environment env =
         adaptlab::buildEnvironment(tinyEnv(7));
 
     const auto gridFor = [](bool reference) {
-        core::PlannerOptions planner;
-        planner.referenceImpl = reference;
-        core::PackingOptions packing;
-        packing.referenceImpl = reference;
+        const auto make =
+            [reference](core::Objective objective)
+            -> std::unique_ptr<core::ResilienceScheme> {
+            if (reference)
+                return std::make_unique<check::ReferencePhoenixScheme>(
+                    objective);
+            return std::make_unique<core::PhoenixScheme>(objective);
+        };
         SweepGridSpec spec;
         spec.schemes = {
             SchemeSpec{"PhoenixFair",
-                       [planner, packing] {
-                           return std::make_unique<core::PhoenixScheme>(
-                               core::Objective::Fair, planner, packing);
-                       }},
-            SchemeSpec{"PhoenixCost", [planner, packing] {
-                           return std::make_unique<core::PhoenixScheme>(
-                               core::Objective::Cost, planner, packing);
-                       }}};
+                       [make] { return make(core::Objective::Fair); }},
+            SchemeSpec{"PhoenixCost",
+                       [make] { return make(core::Objective::Cost); }}};
         spec.failureRates = {0.2, 0.6};
         spec.trials = 3;
         spec.seedBase = 100;

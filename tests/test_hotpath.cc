@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "adaptlab/environment.h"
+#include "check/reference.h"
 #include "core/packing.h"
 #include "core/planner.h"
 #include "core/schemes.h"
@@ -153,22 +154,18 @@ TEST(HotPath, FlatPackerAllocatesFarLessThanReference)
     const GlobalRank ranked =
         planner.plan(env.apps, fair, failed.healthyCapacity());
 
-    PackingOptions flat_options;
-    PackingOptions ref_options;
-    ref_options.referenceImpl = true;
-    const PackingScheduler flat(flat_options);
-    const PackingScheduler reference(ref_options);
+    const PackingScheduler flat;
 
-    // Warm both scratch arenas, then compare steady-state passes.
+    // Warm the flat scratch arena, then compare a steady-state pass
+    // with the reference, which builds its bookkeeping afresh per call.
     (void)flat.pack(env.apps, failed, ranked);
-    (void)reference.pack(env.apps, failed, ranked);
 
     PackResult flat_result;
     PackResult ref_result;
     const uint64_t flat_allocs = util::allocationsDuring(
         [&] { flat_result = flat.pack(env.apps, failed, ranked); });
     const uint64_t ref_allocs = util::allocationsDuring([&] {
-        ref_result = reference.pack(env.apps, failed, ranked);
+        ref_result = check::referencePack(env.apps, failed, ranked);
     });
     // Both implementations pay the same unavoidable output cost: the
     // scratch ClusterState copy that becomes result.state (plus the

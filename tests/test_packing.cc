@@ -10,6 +10,7 @@
 #include <map>
 #include <set>
 
+#include "check/reference.h"
 #include "core/packing.h"
 #include "core/planner.h"
 #include "util/rng.h"
@@ -77,20 +78,18 @@ checkInvariants(const std::vector<Application> &apps,
 }
 
 /**
- * Pack with the flat and the reference bookkeeping. The flat book's
- * futility bounds may skip pod walks but nothing else: actions, final
- * assignment and best-fit probes must match the reference. Returns
- * both results (flat first).
+ * Pack with the packer's flat bookkeeping and with the reference
+ * (check::referencePack). The flat book's futility bounds may skip pod
+ * walks but nothing else: actions, final assignment and best-fit
+ * probes must match the reference. Returns both results (flat first).
  */
 std::pair<PackResult, PackResult>
 packBothBooks(const std::vector<Application> &apps,
               const ClusterState &cluster, const GlobalRank &ranked,
               PackingOptions options = PackingOptions())
 {
-    options.referenceImpl = false;
     PackResult flat = PackingScheduler(options).pack(apps, cluster, ranked);
-    options.referenceImpl = true;
-    PackResult ref = PackingScheduler(options).pack(apps, cluster, ranked);
+    PackResult ref = check::referencePack(apps, cluster, ranked, options);
     EXPECT_EQ(flat.actions.size(), ref.actions.size());
     for (size_t i = 0;
          i < std::min(flat.actions.size(), ref.actions.size()); ++i) {

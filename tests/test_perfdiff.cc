@@ -24,7 +24,7 @@ namespace {
 /** A minimal exp::Report document with one section and two cells. */
 std::string
 report(double plan_a, double pack_a, double plan_b, double pack_b,
-       double pushes = 100.0, double child_sort = 0.0)
+       double pushes = 100.0)
 {
     std::ostringstream os;
     os << "{\"sections\": [{\"name\": \"sweep\", \"sweep\": ["
@@ -32,16 +32,12 @@ report(double plan_a, double pack_a, double plan_b, double pack_b,
        << "\"plan_seconds\": {\"mean\": " << plan_a << "}, "
        << "\"pack_seconds\": {\"mean\": " << pack_a << "}, "
        << "\"ops_heap_pushes\": {\"mean\": " << pushes << "}, "
-       << "\"ops_best_fit_probes\": {\"mean\": 50}, "
-       << "\"ops_child_sort_elems\": {\"mean\": " << child_sort
-       << "}},"
+       << "\"ops_best_fit_probes\": {\"mean\": 50}},"
        << "{\"scheme\": \"PhoenixFair\", \"failure_rate\": 0.5, "
        << "\"plan_seconds\": {\"mean\": " << plan_b << "}, "
        << "\"pack_seconds\": {\"mean\": " << pack_b << "}, "
        << "\"ops_heap_pushes\": {\"mean\": " << pushes << "}, "
-       << "\"ops_best_fit_probes\": {\"mean\": 50}, "
-       << "\"ops_child_sort_elems\": {\"mean\": " << child_sort
-       << "}}]}]}";
+       << "\"ops_best_fit_probes\": {\"mean\": 50}}]}]}";
     return os.str();
 }
 
@@ -196,14 +192,12 @@ TEST(PerfDiff, AddedAndRemovedCellsAreReportedNotFatal)
         "\"plan_seconds\": {\"mean\": 0.1}, "
         "\"pack_seconds\": {\"mean\": 0.1}, "
         "\"ops_heap_pushes\": {\"mean\": 100}, "
-        "\"ops_best_fit_probes\": {\"mean\": 50}, "
-        "\"ops_child_sort_elems\": {\"mean\": 0}},"
+        "\"ops_best_fit_probes\": {\"mean\": 50}},"
         "{\"scheme\": \"PhoenixFair-sharded\", \"failure_rate\": 0.5, "
         "\"plan_seconds\": {\"mean\": 0.1}, "
         "\"pack_seconds\": {\"mean\": 0.1}, "
         "\"ops_heap_pushes\": {\"mean\": 100}, "
-        "\"ops_best_fit_probes\": {\"mean\": 50}, "
-        "\"ops_child_sort_elems\": {\"mean\": 0}}]}]}");
+        "\"ops_best_fit_probes\": {\"mean\": 50}}]}]}");
     const PerfDiffResult result =
         tools::diffPerfReports(baseline, fresh, 2.0);
     ASSERT_EQ(result.rows.size(), 1u);
@@ -228,14 +222,12 @@ TEST(PerfDiff, AddedAndRemovedCellsAreReportedNotFatal)
         "\"plan_seconds\": {\"mean\": 0.1}, "
         "\"pack_seconds\": {\"mean\": 0.1}, "
         "\"ops_heap_pushes\": {\"mean\": 100}, "
-        "\"ops_best_fit_probes\": {\"mean\": 50}, "
-        "\"ops_child_sort_elems\": {\"mean\": 0}},"
+        "\"ops_best_fit_probes\": {\"mean\": 50}},"
         "{\"scheme\": \"PhoenixFair-sharded\", \"failure_rate\": 0.5, "
         "\"plan_seconds\": {\"mean\": 0.1}, "
         "\"pack_seconds\": {\"mean\": 0.1}, "
         "\"ops_heap_pushes\": {\"mean\": 100}, "
-        "\"ops_best_fit_probes\": {\"mean\": 50}, "
-        "\"ops_child_sort_elems\": {\"mean\": 0}}]}]}");
+        "\"ops_best_fit_probes\": {\"mean\": 50}}]}]}");
     std::ostringstream out;
     std::ostringstream err;
     EXPECT_EQ(

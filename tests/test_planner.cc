@@ -11,6 +11,7 @@
 #include <map>
 #include <set>
 
+#include "check/reference.h"
 #include "core/planner.h"
 #include "sim/metrics.h"
 #include "util/rng.h"
@@ -292,19 +293,18 @@ TEST(GlobalRank, FairObjectiveHandlesNonContiguousAppIds)
 
     Planner planner;
     for (const bool reference : {false, true}) {
-        PlannerOptions options;
-        options.referenceImpl = reference;
-        Planner impl{options};
         FairObjective fair;
-        const GlobalRank rank = impl.plan(apps, fair, 8.0);
+        const GlobalRank rank = reference
+                                    ? check::referencePlan(apps, fair, 8.0)
+                                    : planner.plan(apps, fair, 8.0);
         size_t first = 0;
         size_t second = 0;
         for (const PodRef &pod : rank) {
             // PodRef.app indexes the apps vector, not Application::id.
             (pod.app == 0 ? first : second) += 1;
         }
-        EXPECT_EQ(first, 2u) << "referenceImpl=" << reference;
-        EXPECT_EQ(second, 2u) << "referenceImpl=" << reference;
+        EXPECT_EQ(first, 2u) << "reference=" << reference;
+        EXPECT_EQ(second, 2u) << "reference=" << reference;
     }
 
     // WeightedFair shares the same id-indexed table; a 3:1 weight on

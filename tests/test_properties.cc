@@ -16,6 +16,7 @@
 #include "adaptlab/runner.h"
 #include "check/case.h"
 #include "check/generator.h"
+#include "check/reference.h"
 #include "core/preemption.h"
 #include "core/schemes.h"
 #include "sim/failure.h"
@@ -220,12 +221,10 @@ expectSameActions(const std::vector<Action> &flat,
 
 /**
  * The flat hot path (CSR + indexed heaps + dense packer bookkeeping)
- * must be indistinguishable from the reference containers in every
- * output byte: same global rank, same action sequence, same final
- * state. The op counters double as an algorithm-identity check — both
- * implementations take the same number of queue operations and
- * best-fit probes, while the flat path does zero per-visit child
- * sorting (that is the optimization).
+ * must be indistinguishable from the Alg. 1/2 reference in src/check
+ * in every output byte: same global rank, same action sequence, same
+ * final state. The op counters double as an algorithm-identity check:
+ * both take the same number of queue operations and best-fit probes.
  */
 class BitIdentity : public ::testing::TestWithParam<int>
 {
@@ -258,14 +257,10 @@ TEST_P(BitIdentity, FlatMatchesReferenceImplementation)
     PackingOptions packing_opts;
     packing_opts.abortOnUnplaceable = seed % 7 == 0;
 
-    PlannerOptions ref_planner = planner_opts;
-    ref_planner.referenceImpl = true;
-    PackingOptions ref_packing = packing_opts;
-    ref_packing.referenceImpl = true;
-
     for (const Objective objective : {Objective::Fair, Objective::Cost}) {
         PhoenixScheme flat(objective, planner_opts, packing_opts);
-        PhoenixScheme ref(objective, ref_planner, ref_packing);
+        check::ReferencePhoenixScheme ref(objective, planner_opts,
+                                          packing_opts);
         // Apply twice so the flat scheme's second pass runs entirely on
         // recycled scratch buffers — identity must survive reuse.
         (void)flat.apply(env.apps, failed);
@@ -282,14 +277,13 @@ TEST_P(BitIdentity, FlatMatchesReferenceImplementation)
         EXPECT_EQ(a.pack.placed, b.pack.placed) << what;
         EXPECT_EQ(a.pack.complete, b.pack.complete) << what;
 
-        // Algorithm identity: same queue traffic and probe counts...
+        // Algorithm identity: same queue traffic and probe counts,
+        // while the flat book's futility bounds only ever skip pod
+        // walks.
         EXPECT_EQ(a.planOps.heapPushes, b.planOps.heapPushes) << what;
         EXPECT_EQ(a.planOps.heapPops, b.planOps.heapPops) << what;
         EXPECT_EQ(a.pack.ops.bestFitProbes, b.pack.ops.bestFitProbes)
             << what;
-        // ...while the flat path never copies/sorts successor lists,
-        // and its futility bounds only ever skip pod walks.
-        EXPECT_EQ(a.planOps.childSortElems, 0u) << what;
         EXPECT_LE(a.pack.ops.podScans, b.pack.ops.podScans) << what;
     }
 }
@@ -330,14 +324,9 @@ TEST_P(ConstrainedBitIdentity, ConstrainedPackingIsBitIdentical)
         seeder.apply(c.apps, c.emptyCluster()).pack.state;
     c.replaySteps(failed);
 
-    PlannerOptions ref_planner;
-    ref_planner.referenceImpl = true;
-    PackingOptions ref_packing;
-    ref_packing.referenceImpl = true;
-
     for (const Objective objective : {Objective::Fair, Objective::Cost}) {
         PhoenixScheme flat(objective);
-        PhoenixScheme ref(objective, ref_planner, ref_packing);
+        check::ReferencePhoenixScheme ref(objective);
         // Apply twice so the second pass runs on recycled buffers.
         (void)flat.apply(c.apps, failed);
         const SchemeResult a = flat.apply(c.apps, failed);
@@ -362,3 +351,77 @@ TEST_P(ConstrainedBitIdentity, ConstrainedPackingIsBitIdentical)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConstrainedBitIdentity,
                          ::testing::Range(0, 50));
+
+/**
+ * The Default and K8sPreemption baselines' decisions, pinned. Both
+ * schemes replan 50 generated cases, without and with placement
+ * constraints, after an initial Phoenix placement epoch and the case's
+ * failure script (as ConstrainedBitIdentity replays it). Every action
+ * they emit is folded into one digest per (scheme, constraints) pair.
+ * The digests pin how both break ties between equal-capacity nodes:
+ * in the (remaining, id) order of a std::multiset of those pairs, which
+ * util::BucketedKv keeps. A tie broken in another order changes them.
+ */
+TEST(BaselineDecisions, DefaultAndPreemptionActionsArePinned)
+{
+    struct Pinned
+    {
+        bool constrained;
+        const char *scheme;
+        uint64_t digest;
+    };
+    const Pinned pinned[] = {
+        {false, "Default", 0x54e87b8f85e21fcfull},
+        {false, "K8sPreemption", 0x04113dbda3a78e35ull},
+        {true, "Default", 0xc2cf01f3abb230aaull},
+        {true, "K8sPreemption", 0xdbdb52c3f2abbcffull},
+    };
+    for (const Pinned &expect : pinned) {
+        check::GeneratorOptions gen;
+        if (expect.constrained) {
+            gen.antiAffinityProbability = 0.5;
+            gen.pdbProbability = 0.5;
+            gen.zoneSpreadProbability = 0.5;
+            gen.nodeCapProbability = 0.5;
+            gen.maxNodes = 16;
+            gen.maxApps = 5;
+        }
+        std::unique_ptr<ResilienceScheme> scheme;
+        if (std::string(expect.scheme) == "Default")
+            scheme = std::make_unique<DefaultScheme>();
+        else
+            scheme = std::make_unique<KubePreemptionScheme>();
+
+        uint64_t digest = 0;
+        const auto fold = [&](uint64_t value) {
+            digest = util::splitmix64Mix(digest ^ value);
+        };
+        size_t actions = 0;
+        for (uint64_t seed = 0; seed < 50; ++seed) {
+            const check::CheckCase c =
+                check::generateCase(seed * 61 + 5, gen);
+            PhoenixScheme seeder(Objective::Cost);
+            ClusterState failed =
+                seeder.apply(c.apps, c.emptyCluster()).pack.state;
+            c.replaySteps(failed);
+            const SchemeResult result = scheme->apply(c.apps, failed);
+            fold(result.pack.actions.size());
+            for (const Action &action : result.pack.actions) {
+                fold(static_cast<uint64_t>(action.kind));
+                fold(action.pod.app);
+                fold(action.pod.ms);
+                fold(action.pod.replica);
+                fold(action.from);
+                fold(action.to);
+            }
+            actions += result.pack.actions.size();
+        }
+        const std::string what =
+            std::string(expect.scheme) +
+            (expect.constrained ? " constrained" : " unconstrained");
+        EXPECT_GT(actions, 50u) << what;
+        EXPECT_EQ(digest, expect.digest)
+            << what << ": 0x" << std::hex << digest << std::dec << " over "
+            << actions << " actions";
+    }
+}

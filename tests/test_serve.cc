@@ -587,9 +587,13 @@ TEST(ServeDaemon, RejectsMalformedCommands)
     const double t0 = reply(daemon, R"({"cmd":"observe"})").numberAt("t");
     const std::string inject = R"({"cmd":"inject-scenario","steps":[)";
     for (const std::string &line : {
-             // Accepted, these three would hang advance, re-arm the
+             // Accepted, these five would hang advance, re-arm the
              // window tick at one instant forever (so the next advance
-             // hangs), and make observe print ready_capacity null.
+             // hangs), and make observe print ready_capacity null. The
+             // first two are finite: one advance runs at most a
+             // simulated day, and a window is at least 1 s.
+             std::string(R"({"cmd":"advance","seconds":1e300})"),
+             std::string(R"({"cmd":"serve-start","window":1e-300})"),
              std::string(R"({"cmd":"advance","seconds":1e999})"),
              std::string(R"({"cmd":"serve-start","window":0})"),
              std::string(R"({"cmd":"add-nodes","capacity":1e999})"),

@@ -9,13 +9,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 
 #include "util/bucketed_kv.h"
 #include "util/heap.h"
 #include "util/rng.h"
-#include "util/sorted_kv.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -255,39 +255,6 @@ TEST(Stats, HistogramEdgeCases)
     EXPECT_NEAR(inverted.percentile(99), 6.0, 1e-9);
 }
 
-TEST(SortedKv, BestFitQueries)
-{
-    SortedKv<double, uint32_t> kv;
-    kv.insert(4.0, 1);
-    kv.insert(2.0, 2);
-    kv.insert(8.0, 3);
-
-    auto hit = kv.firstAtLeast(3.0);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->second, 1u);
-
-    EXPECT_EQ(kv.largest()->second, 3u);
-    EXPECT_FALSE(kv.firstAtLeast(9.0).has_value());
-
-    EXPECT_TRUE(kv.erase(4.0, 1));
-    EXPECT_FALSE(kv.erase(4.0, 1));
-    EXPECT_EQ(kv.firstAtLeast(3.0)->second, 3u);
-    EXPECT_EQ(kv.size(), 2u);
-}
-
-TEST(SortedKv, DuplicateKeys)
-{
-    SortedKv<double, uint32_t> kv;
-    kv.insert(5.0, 7);
-    kv.insert(5.0, 3);
-    kv.insert(5.0, 3);
-    EXPECT_EQ(kv.size(), 3u);
-    // Smallest value among equal keys returned first.
-    EXPECT_EQ(kv.firstAtLeast(5.0)->second, 3u);
-    EXPECT_TRUE(kv.erase(5.0, 3));
-    EXPECT_EQ(kv.size(), 2u);
-}
-
 TEST(IndexedDaryHeap, BasicOrderAndMembership)
 {
     IndexedDaryHeap<int> heap;
@@ -360,7 +327,7 @@ TEST(IndexedDaryHeap, MatchesSetOracleUnderRandomOps)
     }
 }
 
-TEST(BucketedKv, BestFitQueriesMatchSortedKv)
+TEST(BucketedKv, BestFitQueries)
 {
     BucketedKv<uint32_t> kv;
     kv.insert(4.0, 1);
@@ -378,18 +345,21 @@ TEST(BucketedKv, BestFitQueriesMatchSortedKv)
     EXPECT_EQ(kv.firstAtLeast(3.0)->second, 3u);
     EXPECT_EQ(kv.size(), 2u);
 
-    // Duplicate keys: smallest value among equal keys comes first.
+    // Duplicate keys: smallest value among equal keys comes first, and
+    // an erase takes one copy of an exact pair.
     kv.insert(5.0, 7);
     kv.insert(5.0, 3);
     kv.insert(5.0, 3);
+    EXPECT_EQ(kv.size(), 5u);
     EXPECT_EQ(kv.firstAtLeast(5.0)->second, 3u);
     EXPECT_TRUE(kv.erase(5.0, 3));
+    EXPECT_EQ(kv.size(), 4u);
     EXPECT_EQ(kv.firstAtLeast(5.0)->second, 3u);
 }
 
 TEST(BucketedKv, MatchesMultisetOracleUnderRandomOps)
 {
-    // Same total order as the multiset-backed SortedKv — including
+    // Same total order as a std::multiset of the pairs — including
     // scan order, which the packer's repack/delete stages rely on.
     Rng rng(1337);
     using Pair = std::pair<double, uint32_t>;
@@ -481,7 +451,7 @@ ascendingOf(const BucketedKv<uint32_t> &kv)
 TEST(BucketedKv, BulkLoadMatchesInserts)
 {
     // loadSorted() must leave the sequence that inserting the same
-    // pairs one at a time leaves, SortedKv's order, and keep matching
+    // pairs one at a time leaves, a multiset's order, and keep matching
     // under the operations a pack makes afterwards. Round 0 is a fresh
     // homogeneous cluster: thousands of nodes at one key. One object is
     // loaded in every round, so later loads reuse pooled blocks.
@@ -504,10 +474,10 @@ TEST(BucketedKv, BulkLoadMatchesInserts)
         rng.shuffle(pairs);
 
         BucketedKv<uint32_t> inserted;
-        SortedKv<double, uint32_t> oracle;
+        std::multiset<Pair> oracle;
         for (const auto &[key, value] : pairs) {
             inserted.insert(key, value);
-            oracle.insert(key, value);
+            oracle.emplace(key, value);
         }
         std::vector<Pair> sorted = pairs;
         std::sort(sorted.begin(), sorted.end());
@@ -525,7 +495,7 @@ TEST(BucketedKv, BulkLoadMatchesInserts)
                 const Pair entry(tie_heavy_key(), next_value++);
                 loaded.insert(entry.first, entry.second);
                 inserted.insert(entry.first, entry.second);
-                oracle.insert(entry.first, entry.second);
+                oracle.insert(entry);
                 live.push_back(entry);
             } else if (choice == 1) {
                 const size_t pick = static_cast<size_t>(
@@ -533,16 +503,23 @@ TEST(BucketedKv, BulkLoadMatchesInserts)
                 const Pair victim = live[pick];
                 ASSERT_TRUE(loaded.erase(victim.first, victim.second));
                 ASSERT_TRUE(inserted.erase(victim.first, victim.second));
-                ASSERT_TRUE(oracle.erase(victim.first, victim.second));
+                const auto found = oracle.find(victim);
+                ASSERT_NE(found, oracle.end());
+                oracle.erase(found);
                 live[pick] = live.back();
                 live.pop_back();
             } else if (choice == 2) {
                 const double bound = rng.uniform(0.0, 17.0);
-                const auto expect = oracle.firstAtLeast(bound);
+                const auto fit = oracle.lower_bound(Pair(bound, 0));
+                const std::optional<Pair> expect =
+                    fit == oracle.end() ? std::nullopt
+                                        : std::optional<Pair>(*fit);
                 ASSERT_EQ(loaded.firstAtLeast(bound), expect) << bound;
                 ASSERT_EQ(inserted.firstAtLeast(bound), expect) << bound;
             } else if (choice == 3) {
-                const auto expect = oracle.largest();
+                const std::optional<Pair> expect =
+                    oracle.empty() ? std::nullopt
+                                   : std::optional<Pair>(*oracle.rbegin());
                 ASSERT_EQ(loaded.largest(), expect);
                 ASSERT_EQ(inserted.largest(), expect);
             } else {
@@ -566,7 +543,7 @@ TEST(BucketedKv, BulkLoadMatchesInserts)
                 const double bound = rng.uniform(0.0, 17.0);
                 std::vector<Pair> expect;
                 if (choice == 4) {
-                    for (auto it = oracle.lowerBound(bound);
+                    for (auto it = oracle.lower_bound(Pair(bound, 0));
                          it != oracle.end() && expect.size() < limit;
                          ++it)
                         expect.push_back(*it);

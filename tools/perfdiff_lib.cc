@@ -35,8 +35,6 @@ collectPerfCells(const JsonValue &root)
             cell.heapPushes = agg.numberAt("ops_heap_pushes.mean");
             cell.bestFitProbes =
                 agg.numberAt("ops_best_fit_probes.mean");
-            cell.childSortElems =
-                agg.numberAt("ops_child_sort_elems.mean");
             cells.emplace_back(key.str(), cell);
         }
     }
@@ -201,16 +199,6 @@ runPerfDiff(const std::vector<std::string> &args, std::ostream &out,
                          formatSeconds(row.baseline.total()).c_str(),
                          formatSeconds(row.fresh.total()).c_str(),
                          speedup, pushes, probes);
-        if (row.baseline.childSortElems > 0.0 &&
-            row.fresh.childSortElems == 0.0) {
-            // The headline structural win: successor sorting went from
-            // O(sum child-list sorts) to zero. Not a timing artifact.
-            char note[96];
-            std::snprintf(note, sizeof(note),
-                          "%-44s   child-sort elems %.0f -> 0\n", "",
-                          row.baseline.childSortElems);
-            out << note;
-        }
     }
     // Cells present in only one report are informational: a growing
     // bench adds sizes/schemes, a retired scheme drops them. Neither is

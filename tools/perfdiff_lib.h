@@ -28,7 +28,6 @@ struct PerfCell
     double packSeconds = 0.0;
     double heapPushes = 0.0;
     double bestFitProbes = 0.0;
-    double childSortElems = 0.0;
 
     double total() const { return planSeconds + packSeconds; }
 
