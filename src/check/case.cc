@@ -1,8 +1,14 @@
 #include "case.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <iterator>
+#include <map>
 #include <sstream>
+#include <tuple>
 
+#include "sim/scenario_json.h"
 #include "util/json.h"
 
 namespace phoenix::check {
@@ -22,163 +28,75 @@ CheckCase::emptyCluster() const
     return state;
 }
 
-sim::Scenario
-CheckCase::scenario() const
+std::vector<NodeFaults>
+CheckCase::replayFaults(
+    const std::function<void(NodeId, const NodeFaults &,
+                             const NodeFaults &)> &onChange) const
 {
-    sim::Scenario scenario;
-    for (const CaseStep &step : steps) {
-        switch (step.kind) {
-        case CaseStep::Kind::Fail:
-            scenario.failNodes(step.at, step.nodes);
-            break;
-        case CaseStep::Kind::Recover:
-            scenario.recoverNodes(step.at, step.nodes);
-            break;
-        case CaseStep::Kind::Flap:
-            for (NodeId node : step.nodes)
-                scenario.flapKubelet(step.at, node, step.downtime);
-            break;
-        case CaseStep::Kind::Partition:
-            scenario.partitionNodes(step.at, step.nodes,
-                                    step.downtime);
-            break;
-        case CaseStep::Kind::Degrade:
-            scenario.degradeNodes(step.at, step.nodes, step.factor,
-                                  step.downtime);
-            break;
-        case CaseStep::Kind::Outage:
-            scenario.apiOutage(step.at, step.downtime);
-            break;
-        case CaseStep::Kind::Skew:
-            for (NodeId node : step.nodes)
-                scenario.skewClock(step.at, node, step.skew);
-            break;
+    using Kind = sim::Scenario::Step::Kind;
+    // Armed steps by (time, arming order): the event queue's order.
+    std::map<std::pair<double, size_t>, sim::Scenario::Step> armed;
+    for (const auto &step : steps)
+        armed.emplace(std::pair(step.at, armed.size()), step);
+    size_t seq = armed.size();
+    std::vector<NodeFaults> nodes(nodeCapacities.size());
+    while (!armed.empty()) {
+        const auto [key, step] = *armed.begin();
+        armed.erase(armed.begin());
+        for (NodeId node : step.nodes) {
+            if (node >= nodes.size())
+                continue;
+            NodeFaults after = nodes[node];
+            switch (step.kind) {
+            case Kind::FailNodes:
+            case Kind::Flap: after.kubelet = false; break;
+            case Kind::RecoverNodes: after.kubelet = true; break;
+            case Kind::PartitionNodes: after.partitioned = true; break;
+            case Kind::HealPartition: after.partitioned = false; break;
+            case Kind::Degrade: after.factor = step.factor; break;
+            case Kind::SkewClock: after.skewed = true; break;
+            default: break; // outages name no node
+            }
+            if (onChange && !(after == nodes[node]))
+                onChange(node, nodes[node], after);
+            nodes[node] = after;
         }
+        // A window's end is armed when its step fires, so it fires
+        // after everything armed before for its instant. A flap
+        // always restarts; a partition or degrade with no window
+        // lasts.
+        sim::Scenario::Step end;
+        end.nodes = step.nodes;
+        if (step.kind == Kind::Flap)
+            end.kind = Kind::RecoverNodes;
+        else if (step.kind == Kind::PartitionNodes && step.downtime > 0.0)
+            end.kind = Kind::HealPartition;
+        else if (step.kind == Kind::Degrade && step.downtime > 0.0)
+            end.kind = Kind::Degrade; // to factor 1
+        else
+            continue;
+        armed.emplace(std::pair(key.first + step.downtime, seq++), end);
     }
-    return scenario;
+    return nodes;
 }
 
 void
 CheckCase::replaySteps(sim::ClusterState &state) const
 {
-    // Expand flaps into their stop/restart pair, then apply everything
-    // in (time, script order) — matching the EventQueue's FIFO
-    // tie-break for simultaneous events.
-    struct Event
-    {
-        enum class What { Fail, Restore, Rescale };
-        double at;
-        size_t seq;
-        What what;
-        NodeId node;
-        /** Rescale only: capacity multiplier (1.0 = restore). */
-        double factor;
-    };
-    using What = Event::What;
-    std::vector<Event> events;
-    size_t seq = 0;
-    for (const CaseStep &step : steps) {
-        for (NodeId node : step.nodes) {
-            switch (step.kind) {
-            case CaseStep::Kind::Fail:
-                events.push_back({step.at, seq++, What::Fail, node,
-                                  1.0});
-                break;
-            case CaseStep::Kind::Recover:
-                events.push_back({step.at, seq++, What::Restore, node,
-                                  1.0});
-                break;
-            case CaseStep::Kind::Flap:
-                events.push_back({step.at, seq++, What::Fail, node,
-                                  1.0});
-                events.push_back({step.at + step.downtime, seq++,
-                                  What::Restore, node, 1.0});
-                break;
-            case CaseStep::Kind::Partition:
-                // Control-plane view: the node fails; with a window,
-                // it comes back once heartbeats resume.
-                events.push_back({step.at, seq++, What::Fail, node,
-                                  1.0});
-                if (step.downtime > 0.0) {
-                    events.push_back({step.at + step.downtime, seq++,
-                                      What::Restore, node, 1.0});
-                }
-                break;
-            case CaseStep::Kind::Degrade:
-                events.push_back({step.at, seq++, What::Rescale, node,
-                                  step.factor});
-                if (step.downtime > 0.0) {
-                    events.push_back({step.at + step.downtime, seq++,
-                                      What::Rescale, node, 1.0});
-                }
-                break;
-            case CaseStep::Kind::Outage:
-            case CaseStep::Kind::Skew:
-                // Observation/timing distortions only: the converged
-                // post-failure state is unchanged.
-                break;
-            }
+    replayFaults([&](NodeId node, const NodeFaults &before,
+                     const NodeFaults &after) {
+        if (node >= state.nodeCount())
+            return;
+        if (after.ready() != before.ready()) {
+            if (after.ready())
+                state.restoreNode(node);
+            else
+                state.failNode(node);
         }
-    }
-    std::sort(events.begin(), events.end(),
-              [](const Event &a, const Event &b) {
-                  if (a.at != b.at)
-                      return a.at < b.at;
-                  return a.seq < b.seq;
-              });
-    // Original capacities, for lifting a degrade back to factor 1.
-    std::map<NodeId, double> baseline;
-    for (const Event &event : events) {
-        if (event.node >= state.nodeCount())
-            continue;
-        switch (event.what) {
-        case What::Fail:
-            if (state.isHealthy(event.node))
-                state.failNode(event.node);
-            break;
-        case What::Restore:
-            if (!state.isHealthy(event.node))
-                state.restoreNode(event.node);
-            break;
-        case What::Rescale: {
-            const auto [it, inserted] = baseline.emplace(
-                event.node, state.node(event.node).capacity);
-            (void)inserted;
-            state.setNodeCapacity(event.node,
-                                  it->second * event.factor);
-            break;
-        }
-        }
-    }
+        if (after.factor != before.factor)
+            state.setNodeCapacity(node, nodeCapacities[node] * after.factor);
+    });
 }
-
-namespace {
-
-const char *
-stepKindName(CaseStep::Kind kind)
-{
-    switch (kind) {
-    case CaseStep::Kind::Fail: return "fail";
-    case CaseStep::Kind::Recover: return "recover";
-    case CaseStep::Kind::Flap: return "flap";
-    case CaseStep::Kind::Partition: return "partition";
-    case CaseStep::Kind::Degrade: return "degrade";
-    case CaseStep::Kind::Outage: return "outage";
-    case CaseStep::Kind::Skew: return "skew";
-    }
-    return "fail";
-}
-
-bool
-kindHasWindow(CaseStep::Kind kind)
-{
-    return kind == CaseStep::Kind::Flap ||
-           kind == CaseStep::Kind::Partition ||
-           kind == CaseStep::Kind::Degrade ||
-           kind == CaseStep::Kind::Outage;
-}
-
-} // namespace
 
 std::string
 CheckCase::toJson() const
@@ -260,20 +178,8 @@ CheckCase::toJson() const
     os << (apps.empty() ? "" : "\n  ") << "],\n";
     os << "  \"steps\": [";
     for (size_t s = 0; s < steps.size(); ++s) {
-        const CaseStep &step = steps[s];
-        os << (s ? ",\n    " : "\n    ");
-        os << "{\"at\": " << jsonNumber(step.at) << ", \"kind\": "
-           << jsonQuote(stepKindName(step.kind)) << ", \"nodes\": [";
-        for (size_t n = 0; n < step.nodes.size(); ++n)
-            os << (n ? "," : "") << step.nodes[n];
-        os << "]";
-        if (kindHasWindow(step.kind))
-            os << ", \"downtime\": " << jsonNumber(step.downtime);
-        if (step.kind == CaseStep::Kind::Degrade)
-            os << ", \"factor\": " << jsonNumber(step.factor);
-        if (step.kind == CaseStep::Kind::Skew)
-            os << ", \"skew\": " << jsonNumber(step.skew);
-        os << "}";
+        os << (s ? ",\n    " : "\n    ")
+           << sim::scenarioStepToJson(steps[s]);
     }
     os << (steps.empty() ? "" : "\n  ") << "]\n";
     os << "}\n";
@@ -281,6 +187,10 @@ CheckCase::toJson() const
 }
 
 namespace {
+
+/** Replicas one service may ask for: a replica count is a multiplier
+ * the file does not pay for. */
+constexpr int kMaxReplicas = 1024;
 
 bool
 fail(std::string *error, const std::string &what)
@@ -290,16 +200,41 @@ fail(std::string *error, const std::string &what)
     return false;
 }
 
+/** The integer fields of @p object, each with its default, into the
+ * members of @p into (util::integerOf). */
+template <typename Into>
+bool
+readIntegers(const JsonValue &object, Into &into,
+             std::initializer_list<std::tuple<const char *, int Into::*, int>>
+                 fields,
+             std::string *error)
+{
+    for (const auto &[key, member, fallback] : fields) {
+        const std::optional<int> value =
+            util::integerAt<int>(object, key, fallback);
+        if (!value)
+            return fail(error, std::string("'") + key +
+                                   "' is not an integer in range");
+        into.*member = *value;
+    }
+    return true;
+}
+
 bool
 parseApp(const JsonValue &node, size_t index, sim::Application &app,
          std::string *error)
 {
-    if (!node.isObject())
-        return fail(error, "app entry is not an object");
-    app.id = static_cast<sim::AppId>(
-        node.numberAt("id", static_cast<double>(index)));
+    using sim::Microservice;
+    using sim::PlacementGroup;
+    const std::optional<sim::AppId> id = util::integerAt<sim::AppId>(
+        node, "id", static_cast<sim::AppId>(index));
+    const std::optional<double> price = util::finiteAt(node, "price", 1.0);
+    if (!node.isObject() || !id || !price)
+        return fail(error, "app needs an object with an integral 'id' "
+                           "and a finite 'price'");
+    app.id = *id;
     app.name = "app" + std::to_string(index);
-    app.pricePerUnit = node.numberAt("price", 1.0);
+    app.pricePerUnit = *price;
     const JsonValue *enabled = node.field("phoenix_enabled");
     app.phoenixEnabled =
         !enabled || enabled->kind != JsonValue::Kind::Bool ||
@@ -310,44 +245,48 @@ parseApp(const JsonValue &node, size_t index, sim::Application &app,
         return fail(error, "app has no services array");
     for (size_t m = 0; m < services->items.size(); ++m) {
         const JsonValue &entry = services->items[m];
-        if (!entry.isObject())
-            return fail(error, "service entry is not an object");
-        sim::Microservice ms;
+        Microservice ms;
         ms.id = static_cast<sim::MsId>(m);
         ms.name = "ms" + std::to_string(m);
-        ms.cpu = entry.numberAt("cpu", 1.0);
-        ms.criticality =
-            static_cast<int>(entry.numberAt("criticality", 1.0));
-        ms.replicas = static_cast<int>(entry.numberAt("replicas", 1.0));
-        ms.quorum = static_cast<int>(entry.numberAt("quorum", 0.0));
-        ms.antiAffinityGroup =
-            static_cast<int>(entry.numberAt("group", -1.0));
-        ms.maxPerNode =
-            static_cast<int>(entry.numberAt("max_per_node", 0.0));
-        ms.maxPerZone =
-            static_cast<int>(entry.numberAt("max_per_zone", 0.0));
-        ms.minZoneSpread =
-            static_cast<int>(entry.numberAt("min_zone_spread", 0.0));
-        ms.pdbMaxUnavailable = static_cast<int>(
-            entry.numberAt("pdb_max_unavailable", -1.0));
-        if (ms.cpu < 0.0)
-            return fail(error, "negative service cpu");
-        if (ms.replicas < 1)
-            ms.replicas = 1;
+        const std::optional<double> cpu = util::finiteAt(entry, "cpu", 1.0);
+        if (!entry.isObject() || !cpu || *cpu < 0.0)
+            return fail(error, "service needs an object with a finite "
+                               "cpu >= 0");
+        ms.cpu = *cpu;
+        if (!readIntegers(
+                entry, ms,
+                {{"criticality", &Microservice::criticality, 1},
+                 {"replicas", &Microservice::replicas, 1},
+                 {"quorum", &Microservice::quorum, 0},
+                 {"group", &Microservice::antiAffinityGroup, -1},
+                 {"max_per_node", &Microservice::maxPerNode, 0},
+                 {"max_per_zone", &Microservice::maxPerZone, 0},
+                 {"min_zone_spread", &Microservice::minZoneSpread, 0},
+                 {"pdb_max_unavailable", &Microservice::pdbMaxUnavailable,
+                  -1}},
+                error))
+            return false;
+        if (ms.replicas > kMaxReplicas)
+            return fail(error, "service asks for more than " +
+                                   std::to_string(kMaxReplicas) +
+                                   " replicas");
+        ms.replicas = std::max(ms.replicas, 1);
         app.services.push_back(ms);
     }
 
     const JsonValue *groups = node.field("groups");
     if (groups && groups->isArray()) {
         for (const JsonValue &entry : groups->items) {
+            PlacementGroup group;
             if (!entry.isObject())
                 return fail(error, "group entry is not an object");
-            sim::PlacementGroup group;
-            group.id = static_cast<int>(entry.numberAt("id", 0.0));
-            group.maxPerNode =
-                static_cast<int>(entry.numberAt("max_per_node", 0.0));
-            group.maxPerZone =
-                static_cast<int>(entry.numberAt("max_per_zone", 0.0));
+            if (!readIntegers(
+                    entry, group,
+                    {{"id", &PlacementGroup::id, 0},
+                     {"max_per_node", &PlacementGroup::maxPerNode, 0},
+                     {"max_per_zone", &PlacementGroup::maxPerZone, 0}},
+                    error))
+                return false;
             app.placementGroups.push_back(group);
         }
     }
@@ -355,65 +294,20 @@ parseApp(const JsonValue &node, size_t index, sim::Application &app,
     const JsonValue *edges = node.field("edges");
     if (edges && edges->isArray() && !edges->items.empty()) {
         app.dag = graph::DiGraph(app.services.size());
+        const size_t count = app.services.size();
         for (const JsonValue &edge : edges->items) {
-            if (!edge.isArray() || edge.items.size() != 2 ||
-                !edge.items[0].isNumber() || !edge.items[1].isNumber())
+            const bool pair = edge.items.size() == 2;
+            const auto u = pair ? util::integerOf<graph::NodeId>(edge.items[0])
+                                : std::nullopt;
+            const auto v = pair ? util::integerOf<graph::NodeId>(edge.items[1])
+                                : std::nullopt;
+            if (!u || !v || *u >= count || *v >= count)
                 return fail(error, "malformed dependency edge");
-            const auto u =
-                static_cast<graph::NodeId>(edge.items[0].number);
-            const auto v =
-                static_cast<graph::NodeId>(edge.items[1].number);
-            if (u >= app.services.size() || v >= app.services.size())
-                return fail(error, "dependency edge out of range");
-            app.dag.addEdge(u, v);
+            app.dag.addEdge(*u, *v);
         }
         if (!app.dag.isAcyclic())
             return fail(error, "dependency graph has a cycle");
         app.hasDependencyGraph = true;
-    }
-    return true;
-}
-
-bool
-parseStep(const JsonValue &node, size_t node_count, CaseStep &step,
-          std::string *error)
-{
-    if (!node.isObject())
-        return fail(error, "step entry is not an object");
-    step.at = node.numberAt("at", 0.0);
-    const std::string kind = node.stringAt("kind", "fail");
-    if (kind == "fail")
-        step.kind = CaseStep::Kind::Fail;
-    else if (kind == "recover")
-        step.kind = CaseStep::Kind::Recover;
-    else if (kind == "flap")
-        step.kind = CaseStep::Kind::Flap;
-    else if (kind == "partition")
-        step.kind = CaseStep::Kind::Partition;
-    else if (kind == "degrade")
-        step.kind = CaseStep::Kind::Degrade;
-    else if (kind == "outage")
-        step.kind = CaseStep::Kind::Outage;
-    else if (kind == "skew")
-        step.kind = CaseStep::Kind::Skew;
-    else
-        return fail(error, "unknown step kind: " + kind);
-    step.downtime = node.numberAt("downtime", 0.0);
-    step.factor = node.numberAt("factor", 1.0);
-    step.skew = node.numberAt("skew", 0.0);
-    if (step.kind == CaseStep::Kind::Degrade &&
-        (step.factor < sim::kMinDegradeFactor || step.factor > 1.0))
-        return fail(error, "degrade factor out of range");
-    const JsonValue *nodes = node.field("nodes");
-    if (!nodes || !nodes->isArray())
-        return fail(error, "step has no nodes array");
-    for (const JsonValue &entry : nodes->items) {
-        if (!entry.isNumber())
-            return fail(error, "step node is not a number");
-        const auto id = static_cast<sim::NodeId>(entry.number);
-        if (id >= node_count)
-            return fail(error, "step references missing node");
-        step.nodes.push_back(id);
     }
     return true;
 }
@@ -445,8 +339,9 @@ CheckCase::fromJson(const std::string &text, std::string *error)
         return std::nullopt;
     }
     for (const JsonValue &entry : nodes->items) {
-        if (!entry.isNumber() || entry.number < 0.0) {
-            fail(error, "malformed node capacity");
+        if (!entry.isNumber() || !std::isfinite(entry.number) ||
+            entry.number < 0.0) {
+            fail(error, "node capacity is not a finite number >= 0");
             return std::nullopt;
         }
         out.nodeCapacities.push_back(entry.number);
@@ -455,12 +350,13 @@ CheckCase::fromJson(const std::string &text, std::string *error)
     if (const JsonValue *zones = root.field("zones");
         zones && zones->isArray()) {
         for (const JsonValue &entry : zones->items) {
-            if (!entry.isNumber() || entry.number < 0.0) {
-                fail(error, "malformed node zone");
+            const std::optional<uint32_t> zone =
+                util::integerOf<uint32_t>(entry);
+            if (!zone) {
+                fail(error, "node zone is not a uint32 integer");
                 return std::nullopt;
             }
-            out.nodeZones.push_back(
-                static_cast<uint32_t>(entry.number));
+            out.nodeZones.push_back(*zone);
         }
         if (out.nodeZones.size() != out.nodeCapacities.size()) {
             fail(error, "zones array does not match nodes array");
@@ -480,15 +376,26 @@ CheckCase::fromJson(const std::string &text, std::string *error)
         out.apps.push_back(std::move(app));
     }
 
-    if (const JsonValue *steps = root.field("steps");
-        steps && steps->isArray()) {
-        for (const JsonValue &entry : steps->items) {
-            CaseStep step;
-            if (!parseStep(entry, out.nodeCapacities.size(), step,
-                           error))
+    if (const JsonValue *steps = root.field("steps")) {
+        std::optional<std::vector<sim::Scenario::Step>> parsed =
+            sim::scenarioStepsFromJson(*steps, out.nodeCapacities.size(),
+                                       error);
+        if (!parsed)
+            return std::nullopt;
+        // No seed to expand: explicit nodes only.
+        using Kind = sim::Scenario::Step::Kind;
+        constexpr Kind kCaseKinds[] = {
+            Kind::FailNodes,      Kind::RecoverNodes,  Kind::Flap,
+            Kind::PartitionNodes, Kind::HealPartition, Kind::Degrade,
+            Kind::ApiOutage,      Kind::SkewClock};
+        for (const auto &step : *parsed) {
+            if (std::find(std::begin(kCaseKinds), std::end(kCaseKinds),
+                          step.kind) == std::end(kCaseKinds)) {
+                fail(error, "a case holds explicit-node steps only");
                 return std::nullopt;
-            out.steps.push_back(std::move(step));
+            }
         }
+        out.steps = std::move(*parsed);
     }
     return out;
 }

@@ -10,10 +10,13 @@
  * seeds that still need expanding, so a corpus entry replays
  * identically on any machine.
  *
- * The failure script doubles as both oracle surfaces:
- *  - statically, replaying the steps against a ClusterState produces
- *    the post-failure state the resilience schemes plan against;
- *  - dynamically, the same steps build a sim::Scenario that the
+ * The failure script is a list of sim::Scenario steps, read and
+ * written by the scenario codec (sim/scenario_json.h) that phoenixd
+ * uses too. It doubles as both oracle surfaces:
+ *  - statically, one reference expansion (replayFaults) yields the
+ *    post-failure state the resilience schemes plan against and the
+ *    node end states the lifecycle oracle expects;
+ *  - dynamically, the same steps make the sim::Scenario that the
  *    kube-lifecycle oracle drives through ScenarioRunner against a
  *    real KubeCluster.
  */
@@ -21,6 +24,7 @@
 #ifndef PHOENIX_CHECK_CASE_H
 #define PHOENIX_CHECK_CASE_H
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,32 +35,17 @@
 
 namespace phoenix::check {
 
-/** One scripted fault event with explicit node targets. */
-struct CaseStep
+/** One node's fault state. Kubelet, partition and degrade are kept
+ * apart, as the kube keeps them: a heal does not restart a kubelet a
+ * fail step stopped. */
+struct NodeFaults
 {
-    enum class Kind {
-        Fail,      //!< kubelet stop / node failure for every listed node
-        Recover,   //!< kubelet start / node restore for every listed node
-        Flap,      //!< stop then restart `downtime` later (one node each)
-        Partition, //!< heartbeats stop reaching the control plane; heal
-                   //!< `downtime` later (<= 0: never)
-        Degrade,   //!< capacity * factor (slow-not-dead); restore
-                   //!< `downtime` later (<= 0: never)
-        Outage,    //!< API-server outage: observation frozen for
-                   //!< `downtime` seconds (nodes unused)
-        Skew,      //!< set heartbeat clock skew to `skew` seconds
-    };
-
-    double at = 0.0;
-    Kind kind = Kind::Fail;
-    std::vector<sim::NodeId> nodes;
-    /** Flap: seconds between the stop and the restart. Partition /
-     * Degrade / Outage: window length. */
-    double downtime = 0.0;
-    /** Degrade only: capacity multiplier in (0, 1]. */
-    double factor = 1.0;
-    /** Skew only: heartbeat clock skew in seconds. */
-    double skew = 0.0;
+    bool kubelet = true;      //!< fail / recover / flap
+    bool partitioned = false; //!< partition / heal
+    bool skewed = false;      //!< some skew step named the node
+    double factor = 1.0;      //!< degrade factor
+    bool ready() const { return kubelet && !partitioned; }
+    bool operator==(const NodeFaults &) const = default;
 };
 
 struct CheckCase
@@ -76,7 +65,10 @@ struct CheckCase
      * id % zones synthetic layout. */
     std::vector<uint32_t> nodeZones;
     std::vector<sim::Application> apps;
-    std::vector<CaseStep> steps;
+    /** The failure script: explicit-node steps only (fail, recover,
+     * flap, partition, heal, degrade, outage, skew), so a case needs
+     * no seed to replay and shrinks node by node. */
+    std::vector<sim::Scenario::Step> steps;
 
     size_t
     serviceCount() const
@@ -116,22 +108,25 @@ struct CheckCase
     sim::ClusterState emptyCluster() const;
 
     /**
-     * The failure script as a declarative sim::Scenario (explicit
-     * failNodes/recoverNodes/flapKubelet steps only — a serialized
-     * case never re-randomizes).
+     * The reference expansion of the script, kept independent of
+     * sim::ScenarioRunner so the lifecycle oracle can compare the two:
+     * steps fire in (time, order armed), all armed up front in script
+     * order, and a window's end (a flap's restart, a heal, a degrade's
+     * restore) is armed when its step fires. @p onChange sees every
+     * node state a step changes. Returns every node's end state.
      */
-    sim::Scenario scenario() const;
+    std::vector<NodeFaults> replayFaults(
+        const std::function<void(sim::NodeId, const NodeFaults &before,
+                                 const NodeFaults &after)> &onChange =
+            nullptr) const;
 
     /**
-     * Replay the steps against @p state in (time, file order): Fail
-     * fails the node (evicting its pods), Recover restores it (empty),
-     * and a Flap whose downtime has passed by the end nets out to a
-     * restored node. A Partition is a control-plane failure (fail,
-     * restore at window end when it has one); a Degrade rescales the
-     * node's capacity for its window. Outage and Skew are static
-     * no-ops — they distort *when* the controller observes, not what
-     * the converged post-failure state is. Used by the static oracle
-     * to derive the post-failure state schemes plan against.
+     * Replay the script against @p state (replayFaults): a node that
+     * stops being Ready fails (its pods are evicted), one that becomes
+     * Ready again is restored empty, and a degrade sets its capacity
+     * to nodeCapacities × factor. Outage and skew steps change nothing
+     * here — they distort *when* the controller observes, not the
+     * converged post-failure state the schemes plan against.
      */
     void replaySteps(sim::ClusterState &state) const;
 
@@ -139,8 +134,11 @@ struct CheckCase
     std::string toJson() const;
 
     /**
-     * Parse a serialized case. Returns nullopt on malformed input and
-     * stores a diagnostic in @p error when given.
+     * Parse a serialized case, which is outside input: integers go
+     * through util::integerOf, other numbers through util::finiteAt
+     * (capacities and cpus >= 0, replicas <= 1024), steps through the
+     * scenario codec (explicit-node kinds only). Returns nullopt on
+     * malformed input and stores a diagnostic in @p error when given.
      */
     static std::optional<CheckCase>
     fromJson(const std::string &text, std::string *error = nullptr);

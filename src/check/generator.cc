@@ -8,6 +8,8 @@
 namespace phoenix::check {
 
 using util::Rng;
+using Step = sim::Scenario::Step;
+using Kind = Step::Kind;
 
 namespace {
 
@@ -184,21 +186,21 @@ generateCase(uint64_t seed, const GeneratorOptions &options)
                       order.begin() + static_cast<long>(fail_count));
     }
 
-    CaseStep fault;
+    Step fault;
     fault.at = t0;
     fault.nodes = failed;
     if (rng.bernoulli(options.flapProbability)) {
-        fault.kind = CaseStep::Kind::Flap;
+        fault.kind = Kind::Flap;
         fault.downtime = static_cast<double>(rng.uniformInt(30, 120));
     } else {
-        fault.kind = CaseStep::Kind::Fail;
+        fault.kind = Kind::FailNodes;
     }
     out.steps.push_back(fault);
 
-    if (fault.kind == CaseStep::Kind::Fail &&
+    if (fault.kind == Kind::FailNodes &&
         rng.bernoulli(options.recoverProbability)) {
-        CaseStep recover;
-        recover.kind = CaseStep::Kind::Recover;
+        Step recover;
+        recover.kind = Kind::RecoverNodes;
         recover.at = t0 + static_cast<double>(rng.uniformInt(60, 300));
         const auto recover_count = static_cast<size_t>(
             rng.uniformInt(1, static_cast<int64_t>(failed.size())));
@@ -223,8 +225,8 @@ generateCase(uint64_t seed, const GeneratorOptions &options)
     };
 
     if (rng.bernoulli(options.partitionProbability)) {
-        CaseStep part;
-        part.kind = CaseStep::Kind::Partition;
+        Step part;
+        part.kind = Kind::PartitionNodes;
         part.at = t0 + static_cast<double>(rng.uniformInt(0, 120));
         // Always a healing window: the post-failure state nets out,
         // and the lifecycle oracle asserts readiness converges.
@@ -234,8 +236,8 @@ generateCase(uint64_t seed, const GeneratorOptions &options)
     }
 
     if (rng.bernoulli(options.degradeProbability)) {
-        CaseStep degrade;
-        degrade.kind = CaseStep::Kind::Degrade;
+        Step degrade;
+        degrade.kind = Kind::Degrade;
         degrade.at = t0 + static_cast<double>(rng.uniformInt(0, 120));
         // 0.25-grid factors keep the scale-by-2 metamorphic relation
         // exact in binary floating point.
@@ -252,8 +254,8 @@ generateCase(uint64_t seed, const GeneratorOptions &options)
     }
 
     if (rng.bernoulli(options.outageProbability)) {
-        CaseStep outage;
-        outage.kind = CaseStep::Kind::Outage;
+        Step outage;
+        outage.kind = Kind::ApiOutage;
         outage.at = t0 + static_cast<double>(rng.uniformInt(0, 60));
         outage.downtime =
             static_cast<double>(rng.uniformInt(60, 240));
@@ -261,8 +263,8 @@ generateCase(uint64_t seed, const GeneratorOptions &options)
     }
 
     if (rng.bernoulli(options.skewProbability)) {
-        CaseStep skew;
-        skew.kind = CaseStep::Kind::Skew;
+        Step skew;
+        skew.kind = Kind::SkewClock;
         skew.at = t0 + static_cast<double>(rng.uniformInt(0, 60));
         skew.nodes = pick_nodes(1);
         // Usually inside the grace period (node stays Ready); a slice

@@ -682,7 +682,7 @@ runLifecycleOracle(const CheckCase &c, OracleResult &result)
 
     sim::ScenarioOptions scenario_options;
     scenario_options.seed = c.seed;
-    sim::ScenarioRunner runner(events, cluster, c.scenario(),
+    sim::ScenarioRunner runner(events, cluster, sim::Scenario(c.steps),
                                scenario_options);
 
     ControllerLoop controller{events, cluster};
@@ -692,7 +692,7 @@ runLifecycleOracle(const CheckCase &c, OracleResult &result)
     sampler.arm(1.0);
 
     double horizon = 0.0;
-    for (const CaseStep &step : c.steps)
+    for (const sim::Scenario::Step &step : c.steps)
         horizon = std::max(horizon, step.at + step.downtime);
     events.runUntil(horizon + 500.0);
 
@@ -729,85 +729,17 @@ runLifecycleOracle(const CheckCase &c, OracleResult &result)
                    "the outage window closed");
     }
 
-    // Partition/degrade/failure convergence: derive every node's
-    // expected end state from the script and compare. Nodes a Skew
-    // step ever touched are exempt — a skewed heartbeat legitimately
-    // detaches control-plane readiness from kubelet health (that is
-    // the fault), and a past positive skew can stamp heartbeats
-    // beyond any fixed horizon.
-    struct NodeEnd
-    {
-        bool kubelet = true;
-        bool partitioned = false;
-        bool skewed = false;
-        double factor = 1.0;
-    };
-    std::vector<NodeEnd> expected(c.nodeCapacities.size());
-    struct Ev
-    {
-        double at;
-        size_t seq;
-        int what; // 0 fail, 1 recover, 2 partition, 3 heal, 4 degrade
-        NodeId node;
-        double value;
-    };
-    std::vector<Ev> evs;
-    size_t seq = 0;
-    for (const CaseStep &step : c.steps) {
-        for (NodeId node : step.nodes) {
-            if (node >= expected.size())
-                continue;
-            switch (step.kind) {
-            case CaseStep::Kind::Fail:
-                evs.push_back({step.at, seq++, 0, node, 0.0});
-                break;
-            case CaseStep::Kind::Recover:
-                evs.push_back({step.at, seq++, 1, node, 0.0});
-                break;
-            case CaseStep::Kind::Flap:
-                evs.push_back({step.at, seq++, 0, node, 0.0});
-                evs.push_back(
-                    {step.at + step.downtime, seq++, 1, node, 0.0});
-                break;
-            case CaseStep::Kind::Partition:
-                evs.push_back({step.at, seq++, 2, node, 0.0});
-                if (step.downtime > 0.0)
-                    evs.push_back({step.at + step.downtime, seq++, 3,
-                                   node, 0.0});
-                break;
-            case CaseStep::Kind::Degrade:
-                evs.push_back(
-                    {step.at, seq++, 4, node, step.factor});
-                if (step.downtime > 0.0)
-                    evs.push_back({step.at + step.downtime, seq++, 4,
-                                   node, 1.0});
-                break;
-            case CaseStep::Kind::Outage:
-                break;
-            case CaseStep::Kind::Skew:
-                expected[node].skewed = true;
-                break;
-            }
-        }
-    }
-    std::sort(evs.begin(), evs.end(), [](const Ev &a, const Ev &b) {
-        if (a.at != b.at)
-            return a.at < b.at;
-        return a.seq < b.seq;
-    });
-    for (const Ev &ev : evs) {
-        switch (ev.what) {
-        case 0: expected[ev.node].kubelet = false; break;
-        case 1: expected[ev.node].kubelet = true; break;
-        case 2: expected[ev.node].partitioned = true; break;
-        case 3: expected[ev.node].partitioned = false; break;
-        case 4: expected[ev.node].factor = ev.value; break;
-        }
-    }
+    // Partition/degrade/failure convergence: the script's reference
+    // expansion gives every node's expected end state. Nodes a Skew
+    // step ever touched are exempt from the readiness check — a skewed
+    // heartbeat legitimately detaches control-plane readiness from
+    // kubelet health (that is the fault), and a past positive skew can
+    // stamp heartbeats beyond any fixed horizon.
+    const std::vector<NodeFaults> expected = c.replayFaults();
     for (NodeId n = 0; n < expected.size(); ++n) {
-        const NodeEnd &end = expected[n];
+        const NodeFaults &end = expected[n];
         if (!end.skewed) {
-            const bool expect_ready = end.kubelet && !end.partitioned;
+            const bool expect_ready = end.ready();
             if (cluster.isReady(n) != expect_ready) {
                 std::ostringstream os;
                 os << "node " << n << " ended "

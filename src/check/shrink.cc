@@ -63,15 +63,18 @@ withoutNode(const CheckCase &c, sim::NodeId node)
 {
     CheckCase out = c;
     out.nodeCapacities.erase(out.nodeCapacities.begin() + node);
-    std::vector<CaseStep> steps;
-    for (CaseStep step : out.steps) {
+    if (!out.nodeZones.empty())
+        out.nodeZones.erase(out.nodeZones.begin() + node);
+    std::vector<sim::Scenario::Step> steps;
+    for (sim::Scenario::Step step : out.steps) {
         std::vector<sim::NodeId> nodes;
         for (sim::NodeId n : step.nodes) {
             if (n == node)
                 continue;
             nodes.push_back(n > node ? n - 1 : n);
         }
-        if (nodes.empty())
+        // A step left with no node goes; an outage never named one.
+        if (nodes.empty() && !step.nodes.empty())
             continue;
         step.nodes = std::move(nodes);
         steps.push_back(std::move(step));

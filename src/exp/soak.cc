@@ -275,7 +275,8 @@ runSoak(const SoakConfig &config)
     scenario_options.seed = config.seed;
     sim::ScenarioRunner runner(
         events, cluster,
-        makeSoakRepro(config, result.waves, result.simSeconds).scenario(),
+        sim::Scenario(
+            makeSoakRepro(config, result.waves, result.simSeconds).steps),
         scenario_options);
 
     for (size_t i = 0; i < result.waves.size(); ++i) {
@@ -603,56 +604,38 @@ makeSoakRepro(const SoakConfig &config,
     }
     repro.apps = testbedApplications(testbed, config.zoneCount);
 
+    sim::Scenario script;
     for (const SoakWave &wave : waves) {
         if (wave.at > upTo)
             continue;
-        check::CaseStep step;
-        step.at = wave.at;
-        step.nodes = wave.nodes;
+        const double end = wave.at + wave.duration;
         switch (wave.kind) {
         case SoakWaveKind::Fail:
-        case SoakWaveKind::ZoneFail: {
-            step.kind = check::CaseStep::Kind::Fail;
-            check::CaseStep recover;
-            recover.kind = check::CaseStep::Kind::Recover;
-            recover.at = wave.at + wave.duration;
-            recover.nodes = wave.nodes;
-            repro.steps.push_back(step);
-            repro.steps.push_back(std::move(recover));
-            continue;
-        }
-        case SoakWaveKind::Flap:
-            step.kind = check::CaseStep::Kind::Flap;
-            step.downtime = wave.duration;
+        case SoakWaveKind::ZoneFail:
+            script.failNodes(wave.at, wave.nodes).recoverNodes(end, wave.nodes);
             break;
         case SoakWaveKind::Partition:
-            step.kind = check::CaseStep::Kind::Partition;
-            step.downtime = wave.duration;
+            script.partitionNodes(wave.at, wave.nodes, wave.duration);
             break;
         case SoakWaveKind::Degrade:
-            step.kind = check::CaseStep::Kind::Degrade;
-            step.downtime = wave.duration;
-            step.factor = wave.factor;
+            script.degradeNodes(wave.at, wave.nodes, wave.factor,
+                                wave.duration);
             break;
         case SoakWaveKind::ApiOutage:
-            step.kind = check::CaseStep::Kind::Outage;
-            step.downtime = wave.duration;
+            script.apiOutage(wave.at, wave.duration);
             break;
-        case SoakWaveKind::ClockSkew: {
-            step.kind = check::CaseStep::Kind::Skew;
-            step.skew = wave.skew;
-            check::CaseStep reset;
-            reset.kind = check::CaseStep::Kind::Skew;
-            reset.at = wave.at + wave.duration;
-            reset.nodes = wave.nodes;
-            reset.skew = 0.0;
-            repro.steps.push_back(step);
-            repro.steps.push_back(std::move(reset));
-            continue;
+        case SoakWaveKind::Flap:
+            for (sim::NodeId node : wave.nodes)
+                script.flapKubelet(wave.at, node, wave.duration);
+            break;
+        case SoakWaveKind::ClockSkew:
+            for (sim::NodeId node : wave.nodes)
+                script.skewClock(wave.at, node, wave.skew)
+                    .skewClock(end, node, 0.0);
+            break;
         }
-        }
-        repro.steps.push_back(std::move(step));
     }
+    repro.steps = script.steps();
     return repro;
 }
 

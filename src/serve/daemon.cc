@@ -1,22 +1,24 @@
 #include "daemon.h"
 
-#include <cmath>
+#include <algorithm>
 #include <istream>
-#include <limits>
 #include <map>
 #include <optional>
 #include <ostream>
 #include <sstream>
-#include <type_traits>
 
 #include "apps/cloudlab.h"
 #include "core/schemes.h"
 #include "kube/manifest.h"
-#include "sim/scenario.h"
+#include "sim/scenario_json.h"
 
 namespace phoenix::serve {
 
 namespace {
+
+using util::finiteAt;
+using util::integerAt;
+using util::integerOf;
 
 /** One advance runs at most a simulated day: the kube control loops and
  * the serving window tick re-arm until the span ends, so an end 1e300 s
@@ -30,47 +32,6 @@ std::string
 errorReply(const std::string &message)
 {
     return "{\"ok\":false,\"error\":" + util::jsonQuote(message) + "}";
-}
-
-/** @p value as a T when it is a finite, integral JSON number within
- * T's range; std::nullopt for anything else. */
-template <typename T>
-std::optional<T>
-integerOf(const util::JsonValue &value)
-{
-    static_assert(std::is_unsigned_v<T>);
-    const double v = value.number;
-    if (!value.isNumber() || !std::isfinite(v) || v != std::trunc(v) ||
-        v < 0.0 || v >= std::ldexp(1.0, std::numeric_limits<T>::digits))
-        return std::nullopt;
-    return static_cast<T>(v);
-}
-
-/** Field @p key of @p object through integerOf(), or @p fallback when
- * the field is absent. */
-template <typename T>
-std::optional<T>
-integerAt(const util::JsonValue &object, const std::string &key,
-          T fallback)
-{
-    const util::JsonValue *value = object.field(key);
-    return value ? integerOf<T>(*value) : std::optional<T>(fallback);
-}
-
-/** Field @p key of @p object when it is a finite JSON number,
- * @p fallback when the field is absent, std::nullopt for anything
- * else (a string, infinity from an overflowing literal such as 1e999,
- * ...). */
-std::optional<double>
-finiteAt(const util::JsonValue &object, const std::string &key,
-         double fallback)
-{
-    const util::JsonValue *value = object.field(key);
-    if (!value)
-        return fallback;
-    if (!value->isNumber() || !std::isfinite(value->number))
-        return std::nullopt;
-    return value->number;
 }
 
 /** Reply for a node id that names no node. */
@@ -404,81 +365,12 @@ std::string
 ServeDaemon::cmdInjectScenario(const util::JsonValue &command)
 {
     const util::JsonValue *steps = command.field("steps");
-    if (!steps || !steps->isArray() || steps->items.empty())
-        return errorReply(
-            "inject-scenario needs a non-empty 'steps' array");
-
-    const size_t nodeCount = cluster_.nodeCount();
-    sim::Scenario scenario;
-    for (const util::JsonValue &step : steps->items) {
-        if (!step.isObject())
-            return errorReply("scenario step must be an object");
-        const std::string kind = step.stringAt("kind");
-        const std::optional<double> at =
-            finiteAt(step, "at", events_.now());
-        if (!at)
-            return errorReply("scenario step needs a finite 'at'");
-        if (kind == "fail-nodes" || kind == "recover-nodes") {
-            const util::JsonValue *nodes = step.field("nodes");
-            if (!nodes || !nodes->isArray())
-                return errorReply(kind + " needs a 'nodes' array");
-            std::vector<sim::NodeId> ids;
-            for (const util::JsonValue &node : nodes->items) {
-                const std::optional<sim::NodeId> id =
-                    integerOf<sim::NodeId>(node);
-                if (!id || *id >= nodeCount)
-                    return nodeIdError(kind, nodeCount);
-                ids.push_back(*id);
-            }
-            if (kind == "fail-nodes")
-                scenario.failNodes(*at, std::move(ids));
-            else
-                scenario.recoverNodes(*at, std::move(ids));
-        } else if (kind == "fail-count" || kind == "rolling-fail") {
-            const std::optional<size_t> count =
-                integerAt<size_t>(step, "count", 1);
-            const std::optional<double> interval =
-                finiteAt(step, "interval", 60.0);
-            if (!count || !interval)
-                return errorReply(kind + " needs an integral 'count' "
-                                         "and a finite 'interval'");
-            if (kind == "fail-count")
-                scenario.failCount(*at, *count);
-            else
-                scenario.rollingFail(*at, *count, *interval);
-        } else if (kind == "fail-capacity-fraction") {
-            const std::optional<double> fraction =
-                finiteAt(step, "fraction", 0.0);
-            if (!fraction)
-                return errorReply(kind + " needs a finite 'fraction'");
-            scenario.failCapacityFraction(*at, *fraction);
-        } else if (kind == "fail-zone") {
-            const std::optional<size_t> zone =
-                integerAt<size_t>(step, "zone", 0);
-            if (!zone)
-                return errorReply("fail-zone needs an integral 'zone'");
-            scenario.failZone(*at, *zone);
-        } else if (kind == "flap") {
-            const std::optional<sim::NodeId> node =
-                integerAt<sim::NodeId>(step, "node", 0);
-            if (!node || *node >= nodeCount)
-                return nodeIdError(kind, nodeCount);
-            const std::optional<double> downtime =
-                finiteAt(step, "downtime", 30.0);
-            if (!downtime)
-                return errorReply("flap needs a finite 'downtime'");
-            scenario.flapKubelet(*at, *node, *downtime);
-        } else if (kind == "recover-all") {
-            const std::optional<double> stagger =
-                finiteAt(step, "stagger", 0.0);
-            if (!stagger)
-                return errorReply("recover-all needs a finite 'stagger'");
-            scenario.recoverAll(*at, *stagger);
-        } else {
-            return errorReply("unknown scenario step kind " +
-                              util::jsonQuote(kind));
-        }
-    }
+    std::string error;
+    std::optional<std::vector<sim::Scenario::Step>> parsed =
+        sim::scenarioStepsFromJson(steps ? *steps : util::JsonValue(),
+                                   cluster_.nodeCount(), &error);
+    if (!parsed)
+        return errorReply(error);
 
     sim::ScenarioOptions options;
     const std::optional<uint64_t> seed =
@@ -491,11 +383,15 @@ ServeDaemon::cmdInjectScenario(const util::JsonValue &command)
     options.seed = *seed;
     options.zoneCount = *zones;
     runners_.push_back(std::make_unique<sim::ScenarioRunner>(
-        events_, cluster_, std::move(scenario), options));
+        events_, cluster_, sim::Scenario(std::move(*parsed)), options));
+    // A step at an instant already past fires now.
+    const double first = runners_.back()->firstFailureAt();
     std::ostringstream out;
     out << "{\"ok\":true,\"steps\":" << steps->items.size()
         << ",\"first_failure_at\":"
-        << util::jsonNumber(runners_.back()->firstFailureAt()) << "}";
+        << util::jsonNumber(first < 0.0 ? first
+                                        : std::max(first, events_.now()))
+        << "}";
     return out.str();
 }
 

@@ -15,16 +15,19 @@
  *   {"cmd":"start-controller","scheme":"PhoenixCost","forecast":true}
  *   {"cmd":"forecast-status"}
  *   {"cmd":"serve-start","duration":600,"shape":"diurnal"}
- *   {"cmd":"inject-scenario","steps":[{"kind":"fail-zone","at":900,"zone":0}]}
+ *   {"cmd":"inject-scenario","steps":[{"kind":"fail","at":900,"nodes":[0,1]}]}
+ *   {"cmd":"inject-scenario","steps":[{"kind":"partition-zone","zone":2}]}
  *   {"cmd":"advance","seconds":300}
  *   {"cmd":"observe"}  {"cmd":"stats"}  {"cmd":"metrics"}
  *   {"cmd":"delete-pod","app":0,"ms":2}  {"cmd":"restart-pod",...}
  *   {"cmd":"migrate-pod","app":0,"ms":2,"node":4}
  *   {"cmd":"shutdown"}
  *
- * Manifest ingestion uses the structured parser: well-formed
- * applications are admitted (ids rebased past existing apps), every
- * rejected document is reported with its line and field. Manifest
+ * inject-scenario reads its steps through sim/scenario_json.h, the
+ * codec the check corpus uses too. Manifest ingestion uses the
+ * structured parser: well-formed applications are admitted (ids
+ * rebased past existing apps), every rejected document is reported
+ * with its line and field. Manifest
  * apps get a synthesized request model (one request class per
  * service) so serve-start works on them too.
  *

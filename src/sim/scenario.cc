@@ -8,6 +8,8 @@ namespace phoenix::sim {
 
 namespace {
 
+using Kind = Scenario::Step::Kind;
+
 bool
 isFailureKind(Scenario::Step::Kind kind)
 {
@@ -49,180 +51,133 @@ clampDegradeFactor(double factor)
 } // namespace
 
 Scenario &
-Scenario::failNodes(SimTime at, std::vector<NodeId> nodes)
+Scenario::push(Step step)
 {
-    Step step;
-    step.at = at;
-    step.kind = Step::Kind::FailNodes;
-    step.nodes = std::move(nodes);
     steps_.push_back(std::move(step));
     return *this;
+}
+
+Scenario &
+Scenario::failNodes(SimTime at, std::vector<NodeId> nodes)
+{
+    return push(
+        {.at = at, .kind = Kind::FailNodes, .nodes = std::move(nodes)});
 }
 
 Scenario &
 Scenario::failCount(SimTime at, size_t count)
 {
-    Step step;
-    step.at = at;
-    step.kind = Step::Kind::FailCount;
-    step.count = count;
-    steps_.push_back(step);
-    return *this;
+    return push({.at = at, .kind = Kind::FailCount, .count = count});
 }
 
 Scenario &
 Scenario::failCapacityFraction(SimTime at, double fraction)
 {
-    Step step;
-    step.at = at;
-    step.kind = Step::Kind::FailCapacityFraction;
-    step.fraction = std::clamp(fraction, 0.0, 1.0);
-    steps_.push_back(step);
-    return *this;
+    return push({.at = at,
+                 .kind = Kind::FailCapacityFraction,
+                 .fraction = std::clamp(fraction, 0.0, 1.0)});
 }
 
 Scenario &
 Scenario::failZone(SimTime at, size_t zone)
 {
-    Step step;
-    step.at = at;
-    step.kind = Step::Kind::FailZone;
-    step.zone = zone;
-    steps_.push_back(step);
-    return *this;
+    return push({.at = at, .kind = Kind::FailZone, .zone = zone});
 }
 
 Scenario &
 Scenario::rollingFail(SimTime at, size_t count, double interval)
 {
-    Step step;
-    step.at = at;
-    step.kind = Step::Kind::RollingFail;
-    step.count = count;
-    step.interval = std::max(interval, 0.0);
-    steps_.push_back(step);
-    return *this;
+    return push({.at = at,
+                 .kind = Kind::RollingFail,
+                 .count = count,
+                 .interval = std::max(interval, 0.0)});
 }
 
 Scenario &
 Scenario::flapKubelet(SimTime at, NodeId node, double downtime)
 {
-    Step step;
-    step.at = at;
-    step.kind = Step::Kind::Flap;
-    step.nodes = {node};
-    step.downtime = std::max(downtime, 0.0);
-    steps_.push_back(std::move(step));
-    return *this;
+    return push({.at = at,
+                 .kind = Kind::Flap,
+                 .nodes = {node},
+                 .downtime = std::max(downtime, 0.0)});
 }
 
 Scenario &
 Scenario::recoverNodes(SimTime at, std::vector<NodeId> nodes)
 {
-    Step step;
-    step.at = at;
-    step.kind = Step::Kind::RecoverNodes;
-    step.nodes = std::move(nodes);
-    steps_.push_back(std::move(step));
-    return *this;
+    return push(
+        {.at = at, .kind = Kind::RecoverNodes, .nodes = std::move(nodes)});
 }
 
 Scenario &
 Scenario::recoverAll(SimTime at, double stagger)
 {
-    Step step;
-    step.at = at;
-    step.kind = Step::Kind::RecoverAll;
-    step.interval = std::max(stagger, 0.0);
-    steps_.push_back(step);
-    return *this;
+    return push({.at = at,
+                 .kind = Kind::RecoverAll,
+                 .interval = std::max(stagger, 0.0)});
 }
 
 Scenario &
 Scenario::partitionNodes(SimTime at, std::vector<NodeId> nodes,
                          double duration)
 {
-    Step step;
-    step.at = at;
-    step.kind = Step::Kind::PartitionNodes;
-    step.nodes = std::move(nodes);
-    step.downtime = duration;
-    steps_.push_back(std::move(step));
-    return *this;
+    return push({.at = at,
+                 .kind = Kind::PartitionNodes,
+                 .nodes = std::move(nodes),
+                 .downtime = duration});
 }
 
 Scenario &
 Scenario::partitionZone(SimTime at, size_t zone, double duration)
 {
-    Step step;
-    step.at = at;
-    step.kind = Step::Kind::PartitionZone;
-    step.zone = zone;
-    step.downtime = duration;
-    steps_.push_back(step);
-    return *this;
+    return push({.at = at,
+                 .kind = Kind::PartitionZone,
+                 .zone = zone,
+                 .downtime = duration});
 }
 
 Scenario &
 Scenario::healPartition(SimTime at, std::vector<NodeId> nodes)
 {
-    Step step;
-    step.at = at;
-    step.kind = Step::Kind::HealPartition;
-    step.nodes = std::move(nodes);
-    steps_.push_back(std::move(step));
-    return *this;
+    return push(
+        {.at = at, .kind = Kind::HealPartition, .nodes = std::move(nodes)});
 }
 
 Scenario &
 Scenario::degradeNodes(SimTime at, std::vector<NodeId> nodes,
                        double factor, double duration)
 {
-    Step step;
-    step.at = at;
-    step.kind = Step::Kind::Degrade;
-    step.nodes = std::move(nodes);
-    step.factor = clampDegradeFactor(factor);
-    step.downtime = duration;
-    steps_.push_back(std::move(step));
-    return *this;
+    return push({.at = at,
+                 .kind = Kind::Degrade,
+                 .nodes = std::move(nodes),
+                 .downtime = duration,
+                 .factor = clampDegradeFactor(factor)});
 }
 
 Scenario &
 Scenario::degradeZone(SimTime at, size_t zone, double factor,
                       double duration)
 {
-    Step step;
-    step.at = at;
-    step.kind = Step::Kind::DegradeZone;
-    step.zone = zone;
-    step.factor = clampDegradeFactor(factor);
-    step.downtime = duration;
-    steps_.push_back(step);
-    return *this;
+    return push({.at = at,
+                 .kind = Kind::DegradeZone,
+                 .zone = zone,
+                 .downtime = duration,
+                 .factor = clampDegradeFactor(factor)});
 }
 
 Scenario &
 Scenario::apiOutage(SimTime at, double duration)
 {
-    Step step;
-    step.at = at;
-    step.kind = Step::Kind::ApiOutage;
-    step.downtime = std::max(duration, 0.0);
-    steps_.push_back(step);
-    return *this;
+    return push({.at = at,
+                 .kind = Kind::ApiOutage,
+                 .downtime = std::max(duration, 0.0)});
 }
 
 Scenario &
 Scenario::skewClock(SimTime at, NodeId node, double skew)
 {
-    Step step;
-    step.at = at;
-    step.kind = Step::Kind::SkewClock;
-    step.nodes = {node};
-    step.skew = skew;
-    steps_.push_back(std::move(step));
-    return *this;
+    return push(
+        {.at = at, .kind = Kind::SkewClock, .nodes = {node}, .skew = skew});
 }
 
 SimTime
@@ -488,7 +443,9 @@ ScenarioRunner::runStep(const Scenario::Step &step)
                 0, static_cast<int64_t>(candidates.size()) - 1));
             failNode(candidates[pick]);
         }
-        if (step.count > 1) {
+        // Once no node is left up, the rest of the count has nothing
+        // to take: stop instead of re-arming it.
+        if (step.count > 1 && candidates.size() > 1) {
             Scenario::Step next = step;
             next.at = events_.now() + step.interval;
             --next.count;

@@ -29,7 +29,9 @@
  * deterministically (fractions into [0,1], negative
  * intervals/downtimes/staggers to 0, degrade factors into
  * [kMinDegradeFactor, 1]) instead of silently misbehaving; counts
- * larger than the node set saturate at "every node" at fire time.
+ * larger than the node set saturate at "every node" at fire time, and
+ * a rolling fail stops once no node is left up. Scripts read from JSON
+ * (sim/scenario_json.h) are validated instead of clamped.
  */
 
 #ifndef PHOENIX_SIM_SCENARIO_H
@@ -172,7 +174,7 @@ class Scenario
 
         SimTime at = 0.0;
         Kind kind = Kind::FailNodes;
-        std::vector<NodeId> nodes;
+        std::vector<NodeId> nodes = {};
         size_t count = 0;
         double fraction = 0.0;
         size_t zone = 0;
@@ -187,6 +189,10 @@ class Scenario
         /** Heartbeat clock skew in seconds (SkewClock only). */
         double skew = 0.0;
     };
+
+    Scenario() = default;
+    /** Ready-made steps, such as a script sim/scenario_json.h read. */
+    explicit Scenario(std::vector<Step> steps) : steps_(std::move(steps)) {}
 
     Scenario &failNodes(SimTime at, std::vector<NodeId> nodes);
     /** Fail @p count random up nodes (saturates at the whole up set). */
@@ -246,6 +252,8 @@ class Scenario
     SimTime firstFailureAt() const;
 
   private:
+    Scenario &push(Step step);
+
     std::vector<Step> steps_;
 };
 

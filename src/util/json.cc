@@ -298,4 +298,15 @@ jsonNumber(double value)
     return buffer;
 }
 
+std::optional<double>
+finiteAt(const JsonValue &object, const std::string &key, double fallback)
+{
+    const JsonValue *value = object.field(key);
+    if (!value)
+        return fallback;
+    if (!value->isNumber() || !std::isfinite(value->number))
+        return std::nullopt;
+    return value->number;
+}
+
 } // namespace phoenix::util

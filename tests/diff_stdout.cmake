@@ -1,9 +1,16 @@
-# Runs PROGRAM with ARGS (one space-separated string) and fails unless
-# its standard output equals the GOLDEN file byte for byte.
+# Runs PROGRAM with ARGS (one space-separated string), with the INPUT
+# file on its standard input when one is given, and fails unless its
+# standard output equals the GOLDEN file byte for byte.
 #
-#   cmake -DPROGRAM=<exe> "-DARGS=<args>" -DGOLDEN=<file> -P diff_stdout.cmake
+#   cmake -DPROGRAM=<exe> "-DARGS=<args>" [-DINPUT=<file>] -DGOLDEN=<file>
+#         -P diff_stdout.cmake
 separate_arguments(args UNIX_COMMAND "${ARGS}")
+set(stdin_file)
+if(DEFINED INPUT)
+    set(stdin_file INPUT_FILE "${INPUT}")
+endif()
 execute_process(COMMAND "${PROGRAM}" ${args}
+                ${stdin_file}
                 OUTPUT_VARIABLE out
                 ERROR_VARIABLE err
                 RESULT_VARIABLE rc)

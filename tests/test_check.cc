@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <sstream>
 
 #include "check/case.h"
@@ -20,12 +21,12 @@
 #include "util/rng.h"
 
 using namespace phoenix;
-using check::CaseStep;
 using check::CheckCase;
 using check::FuzzOptions;
 using check::GeneratorOptions;
 using check::OracleOptions;
 using check::ShrinkOptions;
+using Kind = sim::Scenario::Step::Kind;
 
 namespace {
 
@@ -121,6 +122,71 @@ TEST(CaseJson, RejectsMalformedInput)
     EXPECT_FALSE(error.empty());
     EXPECT_FALSE(CheckCase::fromJson("[1,2]", &error).has_value());
     EXPECT_FALSE(CheckCase::fromJson("", &error).has_value());
+
+    // A case file is outside input (fuzzcheck --replay reads it from
+    // disk): every number goes through a checked reader. Each document
+    // below is the valid base with one field broken; before the checks
+    // they loaded as an infinite capacity, a zone wrapped to 0, node
+    // 0, ... and the last two ran the lifecycle oracle until killed.
+    const std::string base =
+        R"({"seed": "7", "nodes": [4,4], "zones": [0,1], "apps": [)"
+        R"({"id": 0, "price": 1, "groups": [{"id": 0, "max_per_node": 1}],)"
+        R"( "services": [{"cpu": 1, "criticality": 1, "replicas": 2,)"
+        R"( "quorum": 1, "group": 0},{"cpu": 1, "criticality": 2,)"
+        R"( "replicas": 1, "quorum": 0}], "edges": [[0,1]]}],)"
+        R"( "steps": [{"at": 10, "kind": "fail", "nodes": [1]}]})";
+    ASSERT_TRUE(CheckCase::fromJson(base, &error).has_value()) << error;
+    const auto broken = [&base](const std::string &from,
+                                const std::string &to) {
+        const size_t at = base.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return base.substr(0, at) + to + base.substr(at + from.size());
+    };
+    std::ifstream pr3(std::string(PHOENIX_CORPUS_DIR) +
+                      "/pr3-migrate-while-starting.json");
+    std::ostringstream pr3Text;
+    pr3Text << pr3.rdbuf();
+    const std::string flap = "\"downtime\": 40";
+    ASSERT_NE(pr3Text.str().find(flap), std::string::npos);
+    const auto pr3With = [&](const std::string &downtime) {
+        std::string doc = pr3Text.str();
+        return doc.replace(doc.find(flap), flap.size(),
+                           "\"downtime\": " + downtime);
+    };
+    ASSERT_TRUE(CheckCase::fromJson(pr3With("41")).has_value());
+
+    for (const std::string &doc : {
+             broken("[4,4]", "[1e999,4]"),
+             broken("[4,4]", "[-4,4]"),
+             broken("[0,1]", "[4294967296,1]"),
+             broken("[0,1]", "[0.5,1]"),
+             broken("[0,1]", "[0]"),
+             broken(R"("nodes": [1])", R"("nodes": [0.5])"),
+             broken(R"("nodes": [1])", R"("nodes": [2])"),
+             broken(R"("at": 10)", R"("at": 1e999)"),
+             broken(R"("kind": "fail")", R"("kind": "fail-count")"),
+             broken(R"("kind": "fail")", R"("kind": "explode")"),
+             broken(R"("id": 0, "price")", R"("id": 0.5, "price")"),
+             broken(R"("id": 0, "price")", R"("id": -1, "price")"),
+             broken(R"("price": 1)", R"("price": 1e999)"),
+             broken(R"("cpu": 1,)", R"("cpu": 1e999,)"),
+             broken(R"("criticality": 2)", R"("criticality": 2.5)"),
+             broken(R"("replicas": 2)", R"("replicas": 1e999)"),
+             broken(R"("replicas": 2)", R"("replicas": 4294967296)"),
+             broken(R"("replicas": 2)", R"("replicas": 1025)"),
+             broken(R"("quorum": 1)", R"("quorum": "1")"),
+             broken(R"("group": 0})", R"("group": 2147483648})"),
+             broken(R"("max_per_node": 1)", R"("max_per_node": 0.5)"),
+             broken("[[0,1]]", "[[0,1.5]]"),
+             broken("[[0,1]]", "[[-1,1]]"),
+             broken("[[0,1]]", "[[0,4294967297]]"),
+             pr3With("1e300"),
+             pr3With("1e999"),
+         }) {
+        error.clear();
+        EXPECT_FALSE(CheckCase::fromJson(doc, &error).has_value()) << doc;
+        EXPECT_FALSE(error.empty()) << doc;
+    }
 }
 
 // --- Generator ---------------------------------------------------------
@@ -175,22 +241,130 @@ TEST(Generator, RespectsBoundsAndGrids)
 TEST(Oracle, PostFailureStateFollowsTheScript)
 {
     CheckCase c = fullClusterCase(3);
-    c.steps.push_back({10.0, CaseStep::Kind::Fail, {0}, 0.0});
+    c.steps = sim::Scenario().failNodes(10.0, {0}).steps();
 
     sim::ClusterState post = check::postFailureState(c);
     EXPECT_FALSE(post.isHealthy(0));
     EXPECT_TRUE(post.isHealthy(1));
 
     // A recover step nets the node back out.
-    c.steps.push_back({20.0, CaseStep::Kind::Recover, {0}, 0.0});
+    c.steps.push_back(
+        {.at = 20.0, .kind = Kind::RecoverNodes, .nodes = {0}});
     post = check::postFailureState(c);
     EXPECT_TRUE(post.isHealthy(0));
 
     // A flap whose downtime has passed also ends healthy.
-    c.steps.clear();
-    c.steps.push_back({10.0, CaseStep::Kind::Flap, {1}, 30.0});
+    c.steps = sim::Scenario().flapKubelet(10.0, 1, 30.0).steps();
     post = check::postFailureState(c);
     EXPECT_TRUE(post.isHealthy(1));
+
+    // A partition heal does not restart a kubelet a fail step stopped:
+    // the node stays failed, as the kube keeps it NotReady.
+    c.steps = sim::Scenario()
+                  .failNodes(10.0, {0})
+                  .partitionNodes(20.0, {0}, 30.0)
+                  .steps();
+    post = check::postFailureState(c);
+    EXPECT_FALSE(post.isHealthy(0));
+    EXPECT_FALSE(c.replayFaults()[0].ready());
+}
+
+namespace {
+
+/** FaultTarget that keeps what the runner injects as NodeFaults. */
+class FaultStateTarget : public sim::FaultTarget
+{
+  public:
+    explicit FaultStateTarget(size_t nodes) : nodes(nodes) {}
+
+    size_t nodeCount() const override { return nodes.size(); }
+    double nodeCapacity(sim::NodeId) const override { return 1.0; }
+    void
+    injectNodeFailure(sim::NodeId n) override
+    {
+        nodes[n].kubelet = false;
+    }
+    void
+    injectNodeRecovery(sim::NodeId n) override
+    {
+        nodes[n].kubelet = true;
+    }
+    void
+    injectPartition(sim::NodeId n) override
+    {
+        nodes[n].partitioned = true;
+    }
+    void
+    injectPartitionHeal(sim::NodeId n) override
+    {
+        nodes[n].partitioned = false;
+    }
+    void
+    injectDegrade(sim::NodeId n, double factor) override
+    {
+        nodes[n].factor = factor;
+    }
+    void
+    injectClockSkew(sim::NodeId n, double) override
+    {
+        nodes[n].skewed = true;
+    }
+
+    std::vector<check::NodeFaults> nodes;
+};
+
+/** Node end states the ScenarioRunner leaves for @p c's script. */
+std::vector<check::NodeFaults>
+runnerEndStates(const CheckCase &c)
+{
+    sim::EventQueue events;
+    FaultStateTarget target(c.nodeCapacities.size());
+    sim::ScenarioRunner runner(events, target, sim::Scenario(c.steps));
+    double horizon = 0.0;
+    for (const auto &step : c.steps)
+        horizon = std::max(horizon, step.at + step.downtime);
+    events.runUntil(horizon + 1.0);
+    return target.nodes;
+}
+
+} // namespace
+
+TEST(Oracle, ReferenceExpansionMatchesTheScenarioRunner)
+{
+    // The static replay and the lifecycle oracle's expected end states
+    // both come from replayFaults; it must leave every node exactly as
+    // the runner does, ties included: a window's end fires after the
+    // steps armed up front for its instant, whatever their script
+    // position.
+    CheckCase ties = fullClusterCase(3);
+    ties.steps = sim::Scenario()
+                     .flapKubelet(10.0, 0, 10.0)
+                     .failNodes(20.0, {0})
+                     .failNodes(20.0, {1})
+                     .partitionNodes(10.0, {1}, 10.0)
+                     .partitionNodes(20.0, {1})
+                     .degradeNodes(10.0, {2}, 0.5, 10.0)
+                     .degradeNodes(20.0, {2}, 0.25)
+                     .steps();
+    const std::vector<check::NodeFaults> end = ties.replayFaults();
+    EXPECT_TRUE(end[0].ready()); // the flap's restart fires last
+    EXPECT_FALSE(end[1].kubelet);
+    EXPECT_FALSE(end[1].partitioned); // the heal fires last
+    EXPECT_EQ(end[2].factor, 1.0);    // the restore fires last
+    EXPECT_EQ(end, runnerEndStates(ties));
+
+    for (double constraints : {0.0, 0.35}) {
+        GeneratorOptions options;
+        options.antiAffinityProbability = constraints;
+        options.pdbProbability = constraints;
+        options.zoneSpreadProbability = constraints;
+        options.nodeCapProbability = constraints;
+        for (uint64_t seed = 1; seed <= 400; ++seed) {
+            const CheckCase c = check::generateCase(seed, options);
+            ASSERT_EQ(c.replayFaults(), runnerEndStates(c))
+                << "seed " << seed << " constraints " << constraints;
+        }
+    }
 }
 
 TEST(Oracle, GeneratedCasesPassWithoutLp)
@@ -236,7 +410,7 @@ TEST(Shrinker, ShrinksInjectedFaultToATinyRepro)
     // shrinker to land inside the acceptance envelope: <= 8 nodes and
     // <= 3 services, still violating the same property.
     CheckCase c = fullClusterCase(8);
-    c.steps.push_back({10.0, CaseStep::Kind::Fail, {7}, 0.0});
+    c.steps = sim::Scenario().failNodes(10.0, {7}).steps();
 
     OracleOptions oracle_options;
     oracle_options.runLp = false;

@@ -767,10 +767,7 @@ TEST(ConstraintOracle, HandmadeZoneSpreadCaseIsClean)
     app.services[0].minZoneSpread = 2;
     app.services[0].quorum = 1;
     c.apps.push_back(app);
-    check::CaseStep fail;
-    fail.at = 200.0;
-    fail.nodes = {0, 1};
-    c.steps.push_back(fail);
+    c.steps = sim::Scenario().failNodes(200.0, {0, 1}).steps();
 
     const auto result = check::checkCase(c);
     EXPECT_TRUE(result.ok())

@@ -9,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
+
 #include "kube/kube.h"
 #include "sim/scenario.h"
+#include "sim/scenario_json.h"
 
 using namespace phoenix;
 using namespace phoenix::sim;
@@ -214,6 +218,23 @@ TEST(Scenario, RollingFailSpacesFailures)
     EXPECT_DOUBLE_EQ(runner.trace()[1].at, 160.0);
     EXPECT_DOUBLE_EQ(runner.trace()[2].at, 220.0);
     EXPECT_EQ(runner.downNodes().size(), 3u); // distinct nodes
+}
+
+TEST(Scenario, RollingFailStopsOnceNoNodeIsUp)
+{
+    // A count far above the node set used to re-arm once per unit of
+    // count after every node was down; the chain now ends with the
+    // last up node.
+    EventQueue events;
+    FakeTarget target(3);
+    Scenario scenario;
+    scenario.rollingFail(0.0, 1000, 1.0);
+    ScenarioRunner runner(events, target, scenario);
+    events.runUntil(10.0);
+
+    EXPECT_EQ(runner.downNodes().size(), 3u);
+    EXPECT_EQ(target.injections.size(), 3u);
+    EXPECT_TRUE(events.empty()) << events.pending() << " events armed";
 }
 
 TEST(Scenario, RecoverAllStaggersAscending)
@@ -604,4 +625,141 @@ TEST(Scenario, NewFaultClassesAreDeterministicForASeed)
         }
     }
     EXPECT_FALSE(same);
+}
+
+// --- JSON codec (sim/scenario_json.h) --------------------------------
+
+namespace {
+
+/** One step parsed through the codec, for a target of @p nodes nodes. */
+std::optional<Scenario::Step>
+parseStep(const std::string &text, size_t nodes, std::string *error)
+{
+    util::JsonValue json;
+    if (!util::parseJson("[" + text + "]", json))
+        return std::nullopt;
+    auto steps = scenarioStepsFromJson(json, nodes, error);
+    if (!steps)
+        return std::nullopt;
+    return steps->front();
+}
+
+} // namespace
+
+TEST(ScenarioJson, EveryKindPrintsAndParsesBack)
+{
+    Scenario scenario;
+    scenario.failNodes(1.0, {0, 2})
+        .failCount(2.0, 3)
+        .failCapacityFraction(3.0, 0.25)
+        .failZone(4.0, 2)
+        .rollingFail(5.0, 4, 7.5)
+        .flapKubelet(6.0, 1, 40.0)
+        .recoverNodes(7.0, {2})
+        .recoverAll(8.0, 2.5)
+        .partitionNodes(9.0, {3, 4}, 60.0)
+        .partitionZone(10.0, 1)
+        .healPartition(11.0, {3})
+        .degradeNodes(12.0, {5}, 0.5, 120.0)
+        .degradeZone(13.0, 0, 0.25)
+        .apiOutage(14.0, 30.0)
+        .skewClock(15.0, 6, -45.0);
+    ASSERT_EQ(scenario.steps().size(), 15u);
+
+    std::set<std::string> names;
+    for (const Scenario::Step &step : scenario.steps()) {
+        const std::string text = scenarioStepToJson(step);
+        util::JsonValue json;
+        ASSERT_TRUE(util::parseJson(text, json)) << text;
+        names.insert(json.stringAt("kind"));
+        std::string error;
+        const auto parsed = parseStep(text, 8, &error);
+        ASSERT_TRUE(parsed.has_value()) << text << ": " << error;
+        EXPECT_EQ(parsed->kind, step.kind) << text;
+        EXPECT_EQ(parsed->at, step.at) << text;
+        EXPECT_EQ(parsed->nodes, step.nodes) << text;
+        EXPECT_EQ(parsed->count, step.count) << text;
+        EXPECT_EQ(parsed->fraction, step.fraction) << text;
+        EXPECT_EQ(parsed->zone, step.zone) << text;
+        EXPECT_EQ(parsed->interval, step.interval) << text;
+        EXPECT_EQ(parsed->downtime, step.downtime) << text;
+        EXPECT_EQ(parsed->factor, step.factor) << text;
+        EXPECT_EQ(parsed->skew, step.skew) << text;
+        EXPECT_EQ(scenarioStepToJson(*parsed), text);
+    }
+    EXPECT_EQ(names.size(), 15u);
+    EXPECT_EQ(scenarioStepToJson(scenario.steps()[5]),
+              R"({"at": 6, "kind": "flap", "nodes": [1], "downtime": 40})");
+    EXPECT_EQ(scenarioStepToJson(scenario.steps()[13]),
+              R"({"at": 14, "kind": "outage", "nodes": [], "downtime": 30})");
+}
+
+TEST(ScenarioJson, AbsentFieldsTakeTheirOneDefault)
+{
+    const auto parse = [](const std::string &text) {
+        std::string error;
+        auto step = parseStep(text, 4, &error);
+        EXPECT_TRUE(step.has_value()) << text << ": " << error;
+        return step.value_or(Scenario::Step{});
+    };
+    const Scenario::Step rolling = parse(R"({"kind":"rolling-fail"})");
+    EXPECT_EQ(rolling.at, 0.0);
+    EXPECT_EQ(rolling.count, 1u);
+    EXPECT_EQ(rolling.interval, 60.0);
+    EXPECT_EQ(parse(R"({"kind":"flap","nodes":[1]})").downtime, 0.0);
+    EXPECT_EQ(parse(R"({"kind":"recover-all"})").interval, 0.0);
+    const Scenario::Step degrade =
+        parse(R"({"kind":"degrade-zone","zone":1})");
+    EXPECT_EQ(degrade.factor, 1.0);
+    EXPECT_EQ(degrade.downtime, 0.0);
+    EXPECT_TRUE(parse(R"({"kind":"outage"})").nodes.empty());
+}
+
+TEST(ScenarioJson, RejectsEveryOutOfDomainField)
+{
+    const std::string ceiling = util::jsonNumber(kMaxScriptSeconds);
+    for (const std::string &text : {
+             std::string(R"([])"),
+             std::string(R"({"at":1})"),
+             std::string(R"({"kind":3})"),
+             std::string(R"({"kind":"fail-nodes","nodes":[0]})"),
+             std::string(R"({"kind":"fail"})"),
+             std::string(R"({"kind":"fail","nodes":0})"),
+             std::string(R"({"kind":"fail","nodes":[4]})"),
+             std::string(R"({"kind":"fail","nodes":[0.5]})"),
+             std::string(R"({"kind":"fail","nodes":[-1]})"),
+             std::string(R"({"kind":"fail","nodes":[0],"downtime":5})"),
+             std::string(R"({"kind":"flap","node":0})"),
+             std::string(R"({"kind":"fail","nodes":[0],"at":-1})"),
+             std::string(R"({"kind":"fail","nodes":[0],"at":1e999})"),
+             R"({"kind":"fail","nodes":[0],"at":)" + ceiling + "1}",
+             std::string(R"({"kind":"flap","nodes":[0],"downtime":1e300})"),
+             std::string(R"({"kind":"partition","nodes":[0],"downtime":-5})"),
+             std::string(R"({"kind":"fail-count","count":5})"),
+             std::string(R"({"kind":"fail-count","count":1.5})"),
+             std::string(R"({"kind":"rolling-fail","count":4294967295})"),
+             std::string(R"({"kind":"rolling-fail","interval":-1})"),
+             std::string(R"({"kind":"fail-capacity-fraction",)"
+                         R"("fraction":-0.1})"),
+             std::string(R"({"kind":"fail-zone","zone":"1"})"),
+             std::string(R"({"kind":"degrade","nodes":[0],"factor":0.01})"),
+             std::string(R"({"kind":"degrade","nodes":[0],"factor":1.5})"),
+             std::string(R"({"kind":"skew","nodes":[0],"skew":-1e300})"),
+             std::string(R"({"kind":"outage","nodes":[1]})"),
+             std::string(R"({"kind":"recover-all","stagger":"2"})"),
+         }) {
+        std::string error;
+        EXPECT_FALSE(parseStep(text, 4, &error).has_value()) << text;
+        EXPECT_FALSE(error.empty()) << text;
+    }
+    // At the ceiling itself, a step is still accepted.
+    std::string error;
+    EXPECT_TRUE(parseStep(R"({"kind":"flap","nodes":[0],"at":)" + ceiling +
+                              R"(,"downtime":)" + ceiling + "}",
+                          4, &error)
+                    .has_value())
+        << error;
+    util::JsonValue notArray;
+    ASSERT_TRUE(util::parseJson(R"({"kind":"fail","nodes":[0]})", notArray));
+    EXPECT_FALSE(scenarioStepsFromJson(notArray, 4).has_value());
 }

@@ -218,40 +218,49 @@ TEST(Soak, RunIsDeterministicForASeed)
 
 TEST(Soak, InjectedFaultIsCaughtAndShrinks)
 {
-    SoakConfig config = smokeConfig();
-    config.hours = 0.3;
-    config.injectFault = true;
-    config.injectTightCapacityFraction = 0.3;
-    const SoakResult result = exp::runSoak(config);
-    ASSERT_FALSE(result.ok());
-    ASSERT_FALSE(result.violations.empty());
-    EXPECT_EQ(result.violations.front().property,
-              "injected-tight-capacity");
-    EXPECT_GE(result.firstViolationAt, 0.0);
+    // Zoned too: the shrinker must drop a node's zone label with the
+    // node, or the shrunk repro no longer loads.
+    for (const size_t zones : {size_t{0}, size_t{3}}) {
+        SCOPED_TRACE("zoneCount " + std::to_string(zones));
+        SoakConfig config = smokeConfig();
+        config.hours = 0.3;
+        config.zoneCount = zones;
+        config.injectFault = true;
+        config.injectTightCapacityFraction = 0.3;
+        const SoakResult result = exp::runSoak(config);
+        ASSERT_FALSE(result.ok());
+        ASSERT_FALSE(result.violations.empty());
+        EXPECT_EQ(result.violations.front().property,
+                  "injected-tight-capacity");
+        EXPECT_GE(result.firstViolationAt, 0.0);
 
-    // The soak's fault script bridges into the differential oracle:
-    // the repro violates the same injected invariant there, and the
-    // shrinker reduces it while preserving the violation.
-    check::CheckCase repro = exp::makeSoakRepro(
-        config, result.waves, result.firstViolationAt);
-    repro.name = "soak-injected";
-    check::OracleOptions oracle;
-    oracle.runLp = false;
-    oracle.lifecycle = false;
-    oracle.injectTightCapacityFraction =
-        config.injectTightCapacityFraction;
-    const auto checked = check::checkCase(repro, oracle);
-    ASSERT_FALSE(checked.ok());
+        // The soak's fault script bridges into the differential oracle:
+        // the repro violates the same injected invariant there, and the
+        // shrinker reduces it while preserving the violation.
+        check::CheckCase repro = exp::makeSoakRepro(
+            config, result.waves, result.firstViolationAt);
+        repro.name = "soak-injected";
+        check::OracleOptions oracle;
+        oracle.runLp = false;
+        oracle.lifecycle = false;
+        oracle.injectTightCapacityFraction =
+            config.injectTightCapacityFraction;
+        const auto checked = check::checkCase(repro, oracle);
+        ASSERT_FALSE(checked.ok());
 
-    const auto shrunk = check::shrinkCase(repro, oracle);
-    EXPECT_FALSE(shrunk.properties.empty());
-    EXPECT_LE(shrunk.shrunk.serviceCount(), repro.serviceCount());
-    const auto recheck = check::checkCase(shrunk.shrunk, oracle);
-    EXPECT_FALSE(recheck.ok());
+        const auto shrunk = check::shrinkCase(repro, oracle);
+        EXPECT_FALSE(shrunk.properties.empty());
+        EXPECT_LE(shrunk.shrunk.serviceCount(), repro.serviceCount());
+        const auto recheck = check::checkCase(shrunk.shrunk, oracle);
+        EXPECT_FALSE(recheck.ok());
 
-    // Round-trips through the corpus format.
-    const auto parsed =
-        check::CheckCase::fromJson(shrunk.shrunk.toJson());
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->toJson(), shrunk.shrunk.toJson());
+        // Round-trips through the corpus format.
+        std::string error;
+        const auto parsed =
+            check::CheckCase::fromJson(shrunk.shrunk.toJson(), &error);
+        ASSERT_TRUE(parsed.has_value()) << error;
+        EXPECT_EQ(parsed->toJson(), shrunk.shrunk.toJson());
+        EXPECT_EQ(parsed->nodeZones.size(),
+                  zones > 0 ? parsed->nodeCapacities.size() : 0u);
+    }
 }

@@ -34,6 +34,7 @@
 #include "check/shrink.h"
 #include "exp/soak.h"
 #include "obs/obs.h"
+#include "sim/scenario_json.h"
 
 namespace {
 
@@ -45,7 +46,8 @@ int
 usage(std::ostream &out, int code)
 {
     out << "usage: chaossoak [options]\n"
-           "  --hours H          simulated soak length (default 2)\n"
+           "  --hours H          simulated soak length, at most 168\n"
+           "                     (default 2)\n"
            "  --hours-env        read the length from $SOAK_HOURS;\n"
            "                     exit 77 (skip) when it is not set\n"
            "  --seed S[,S...]    soak seeds (default 7)\n"
@@ -267,8 +269,12 @@ main(int argc, char **argv)
         }
         config.hours = std::strtod(env, nullptr);
     }
-    if (config.hours <= 0.0) {
-        std::cerr << "chaossoak: --hours must be positive\n";
+    // A repro of the soak names instants up to hours × 3600 s, and a
+    // case file must stay inside the script ceiling to load again.
+    const double max_hours = phoenix::sim::kMaxScriptSeconds / 3600.0;
+    if (!(config.hours > 0.0 && config.hours <= max_hours)) {
+        std::cerr << "chaossoak: --hours must be in (0, " << max_hours
+                  << "]\n";
         return 2;
     }
     if (seeds.empty())

@@ -10,10 +10,14 @@
  *   {"cmd":"load-testbed"}
  *   {"cmd":"start-controller","scheme":"PhoenixCost"}
  *   {"cmd":"serve-start","duration":1200,"shape":"diurnal"}
- *   {"cmd":"inject-scenario","steps":[{"kind":"fail-zone","at":600,"zone":0}]}
+ *   {"cmd":"inject-scenario","steps":[{"kind":"fail-zone","at":600}]}
+ *   {"cmd":"inject-scenario","steps":[{"kind":"partition","at":700,"nodes":[3]}]}
  *   {"cmd":"advance","seconds":1200}
  *   {"cmd":"stats"}
  *   {"cmd":"shutdown"}
+ *
+ * The step kinds, fields, defaults and bounds are those of
+ * src/sim/scenario_json.h (and README's phoenixd table).
  */
 
 #include <cstdint>
