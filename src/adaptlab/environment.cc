@@ -139,26 +139,29 @@ buildEnvironment(const EnvironmentConfig &config)
     // still fits one: its key only falls, and no other key lay between
     // cpu and its old one. So the row fills the node with one index
     // erase and one insert. A row no node fits skips its other
-    // replicas, which could not fit either.
+    // replicas, which could not fit either. The pods go in as one
+    // batch, so the state lays each node's run out once at the end.
     util::BucketedKv<NodeId> by_remaining;
     for (NodeId id : env.cluster.healthyNodes())
         by_remaining.insert(env.cluster.remaining(id), id);
-    for (const Row &row : rows) {
-        PodRef pod = row.pod;
-        while (pod.replica < row.replicas) {
-            const auto fit = by_remaining.firstAtLeast(row.cpu);
-            if (!fit)
-                break; // oversubscribed environment: leave unplaced
-            const NodeId node = fit->second;
-            by_remaining.erase(fit->first, node);
-            while (pod.replica < row.replicas &&
-                   env.cluster.remaining(node) >= row.cpu) {
-                env.cluster.place(pod, node, row.cpu);
-                ++pod.replica;
+    env.cluster.placeAll([&](const auto &place) {
+        for (const Row &row : rows) {
+            PodRef pod = row.pod;
+            while (pod.replica < row.replicas) {
+                const auto fit = by_remaining.firstAtLeast(row.cpu);
+                if (!fit)
+                    break; // oversubscribed environment: leave unplaced
+                const NodeId node = fit->second;
+                by_remaining.erase(fit->first, node);
+                while (pod.replica < row.replicas &&
+                       env.cluster.remaining(node) >= row.cpu) {
+                    place(pod, node, row.cpu);
+                    ++pod.replica;
+                }
+                by_remaining.insert(env.cluster.remaining(node), node);
             }
-            by_remaining.insert(env.cluster.remaining(node), node);
         }
-    }
+    });
     return env;
 }
 

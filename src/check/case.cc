@@ -379,7 +379,7 @@ CheckCase::fromJson(const std::string &text, std::string *error)
     if (const JsonValue *steps = root.field("steps")) {
         std::optional<std::vector<sim::Scenario::Step>> parsed =
             sim::scenarioStepsFromJson(*steps, out.nodeCapacities.size(),
-                                       error);
+                                       0.0, error);
         if (!parsed)
             return std::nullopt;
         // No seed to expand: explicit nodes only.

@@ -238,6 +238,7 @@ class ReferenceBook
     /** The oracle proves nothing futile: every repack and victim walk
      * runs in full (Alg. 2 as written). */
     bool migrationImpossible() const { return false; }
+    bool repackFutile(double) const { return false; }
     bool mayHoldVictims(NodeId) const { return true; }
 
     void parkedClear() { parked_.clear(); }

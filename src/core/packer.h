@@ -3,7 +3,8 @@
  * Core-internal: Alg. 2 as a template over its bookkeeping, included
  * only by core/packing.cc (the flat book) and check/reference.cc (the
  * literal one). A book's futility bounds (migrationImpossible,
- * mayHoldVictims) may only skip walks that cannot succeed.
+ * repackFutile, mayHoldVictims) may only skip walks that cannot
+ * succeed.
  */
 
 #ifndef PHOENIX_CORE_PACKER_H
@@ -391,6 +392,9 @@ class Packer
         // repacking stays near-logarithmic per container — if the
         // emptiest nodes cannot be cleared, fuller ones cannot either.
         constexpr size_t kMaxCandidates = 8;
+        // Every candidate would fail planMigrations' first two checks.
+        if (book_.repackFutile(size))
+            return std::nullopt;
         auto &candidates = c_.candidates;
         candidates.clear();
         book_.forEachDescending([&](double remaining, NodeId node) {
@@ -555,7 +559,7 @@ class Packer
                     // The whole victim set of this candidate must fit
                     // each service's remaining disruption budget, so
                     // track what this plan already spends per service.
-                    const PodRef &pod = index_->pod(victim.slot);
+                    const PodRef pod = index_->pod(victim.slot);
                     const uint64_t key =
                         (static_cast<uint64_t>(pod.app) << 32) | pod.ms;
                     size_t at = tentative.size();
@@ -624,7 +628,7 @@ class Packer
             // limits for the rest of the epoch (the budget is never
             // refunded), so dropping the candidate permanently is
             // safe.
-            const PodRef &victim_pod = index_->pod(victim);
+            const PodRef victim_pod = index_->pod(victim);
             if (!c_.vacancy.pdbAllows(victim_pod))
                 continue;
             c_.vacancy.consumePdb(victim_pod);

@@ -27,14 +27,14 @@ namespace {
  * iteration order is byte-identical to the reference multiset, loaded
  * from one sort of the healthy nodes. Two O(1) facts let the packer
  * skip walks that cannot succeed: a lower bound on every pod size this
- * pack can see (no pod can move once the emptiest node is below it)
- * and a per-node count of active pods not committed (a node at zero
- * holds no deletion victim). A second bit per slot marks the start
- * placement, from which the deletion order is built by a row walk when
- * a pack first needs it. Every buffer persists across runs;
- * steady-state packing allocates nothing for bookkeeping. The packer
- * indexes its state from apps before init(), so every pod it can name
- * has a slot.
+ * pack can see (no pod can move once the emptiest node is below it, so
+ * a repack succeeds only where a node has room already) and a per-node
+ * count of active pods not committed (a node at zero holds no deletion
+ * victim). A second bit per slot marks the start placement, from which
+ * the deletion order is built by a row walk when a pack first needs
+ * it. Every buffer persists across runs; steady-state packing
+ * allocates nothing for bookkeeping. The packer indexes its state from
+ * apps before init(), so every pod it can name has a slot.
  */
 class FlatBook
 {
@@ -138,8 +138,7 @@ class FlatBook
     size_t
     rankOf(Slot slot) const
     {
-        const PodRef &pod = podIndex_->pod(slot);
-        return rankRow_[podIndex_->rowOf(pod.app, pod.ms)];
+        return rankRow_[podIndex_->rowOfSlot(slot)];
     }
 
     void
@@ -189,6 +188,16 @@ class FlatBook
     {
         const auto top = index_.largest();
         return !top || top->first < minPodCpu_;
+    }
+
+    /** True when no repack can make room for @p size: no pod can
+     * move, and no healthy node has room for it already (its key plus
+     * the packer's 1e-9 slack falls short). */
+    bool
+    repackFutile(double size) const
+    {
+        const auto top = index_.largest();
+        return migrationImpossible() && (!top || top->first + 1e-9 < size);
     }
 
     /** False when every pod on @p node is committed: it holds no

@@ -913,8 +913,8 @@ KubeCluster::observedCapacity(const NodeRec &rec) const
 ClusterState
 KubeCluster::buildState() const
 {
-    // The snapshot shares the index, and pods_ runs in its slot order,
-    // so every place() appends at its node list's tail.
+    // The snapshot shares the index and takes the pods in one batch, in
+    // slot order, so each node's run is laid out once.
     ClusterState state(podIndex());
     state.reserveNodes(nodes_.size());
     for (const NodeRec &rec : nodes_) {
@@ -922,10 +922,12 @@ KubeCluster::buildState() const
         if (!rec.ready)
             state.failNode(rec.id);
     }
-    for (const Pod &pod : pods_) {
-        if (occupiesNode(pod.phase))
-            state.place(pod.ref, pod.node, pod.cpu);
-    }
+    state.placeAll([&](const auto &place) {
+        for (const Pod &pod : pods_) {
+            if (occupiesNode(pod.phase))
+                place(pod.ref, pod.node, pod.cpu);
+        }
+    });
     return state;
 }
 

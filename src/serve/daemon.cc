@@ -368,7 +368,8 @@ ServeDaemon::cmdInjectScenario(const util::JsonValue &command)
     std::string error;
     std::optional<std::vector<sim::Scenario::Step>> parsed =
         sim::scenarioStepsFromJson(steps ? *steps : util::JsonValue(),
-                                   cluster_.nodeCount(), &error);
+                                   cluster_.nodeCount(), events_.now(),
+                                   &error);
     if (!parsed)
         return errorReply(error);
 

@@ -6,6 +6,8 @@ namespace phoenix::sim {
 
 namespace {
 constexpr double kCapacityEps = 1e-9;
+/** Room a run that fills for the first time moves to. */
+constexpr uint32_t kMinRunRoom = 4;
 
 /** Slots a service takes: one per replica, at least one. */
 Slot
@@ -31,6 +33,20 @@ PodIndex::empty()
     return index;
 }
 
+template <typename SlotsOf>
+void
+PodIndex::appendApp(size_t services, SlotsOf slotsOf)
+{
+    const AppId app = static_cast<AppId>(appCount());
+    for (size_t m = 0; m < services; ++m) {
+        const auto row = static_cast<uint32_t>(rowCount());
+        rowApp_.push_back(app);
+        slotRow_.insert(slotRow_.end(), slotsOf(m), row);
+        rowSlot_.push_back(static_cast<Slot>(slotRow_.size()));
+    }
+    appRow_.push_back(rowSlot_.size() - 1);
+}
+
 void
 PodIndex::append(std::span<const Application> apps)
 {
@@ -47,18 +63,13 @@ PodIndex::append(std::span<const Application> apps)
                                    2 * table.size()));
         }
     };
-    grow(pods_, slots);
+    grow(slotRow_, slots);
     grow(rowSlot_, rows);
+    grow(rowApp_, rows);
     grow(appRow_, apps.size());
     for (const Application &app : apps) {
-        const AppId a = static_cast<AppId>(appCount());
-        for (size_t m = 0; m < app.services.size(); ++m) {
-            const Slot count = slotsOf(app.services[m]);
-            for (Slot r = 0; r < count; ++r)
-                pods_.push_back(PodRef{a, static_cast<MsId>(m), r});
-            rowSlot_.push_back(static_cast<Slot>(pods_.size()));
-        }
-        appRow_.push_back(rowSlot_.size() - 1);
+        appendApp(app.services.size(),
+                  [&](size_t m) { return slotsOf(app.services[m]); });
     }
 }
 
@@ -93,23 +104,19 @@ std::shared_ptr<const PodIndex>
 PodIndex::build(const Shape &shape)
 {
     auto index = std::make_shared<PodIndex>();
+    size_t rows = 0;
     size_t slots = 0;
-    for (const auto &rows : shape) {
-        for (const Slot count : rows)
+    for (const auto &app : shape) {
+        rows += app.size();
+        for (const Slot count : app)
             slots += count;
     }
-    index->pods_.reserve(slots);
-    for (size_t a = 0; a < shape.size(); ++a) {
-        for (size_t m = 0; m < shape[a].size(); ++m) {
-            for (Slot r = 0; r < shape[a][m]; ++r) {
-                index->pods_.push_back(PodRef{static_cast<AppId>(a),
-                                              static_cast<MsId>(m), r});
-            }
-            index->rowSlot_.push_back(
-                static_cast<Slot>(index->pods_.size()));
-        }
-        index->appRow_.push_back(index->rowSlot_.size() - 1);
-    }
+    index->appRow_.reserve(shape.size() + 1);
+    index->rowSlot_.reserve(rows + 1);
+    index->rowApp_.reserve(rows);
+    index->slotRow_.reserve(slots);
+    for (const auto &app : shape)
+        index->appendApp(app.size(), [&](size_t m) { return app[m]; });
     return index;
 }
 
@@ -157,8 +164,44 @@ ClusterState::ClusterState() : index_(PodIndex::empty()) {}
 
 ClusterState::ClusterState(std::shared_ptr<const PodIndex> index)
     : index_(index ? std::move(index) : PodIndex::empty()),
-      slots_(index_->slotCount())
+      slotNode_(index_->slotCount(), kNoNode),
+      slotCpu_(index_->slotCount(), 0.0)
 {
+}
+
+ClusterState::ClusterState(const ClusterState &other)
+{
+    *this = other;
+}
+
+ClusterState &
+ClusterState::operator=(const ClusterState &other)
+{
+    if (this == &other)
+        return *this;
+    index_ = other.index_;
+    nodes_ = other.nodes_;
+    used_ = other.used_;
+    slotNode_ = other.slotNode_;
+    slotCpu_ = other.slotCpu_;
+    active_ = other.active_;
+    runs_ = other.runs_;
+    copyRuns(other.pool_);
+    return *this;
+}
+
+void
+ClusterState::copyRuns(const std::vector<Slot> &from)
+{
+    std::vector<Slot> pool;
+    pool.reserve(active_);
+    for (Run &run : runs_) {
+        const auto first = from.begin() + run.begin;
+        run.begin = static_cast<uint32_t>(pool.size());
+        run.cap = run.size;
+        pool.insert(pool.end(), first, first + run.size);
+    }
+    pool_ = std::move(pool);
 }
 
 NodeId
@@ -167,7 +210,7 @@ ClusterState::addNode(double capacity, uint32_t zone)
     const NodeId id = static_cast<NodeId>(nodes_.size());
     nodes_.push_back(Node{id, capacity, true, zone});
     used_.push_back(0.0);
-    lists_.emplace_back();
+    runs_.emplace_back();
     return id;
 }
 
@@ -176,7 +219,7 @@ ClusterState::reserveNodes(size_t count)
 {
     nodes_.reserve(count);
     used_.reserve(count);
-    lists_.reserve(count);
+    runs_.reserve(count);
 }
 
 size_t
@@ -196,17 +239,15 @@ ClusterState::failNode(NodeId id)
     if (!n.healthy)
         return evicted;
     n.healthy = false;
-    PodList &list = lists_[id];
-    evicted.reserve(list.size);
-    for (Slot slot = list.head; slot != kNoSlot;) {
-        SlotRec &rec = slots_[slot];
-        evicted.push_back(index_->pod(slot));
-        rec.node = kNoNode;
-        slot = rec.next;
-        rec.prev = rec.next = kNoSlot;
+    Run &run = runs_[id];
+    evicted.reserve(run.size);
+    const Slot *first = pool_.data() + run.begin;
+    for (const Slot *at = first; at != first + run.size; ++at) {
+        evicted.push_back(index_->pod(*at));
+        slotNode_[*at] = kNoNode;
     }
-    active_ -= list.size;
-    list = PodList{};
+    active_ -= run.size;
+    run.size = 0;
     used_[id] = 0.0;
     return evicted;
 }
@@ -227,35 +268,73 @@ ClusterState::setNodeCapacity(NodeId id, double capacity)
 bool
 ClusterState::place(const PodRef &pod, NodeId node, double cpu)
 {
-    if (node >= nodes_.size())
+    const Slot slot = book(pod, node, cpu);
+    if (slot == kNoSlot)
         return false;
+    link(slot, node);
+    return true;
+}
+
+Slot
+ClusterState::book(const PodRef &pod, NodeId node, double cpu)
+{
+    if (node >= nodes_.size())
+        return kNoSlot;
     const Node &n = nodes_[node];
     if (!n.healthy)
-        return false;
+        return kNoSlot;
     Slot slot = index_->slotOf(pod);
-    if (slot != kNoSlot && slots_[slot].node != kNoNode)
-        return false;
+    if (slot != kNoSlot && slotNode_[slot] != kNoNode)
+        return kNoSlot;
     if (used_[node] + cpu > n.capacity + kCapacityEps)
-        return false;
+        return kNoSlot;
     if (slot == kNoSlot) {
         reindex(index_->widenedBy(pod));
         slot = index_->slotOf(pod);
     }
-    slots_[slot].cpu = cpu;
-    link(slot, node);
+    slotNode_[slot] = node;
+    slotCpu_[slot] = cpu;
     used_[node] += cpu;
     ++active_;
-    return true;
+    return slot;
+}
+
+void
+ClusterState::layOutFromSlots()
+{
+    // Count each node's pods, then scatter the slots in ascending order,
+    // so every run comes out sorted.
+    for (Run &run : runs_)
+        run.size = 0;
+    for (const NodeId node : slotNode_) {
+        if (node != kNoNode)
+            ++runs_[node].size;
+    }
+    uint32_t begin = 0;
+    for (Run &run : runs_) {
+        run.begin = begin;
+        run.cap = run.size;
+        begin += run.size;
+        run.size = 0;
+    }
+    std::vector<Slot> pool(active_);
+    for (Slot slot = 0; slot < slotNode_.size(); ++slot) {
+        if (slotNode_[slot] != kNoNode) {
+            Run &run = runs_[slotNode_[slot]];
+            pool[run.begin + run.size++] = slot;
+        }
+    }
+    pool_ = std::move(pool);
 }
 
 bool
 ClusterState::evict(const PodRef &pod)
 {
     const Slot slot = index_->slotOf(pod);
-    if (slot == kNoSlot || slots_[slot].node == kNoNode)
+    if (slot == kNoSlot || slotNode_[slot] == kNoNode)
         return false;
-    const NodeId node = slots_[slot].node;
-    used_[node] -= slots_[slot].cpu;
+    const NodeId node = slotNode_[slot];
+    used_[node] -= slotCpu_[slot];
     if (used_[node] < 0.0)
         used_[node] = 0.0;
     unlink(slot);
@@ -266,42 +345,45 @@ ClusterState::evict(const PodRef &pod)
 void
 ClusterState::link(Slot slot, NodeId node)
 {
-    PodList &list = lists_[node];
-    // Walk back from the tail to the last slot below this one; appends
-    // in PodRef order stop at once.
-    Slot before = list.tail;
-    while (before != kNoSlot && before > slot)
-        before = slots_[before].prev;
-    SlotRec &rec = slots_[slot];
-    rec.node = node;
-    rec.prev = before;
-    rec.next = before == kNoSlot ? list.head : slots_[before].next;
-    if (before == kNoSlot)
-        list.head = slot;
-    else
-        slots_[before].next = slot;
-    if (rec.next == kNoSlot)
-        list.tail = slot;
-    else
-        slots_[rec.next].prev = slot;
-    ++list.size;
+    Run &run = runs_[node];
+    if (run.size == run.cap)
+        growRun(run);
+    Slot *first = pool_.data() + run.begin;
+    Slot *last = first + run.size;
+    // Appends in PodRef order land at the end without a search.
+    Slot *at = run.size == 0 || last[-1] < slot
+                   ? last
+                   : std::upper_bound(first, last, slot);
+    std::copy_backward(at, last, last + 1);
+    *at = slot;
+    ++run.size;
 }
 
 void
 ClusterState::unlink(Slot slot)
 {
-    SlotRec &rec = slots_[slot];
-    PodList &list = lists_[rec.node];
-    if (rec.prev == kNoSlot)
-        list.head = rec.next;
-    else
-        slots_[rec.prev].next = rec.next;
-    if (rec.next == kNoSlot)
-        list.tail = rec.prev;
-    else
-        slots_[rec.next].prev = rec.prev;
-    --list.size;
-    rec = SlotRec{rec.cpu, kNoNode, kNoSlot, kNoSlot};
+    Run &run = runs_[slotNode_[slot]];
+    Slot *first = pool_.data() + run.begin;
+    Slot *last = first + run.size;
+    Slot *at = std::lower_bound(first, last, slot);
+    std::copy(at + 1, last, at);
+    --run.size;
+    slotNode_[slot] = kNoNode;
+}
+
+void
+ClusterState::growRun(Run &run)
+{
+    // Each move at least doubles the run's room, so the room a run has
+    // left behind stays below the room it holds, and the pool below
+    // twice what the runs hold: no compaction is needed.
+    const auto begin = static_cast<uint32_t>(pool_.size());
+    const uint32_t cap = std::max<uint32_t>(2 * run.size, kMinRunRoom);
+    pool_.resize(begin + cap);
+    std::copy_n(pool_.begin() + run.begin, run.size,
+                pool_.begin() + begin);
+    run.begin = begin;
+    run.cap = cap;
 }
 
 void
@@ -315,24 +397,27 @@ void
 ClusterState::reindex(std::shared_ptr<const PodIndex> wider)
 {
     // Both indexes run in PodRef order, so the remap is monotone and
-    // every node list stays in slot order.
+    // every run stays ascending. The slot tables move by themselves:
+    // inside placeAll() they hold pods no run holds yet.
     const auto remap = [&](Slot slot) {
-        return slot == kNoSlot ? kNoSlot
-                               : wider->slotOf(index_->pod(slot));
+        return wider->slotOf(index_->pod(slot));
     };
-    std::vector<SlotRec> slots(wider->slotCount());
-    for (Slot slot = 0; slot < slots_.size(); ++slot) {
-        const SlotRec &rec = slots_[slot];
-        if (rec.node == kNoNode)
+    std::vector<NodeId> nodes(wider->slotCount(), kNoNode);
+    std::vector<double> cpus(wider->slotCount(), 0.0);
+    for (Slot slot = 0; slot < slotNode_.size(); ++slot) {
+        if (slotNode_[slot] == kNoNode)
             continue;
-        slots[remap(slot)] =
-            SlotRec{rec.cpu, rec.node, remap(rec.prev), remap(rec.next)};
+        const Slot to = remap(slot);
+        nodes[to] = slotNode_[slot];
+        cpus[to] = slotCpu_[slot];
     }
-    for (PodList &list : lists_) {
-        list.head = remap(list.head);
-        list.tail = remap(list.tail);
+    for (const Run &run : runs_) {
+        Slot *first = pool_.data() + run.begin;
+        for (Slot *at = first; at != first + run.size; ++at)
+            *at = remap(*at);
     }
-    slots_ = std::move(slots);
+    slotNode_ = std::move(nodes);
+    slotCpu_ = std::move(cpus);
     index_ = std::move(wider);
 }
 

@@ -35,7 +35,8 @@ constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
  * PodRef -> slot map, immutable once a state holds it. Slots run in
  * PodRef order: app a's service m holds slots [rowSlot[appRow[a] + m],
  * rowSlot[appRow[a] + m + 1]), one per replica. A row is one (app, ms)
- * service.
+ * service. The reverse map keeps 4 bytes per slot, its row; pod(slot)
+ * derives the PodRef from the row's app and first slot.
  */
 class PodIndex
 {
@@ -62,7 +63,7 @@ class PodIndex
      * owner sharing it with nothing may append. */
     void append(std::span<const Application> apps);
 
-    size_t slotCount() const { return pods_.size(); }
+    size_t slotCount() const { return slotRow_.size(); }
     size_t rowCount() const { return rowSlot_.size() - 1; }
     size_t appCount() const { return appRow_.size() - 1; }
 
@@ -95,7 +96,17 @@ class PodIndex
      * (firstSlot(rowCount()) == slotCount()). */
     Slot firstSlot(size_t row) const { return rowSlot_[row]; }
 
-    const PodRef &pod(Slot slot) const { return pods_[slot]; }
+    /** Row (service) holding @p slot. */
+    size_t rowOfSlot(Slot slot) const { return slotRow_[slot]; }
+
+    PodRef
+    pod(Slot slot) const
+    {
+        const uint32_t row = slotRow_[slot];
+        const AppId app = rowApp_[row];
+        return PodRef{app, static_cast<MsId>(row - appRow_[app]),
+                      slot - rowSlot_[row]};
+    }
 
     /** True when every pod of @p apps has a slot. */
     bool covers(const std::vector<Application> &apps) const;
@@ -113,9 +124,14 @@ class PodIndex
     Shape shape() const;
     static std::shared_ptr<const PodIndex> build(const Shape &shape);
 
+    /** Append one app's rows and their slots, slotsOf(m) for row m. */
+    template <typename SlotsOf>
+    void appendApp(size_t services, SlotsOf slotsOf);
+
     std::vector<size_t> appRow_{0}; //!< app -> first row (apps + 1)
     std::vector<Slot> rowSlot_{0};  //!< row -> first slot (rows + 1)
-    std::vector<PodRef> pods_;      //!< slot -> PodRef
+    std::vector<AppId> rowApp_;     //!< row -> app
+    std::vector<uint32_t> slotRow_; //!< slot -> row
 };
 
 /** A server. */
@@ -131,31 +147,32 @@ struct Node
 
 /**
  * Mutable cluster state. Placement is capacity-checked; the class keeps
- * per-node used counters, per-node pod lists and the pod->node table
+ * per-node used counters, per-node pod runs and the slot -> node table
  * consistent at all times. Copying a ClusterState yields an independent
  * scratch copy (used by the packing module, which plans on a copy and
  * defers execution to the agent, §4.2) that shares the PodIndex.
  *
- * Every walk runs in PodRef order: podsOn(n) because each node's list
- * is kept in slot order, assignment() because it scans the slot table.
- * A place() of a pod the index does not hold first widens the index
- * and remaps the placed slots (O(slots)); producers that know their
- * applications index from them up front instead.
+ * Pods are stored node-major: per slot only its node and cpu, and per
+ * node one ascending run of its slots in a shared pool. place() and
+ * evict() binary-search the run and shift its tail; a run that fills
+ * moves to the end of the pool with twice its room, and a copy lays
+ * the runs out back to back, each full. Every walk runs in PodRef
+ * order: podsOn(n) because runs are ascending, assignment() because it
+ * scans the slot table. A place() of a pod the index does not hold
+ * first widens the index and remaps the placed slots (O(slots));
+ * producers that know their applications index from them up front
+ * instead, and producers that place most of a state at once do it in
+ * one placeAll() batch, which lays every run out once.
  */
 class ClusterState
 {
-    struct SlotRec
+    /** One node's slots: pool_[begin, begin + size), ascending, with
+     * room for cap before the run must move. */
+    struct Run
     {
-        double cpu = 0.0;
-        NodeId node = kNoNode;
-        Slot prev = kNoSlot; //!< neighbours in the node's list
-        Slot next = kNoSlot;
-    };
-    struct PodList
-    {
-        Slot head = kNoSlot;
-        Slot tail = kNoSlot;
+        uint32_t begin = 0;
         uint32_t size = 0;
+        uint32_t cap = 0;
     };
 
   public:
@@ -172,45 +189,52 @@ class ClusterState
             using reference = value_type;
             using pointer = void;
 
-            const_iterator(const ClusterState *state, Slot slot)
-                : state_(state), slot_(slot)
+            const_iterator(const ClusterState *state, const Slot *at)
+                : state_(state), at_(at)
             {
             }
             value_type
             operator*() const
             {
-                return {state_->index_->pod(slot_),
-                        state_->slots_[slot_].cpu};
+                return {state_->index_->pod(*at_), state_->slotCpu_[*at_]};
             }
             const_iterator &
             operator++()
             {
-                slot_ = state_->slots_[slot_].next;
+                ++at_;
                 return *this;
             }
             bool
             operator==(const const_iterator &other) const
             {
-                return slot_ == other.slot_;
+                return at_ == other.at_;
             }
 
           private:
             const ClusterState *state_;
-            Slot slot_;
+            const Slot *at_;
         };
 
         PodsOnView(const ClusterState &state, NodeId node)
-            : state_(&state), list_(&state.lists_.at(node))
+            : state_(&state), run_(&state.runs_.at(node))
         {
         }
-        const_iterator begin() const { return {state_, list_->head}; }
-        const_iterator end() const { return {state_, kNoSlot}; }
-        size_t size() const { return list_->size; }
-        bool empty() const { return list_->size == 0; }
+        const_iterator
+        begin() const
+        {
+            return {state_, state_->pool_.data() + run_->begin};
+        }
+        const_iterator
+        end() const
+        {
+            return {state_, state_->pool_.data() + run_->begin + run_->size};
+        }
+        size_t size() const { return run_->size; }
+        bool empty() const { return run_->size == 0; }
 
       private:
         const ClusterState *state_;
-        const PodList *list_;
+        const Run *run_;
     };
 
     /** (PodRef, NodeId) of every placed pod, in PodRef order. */
@@ -235,7 +259,7 @@ class ClusterState
             operator*() const
             {
                 return {state_->index_->pod(slot_),
-                        state_->slots_[slot_].node};
+                        state_->slotNode_[slot_]};
             }
             const_iterator &
             operator++()
@@ -254,9 +278,8 @@ class ClusterState
             void
             skipEmpty()
             {
-                const auto &slots = state_->slots_;
-                while (slot_ < slots.size() &&
-                       slots[slot_].node == kNoNode)
+                const auto &nodes = state_->slotNode_;
+                while (slot_ < nodes.size() && nodes[slot_] == kNoNode)
                     ++slot_;
             }
 
@@ -271,7 +294,7 @@ class ClusterState
         const_iterator
         end() const
         {
-            return {state_, static_cast<Slot>(state_->slots_.size())};
+            return {state_, static_cast<Slot>(state_->slotNode_.size())};
         }
         size_t size() const { return state_->active_; }
         bool empty() const { return state_->active_ == 0; }
@@ -289,6 +312,11 @@ class ClusterState
     ClusterState();
     /** An empty state whose pods take their slots from @p index. */
     explicit ClusterState(std::shared_ptr<const PodIndex> index);
+    /** An independent copy whose runs lie back to back, each full. */
+    ClusterState(const ClusterState &other);
+    ClusterState &operator=(const ClusterState &other);
+    ClusterState(ClusterState &&) = default;
+    ClusterState &operator=(ClusterState &&) = default;
 
     /** Add a node with the given capacity; returns its id. */
     NodeId addNode(double capacity, uint32_t zone = 0);
@@ -323,10 +351,29 @@ class ClusterState
      * Place a pod consuming @p cpu on a node. Fails (returns false)
      * when the node is out of range or unhealthy, the pod is already
      * placed somewhere, or capacity would be exceeded — checked in
-     * that order. O(1) plus the walk back from the node list's tail,
-     * so appends in PodRef order are O(1).
+     * that order. A binary search and a shift within the node's run,
+     * so appends in PodRef order are O(1) while the run has room.
      */
     bool place(const PodRef &pod, NodeId node, double cpu);
+
+    /**
+     * Place a batch of pods: @p batch gets a callable place(pod, node,
+     * cpu) that checks and books each pod exactly as place() does (so
+     * used() sums in the batch's order), and every node's run is laid
+     * out once when the batch returns, each exactly full, instead of
+     * taking one insertion per pod. For producers that place most of a
+     * state at once, in any order. While @p batch runs, only that
+     * callable, used() and remaining() may touch this state.
+     */
+    template <typename Batch>
+    void
+    placeAll(Batch batch)
+    {
+        batch([this](const PodRef &pod, NodeId node, double cpu) {
+            return book(pod, node, cpu) != kNoSlot;
+        });
+        layOutFromSlots();
+    }
 
     /** Remove a pod; returns false when it was not placed. */
     bool evict(const PodRef &pod);
@@ -336,16 +383,16 @@ class ClusterState
     nodeOf(const PodRef &pod) const
     {
         const Slot slot = index_->slotOf(pod);
-        if (slot == kNoSlot || slots_[slot].node == kNoNode)
+        if (slot == kNoSlot || slotNode_[slot] == kNoNode)
             return std::nullopt;
-        return slots_[slot].node;
+        return slotNode_[slot];
     }
 
     bool
     isActive(const PodRef &pod) const
     {
         const Slot slot = index_->slotOf(pod);
-        return slot != kNoSlot && slots_[slot].node != kNoNode;
+        return slot != kNoSlot && slotNode_[slot] != kNoNode;
     }
 
     double used(NodeId id) const { return used_.at(id); }
@@ -369,9 +416,9 @@ class ClusterState
     podCpu(const PodRef &pod) const
     {
         const Slot slot = index_->slotOf(pod);
-        if (slot == kNoSlot || slots_[slot].node == kNoNode)
+        if (slot == kNoSlot || slotNode_[slot] == kNoNode)
             return 0.0;
-        return slots_[slot].cpu;
+        return slotCpu_[slot];
     }
 
     /** The index this state's slots follow (shared by its copies). */
@@ -381,9 +428,9 @@ class ClusterState
         return index_;
     }
     /** Node hosting @p slot of podIndex(), or kNoNode. */
-    NodeId slotNode(Slot slot) const { return slots_[slot].node; }
+    NodeId slotNode(Slot slot) const { return slotNode_[slot]; }
     /** CPU of the pod in @p slot (meaningful while it is placed). */
-    double slotCpu(Slot slot) const { return slots_[slot].cpu; }
+    double slotCpu(Slot slot) const { return slotCpu_[slot]; }
 
     /** Widen the index so every pod of @p apps has a slot, remapping
      * the placed ones; a no-op when it already covers them. */
@@ -399,17 +446,31 @@ class ClusterState
     double utilization() const;
 
   private:
+    /** place()'s checks and bookkeeping, runs aside: the pod's slot,
+     * or kNoSlot when it is refused. */
+    Slot book(const PodRef &pod, NodeId node, double cpu);
+    /** Rebuild every run from the slot table, back to back and each
+     * exactly full. */
+    void layOutFromSlots();
     /** Move every slot onto @p wider, which holds all of index_. */
     void reindex(std::shared_ptr<const PodIndex> wider);
-    /** Insert @p slot into @p node's list, keeping slot order. */
+    /** Insert @p slot into @p node's run, keeping it ascending. */
     void link(Slot slot, NodeId node);
     void unlink(Slot slot);
+    /** Move @p run, which is full, to the end of the pool with twice
+     * its room. */
+    void growRun(Run &run);
+    /** Rebuild the pool from @p from, which runs_ describes, every run
+     * back to back and exactly full. */
+    void copyRuns(const std::vector<Slot> &from);
 
     std::shared_ptr<const PodIndex> index_;
     std::vector<Node> nodes_;
     std::vector<double> used_;
-    std::vector<PodList> lists_;
-    std::vector<SlotRec> slots_;
+    std::vector<Run> runs_;         //!< node -> its run in pool_
+    std::vector<NodeId> slotNode_;  //!< slot -> node, or kNoNode
+    std::vector<double> slotCpu_;   //!< slot -> cpu (while placed)
+    std::vector<Slot> pool_;        //!< the runs, and room they left
     size_t active_ = 0;
 };
 

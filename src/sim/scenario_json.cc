@@ -88,11 +88,13 @@ specOf(Kind kind)
     return kKinds[0];
 }
 
-/** Field @p key of a step of @p spec from @p object into @p step;
- * the rule it breaks, or "" when it holds. */
+/** Field @p key of a step of @p spec from @p object into @p step, for
+ * a target whose clock reads @p origin; the rule it breaks, or "" when
+ * it holds. */
 std::string
 readField(const KindSpec &spec, const std::string &key,
-          const JsonValue &object, size_t nodeCount, Step &step)
+          const JsonValue &object, size_t nodeCount, double origin,
+          Step &step)
 {
     const std::string limit = "the node count " + std::to_string(nodeCount);
     if (key == "nodes") {
@@ -121,18 +123,21 @@ readField(const KindSpec &spec, const std::string &key,
         return "";
     }
     const NumberField &number = numberField(key);
+    // An instant is bounded from the target's clock, not from zero.
+    const double high = key == "at" ? origin + number.high : number.high;
     const std::optional<double> value =
         util::finiteAt(object, key, number.fallback);
-    if (!value || *value < number.low || *value > number.high)
+    if (!value || *value < number.low || *value > high)
         return "needs '" + key + "' in [" + util::jsonNumber(number.low) +
-               ", " + util::jsonNumber(number.high) + "]";
+               ", " + util::jsonNumber(high) + "]";
     step.*number.member = *value;
     return "";
 }
 
 /** One step object; the rule it breaks lands in @p error. */
 Step
-stepOf(const JsonValue &object, size_t nodeCount, std::string &error)
+stepOf(const JsonValue &object, size_t nodeCount, double origin,
+       std::string &error)
 {
     Step step;
     const JsonValue *kind = object.field("kind");
@@ -151,10 +156,10 @@ stepOf(const JsonValue &object, size_t nodeCount, std::string &error)
             error = "takes no field " + util::jsonQuote(key);
     }
     if (error.empty())
-        error = readField(*spec, "at", object, nodeCount, step);
+        error = readField(*spec, "at", object, nodeCount, origin, step);
     for (const char *key : spec->fields) {
         if (key && error.empty())
-            error = readField(*spec, key, object, nodeCount, step);
+            error = readField(*spec, key, object, nodeCount, origin, step);
     }
     if (!error.empty())
         error = spec->name + (" " + error);
@@ -165,12 +170,12 @@ stepOf(const JsonValue &object, size_t nodeCount, std::string &error)
 
 std::optional<std::vector<Step>>
 scenarioStepsFromJson(const JsonValue &array, size_t nodeCount,
-                      std::string *error)
+                      double origin, std::string *error)
 {
     std::vector<Step> steps;
     std::string why = array.isArray() ? "" : "steps must be an array";
     for (size_t s = 0; why.empty() && s < array.items.size(); ++s) {
-        steps.push_back(stepOf(array.items[s], nodeCount, why));
+        steps.push_back(stepOf(array.items[s], nodeCount, origin, why));
         why = why.empty() ? "" : "step " + std::to_string(s) + ": " + why;
     }
     if (error && !why.empty())

@@ -4,6 +4,7 @@ namespace phoenix::util {
 
 namespace {
 thread_local uint64_t allocCount_ = 0;
+thread_local uint64_t allocBytes_ = 0;
 bool active_ = false;
 } // namespace
 
@@ -11,6 +12,12 @@ uint64_t
 allocCount()
 {
     return allocCount_;
+}
+
+uint64_t
+allocBytes()
+{
+    return allocBytes_;
 }
 
 bool
@@ -22,9 +29,10 @@ allocCounterActive()
 namespace detail {
 
 void
-bumpAllocCount()
+bumpAllocCount(std::size_t bytes)
 {
     ++allocCount_;
+    allocBytes_ += bytes;
 }
 
 void

@@ -1,8 +1,9 @@
 /**
  * @file
  * Hot-path allocation tests: the PlanScratch/indexed-heap/BucketedKv
- * claim is "zero allocation in steady state", and this binary installs
- * the util/alloc_counter operator-new hook to assert it as a number.
+ * claim is "zero allocation in steady state", a cluster state's claim
+ * is a byte budget per slot and per node, and this binary installs the
+ * util/alloc_counter operator-new hook to assert both as numbers.
  * Keep these in their own binary — the hook counts every allocation in
  * the process, so it must not be linked into unrelated suites.
  */
@@ -90,6 +91,49 @@ TEST(HotPath, SnapshotAllocationsDoNotGrowWithNodes)
     }
     EXPECT_GT(allocs[0], 0u);
     EXPECT_EQ(allocs[0], allocs[1]);
+}
+
+TEST(HotPath, StateBytesPerSlotAndPerNodeStayInBudget)
+{
+    if (!util::allocCounterActive())
+        GTEST_SKIP() << "alloc counter not installed (sanitizer build)";
+
+    // Node-major storage: a state keeps a node (4 B) and a cpu (8 B)
+    // per slot and 4 B per placed pod in its node's run; per node a
+    // Node (24 B), its usage (8 B) and its run (12 B). The index keeps
+    // a 4-byte row per slot. Linked slot records took 24 B per slot in
+    // every state and a 12-byte PodRef per slot in the index, over
+    // each budget here.
+    constexpr uint64_t kStatePerSlot = 16;
+    constexpr uint64_t kStatePerNode = 44;
+    constexpr uint64_t kIndexPerSlot = 4;
+    constexpr uint64_t kFixed = 4096; // rows, apps, control blocks
+    const size_t nodes = 2000;
+    KubeFixture fixture(nodes);
+    ASSERT_EQ(fixture.cluster.pendingCount(), 0u);
+    (void)fixture.cluster.observedState(); // warm: builds the index
+
+    sim::ClusterState snapshot;
+    const uint64_t snapshot_bytes = util::bytesAllocatedDuring(
+        [&] { snapshot = fixture.cluster.observedState(); });
+    const uint64_t slots = snapshot.podIndex()->slotCount();
+    ASSERT_EQ(snapshot.assignment().size(), slots); // every pod placed
+    uint64_t copy_bytes = 0;
+    {
+        sim::ClusterState copy;
+        copy_bytes = util::bytesAllocatedDuring([&] { copy = snapshot; });
+        EXPECT_TRUE(copy.assignment() == snapshot.assignment());
+    }
+    std::shared_ptr<const sim::PodIndex> index;
+    const uint64_t index_bytes = util::bytesAllocatedDuring(
+        [&] { index = sim::PodIndex::of(fixture.cluster.apps()); });
+    ASSERT_EQ(index->slotCount(), slots);
+
+    const uint64_t state_budget =
+        kStatePerSlot * slots + kStatePerNode * nodes + kFixed;
+    EXPECT_LE(snapshot_bytes, state_budget);
+    EXPECT_LE(copy_bytes, state_budget);
+    EXPECT_LE(index_bytes, kIndexPerSlot * slots + kFixed);
 }
 
 TEST(HotPath, SnapshotCopyAndPackShareTheProducersIndex)

@@ -631,14 +631,16 @@ TEST(Scenario, NewFaultClassesAreDeterministicForASeed)
 
 namespace {
 
-/** One step parsed through the codec, for a target of @p nodes nodes. */
+/** One step parsed through the codec, for a target of @p nodes nodes
+ * whose clock reads @p origin. */
 std::optional<Scenario::Step>
-parseStep(const std::string &text, size_t nodes, std::string *error)
+parseStep(const std::string &text, size_t nodes, std::string *error,
+          double origin = 0.0)
 {
     util::JsonValue json;
     if (!util::parseJson("[" + text + "]", json))
         return std::nullopt;
-    auto steps = scenarioStepsFromJson(json, nodes, error);
+    auto steps = scenarioStepsFromJson(json, nodes, origin, error);
     if (!steps)
         return std::nullopt;
     return steps->front();
@@ -761,5 +763,36 @@ TEST(ScenarioJson, RejectsEveryOutOfDomainField)
         << error;
     util::JsonValue notArray;
     ASSERT_TRUE(util::parseJson(R"({"kind":"fail","nodes":[0]})", notArray));
-    EXPECT_FALSE(scenarioStepsFromJson(notArray, 4).has_value());
+    EXPECT_FALSE(scenarioStepsFromJson(notArray, 4, 0.0).has_value());
+}
+
+TEST(ScenarioJson, InstantsAreBoundedFromTheCallersOrigin)
+{
+    // A target a week and 10 s old: an instant may lie up to the
+    // ceiling past its clock, and one already past still parses (it
+    // fires at once); below 0 or beyond the ceiling it does not.
+    const double origin = kMaxScriptSeconds + 10.0;
+    const auto at = [&](double instant) {
+        std::string error;
+        const auto step = parseStep(
+            R"({"kind":"fail","nodes":[0],"at":)" +
+                util::jsonNumber(instant) + "}",
+            4, &error, origin);
+        return step ? "" : error;
+    };
+    EXPECT_EQ(at(origin), "");
+    EXPECT_EQ(at(0.0), "");
+    EXPECT_EQ(at(origin + kMaxScriptSeconds), "");
+    const std::string bound = "step 0: fail needs 'at' in [0, " +
+                              util::jsonNumber(origin + kMaxScriptSeconds) +
+                              "]";
+    EXPECT_EQ(at(origin + kMaxScriptSeconds + 1.0), bound);
+    EXPECT_EQ(at(-1.0), bound);
+    // Windows keep their absolute ceiling whatever the origin.
+    std::string error;
+    EXPECT_FALSE(parseStep(R"({"kind":"flap","nodes":[0],"downtime":)" +
+                               util::jsonNumber(kMaxScriptSeconds + 1.0) +
+                               "}",
+                           4, &error, origin)
+                     .has_value());
 }

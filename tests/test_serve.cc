@@ -21,6 +21,7 @@
 #include "serve/daemon.h"
 #include "serve/serve.h"
 #include "serve/slo.h"
+#include "sim/scenario_json.h"
 #include "util/json.h"
 
 using namespace phoenix;
@@ -693,6 +694,36 @@ TEST(ServeDaemon, RejectsMalformedCommands)
               observed.numberAt("total_capacity"));
     // start-controller with a bad field started nothing either.
     EXPECT_TRUE(okOf(reply(daemon, R"({"cmd":"start-controller"})")));
+}
+
+TEST(ServeDaemon, InstantsAreBoundedFromTheDaemonsClock)
+{
+    // A week and 10 s in, an explicit instant is still accepted: the
+    // script ceiling counts from the daemon's clock, not from zero.
+    ServeDaemon daemon;
+    ASSERT_TRUE(okOf(reply(daemon, R"({"cmd":"load-testbed"})")));
+    for (int day = 0; day < 7; ++day) {
+        ASSERT_TRUE(okOf(
+            reply(daemon, R"({"cmd":"advance","seconds":86400})")));
+    }
+    ASSERT_TRUE(okOf(reply(daemon, R"({"cmd":"advance","seconds":10})")));
+    const double now = reply(daemon, R"({"cmd":"observe"})").numberAt("t");
+    ASSERT_EQ(now, 604810.0);
+    const auto inject = [&](double at) {
+        return reply(daemon, R"({"cmd":"inject-scenario","steps":[)"
+                             R"({"kind":"fail","nodes":[0],"at":)" +
+                                 util::jsonNumber(at) + "}]}");
+    };
+    const util::JsonValue repro = inject(now);
+    EXPECT_TRUE(okOf(repro)) << repro.stringAt("error");
+    EXPECT_EQ(repro.numberAt("first_failure_at"), now);
+    const util::JsonValue last = inject(now + sim::kMaxScriptSeconds);
+    EXPECT_TRUE(okOf(last)) << last.stringAt("error");
+    const util::JsonValue beyond =
+        inject(now + sim::kMaxScriptSeconds + 1.0);
+    EXPECT_FALSE(okOf(beyond));
+    EXPECT_EQ(beyond.stringAt("error"),
+              "step 0: fail needs 'at' in [0, 1209610]");
 }
 
 TEST(ServeDaemon, InjectScenarioTakesEveryKindAndCorpusSteps)
