@@ -36,6 +36,7 @@ runFailureTrial(const Environment &env, core::ResilienceScheme &scheme,
     metrics.opsBestFitProbes = static_cast<double>(
         result.planOps.bestFitProbes + result.pack.ops.bestFitProbes);
     metrics.opsPodScans = static_cast<double>(result.pack.ops.podScans);
+    metrics.opsKvOps = static_cast<double>(result.pack.ops.kvOps);
     metrics.schemeFailed = result.failed;
     if (result.failed)
         return metrics;
@@ -102,6 +103,7 @@ averageTrials(const std::vector<TrialMetrics> &trials)
         mean.opsHeapPushes += t.opsHeapPushes;
         mean.opsBestFitProbes += t.opsBestFitProbes;
         mean.opsPodScans += t.opsPodScans;
+        mean.opsKvOps += t.opsKvOps;
         n += 1.0;
     }
     if (n == 0.0)
@@ -120,6 +122,7 @@ averageTrials(const std::vector<TrialMetrics> &trials)
     mean.opsHeapPushes /= n;
     mean.opsBestFitProbes /= n;
     mean.opsPodScans /= n;
+    mean.opsKvOps /= n;
     return mean;
 }
 

@@ -240,6 +240,8 @@ class ReferenceBook
     bool migrationImpossible() const { return false; }
     bool repackFutile(double) const { return false; }
     bool mayHoldVictims(NodeId) const { return true; }
+    bool clearFutile(double, size_t, bool) const { return false; }
+    void onClearFailed(double, size_t) {}
 
     void parkedClear() { parked_.clear(); }
     void parkedAdd(NodeId node, double cpu) { parked_[node] += cpu; }

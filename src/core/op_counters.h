@@ -7,12 +7,17 @@
  * inserts and pops, best-fit probes, capacity-index maintenance), and
  * the literal Alg. 1/2 reference in src/check counts the same ones, so
  * equal counts across the two double as a cheap algorithm-identity
- * check. podScans — the pods the packer's repack and targeted-delete
- * stages read off a node — may differ: the reference walks every
- * candidate node, while the packer skips walks it can prove futile, so
- * the packer never exceeds the reference. The counters are exported
- * per bench cell and asserted against recorded bounds by the fig8b
- * smoke test; they are deliberately excluded from
+ * check. Two may differ, and the packer never exceeds the reference
+ * in either. podScans counts the pods the packer's repack and
+ * targeted-delete stages read off a node: the reference walks every
+ * candidate node, while the packer skips walks it can prove futile.
+ * kvOps counts the capacity-index writes actually made (the initial
+ * load plus each erase and insert): the reference erases and inserts
+ * on every placement and eviction, while the packer writes a node back
+ * only when another node is touched or a scan or largest-key bound
+ * reads the index, and not at all when its key has come back. The
+ * counters are exported per bench cell and asserted against recorded
+ * bounds by the fig8b smoke test; they are deliberately excluded from
  * exp::canonicalMetricString, which fingerprints planner/packer
  * *decisions*, not implementation effort.
  */
@@ -29,7 +34,7 @@ struct OpCounters
     uint64_t heapPushes = 0; //!< priority-queue inserts (planner+packer)
     uint64_t heapPops = 0;   //!< priority-queue pops
     uint64_t bestFitProbes = 0;  //!< byRemaining probes in the packer
-    uint64_t kvOps = 0;          //!< capacity-index inserts + erases
+    uint64_t kvOps = 0;          //!< capacity-index writes made
     uint64_t podScans = 0; //!< pods read by repack/targeted-delete walks
 
     OpCounters &

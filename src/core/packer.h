@@ -3,8 +3,8 @@
  * Core-internal: Alg. 2 as a template over its bookkeeping, included
  * only by core/packing.cc (the flat book) and check/reference.cc (the
  * literal one). A book's futility bounds (migrationImpossible,
- * repackFutile, mayHoldVictims) may only skip walks that cannot
- * succeed.
+ * repackFutile, mayHoldVictims, clearFutile) may only skip walks that
+ * cannot succeed.
  */
 
 #ifndef PHOENIX_CORE_PACKER_H
@@ -176,8 +176,10 @@ class Packer
                     blocked = true;
                     continue;
                 }
-                placePod(slot, *node, size, ActionKind::Restart);
+                // Committed before it lands, the pod is never placed
+                // as a deletion victim (see FlatBook::clearFutile).
                 book_.commit(slot);
+                placePod(slot, *node, size, ActionKind::Restart);
                 ++placed_replicas;
             }
             // Keep surviving extras committed so pass-1 deletions for
@@ -512,6 +514,8 @@ class Packer
                       double size)
     {
         constexpr size_t kMaxCandidates = 16;
+        if (book_.clearFutile(size, incoming_rank, c_.vacancy.empty()))
+            return std::nullopt;
         auto &candidates = c_.candidates;
         candidates.clear();
         book_.forEachDescending([&](double remaining, NodeId node) {
@@ -588,8 +592,10 @@ class Packer
             }
         }
 
-        if (!best_node)
+        if (!best_node) {
+            book_.onClearFailed(size, incoming_rank);
             return std::nullopt;
+        }
         for (const Slot victim : best_list) {
             if (pdb_active)
                 c_.vacancy.consumePdb(index_->pod(victim));

@@ -1,6 +1,7 @@
 #include "packing.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <optional>
 
@@ -25,21 +26,30 @@ namespace {
  * O(1) with no tree walks or hashing; pod -> node lookups go to the
  * state's slot table. The capacity index is a BucketedKv whose
  * iteration order is byte-identical to the reference multiset, loaded
- * from one sort of the healthy nodes. Two O(1) facts let the packer
- * skip walks that cannot succeed: a lower bound on every pod size this
- * pack can see (no pod can move once the emptiest node is below it, so
- * a repack succeeds only where a node has room already) and a per-node
- * count of active pods not committed (a node at zero holds no deletion
- * victim). A second bit per slot marks the start placement, from which
- * the deletion order is built by a row walk when a pack first needs
- * it. Every buffer persists across runs; steady-state packing
- * allocates nothing for bookkeeping. The packer indexes its state from
- * apps before init(), so every pod it can name has a slot.
+ * from one sort of the healthy nodes, and written back lazily: it
+ * lags the state by at most one node, the last one a placement or
+ * eviction touched. Best-fit probes merge that node's current key;
+ * scans and the largest-key bounds write it back first; a key that
+ * comes back to what the index holds is never written (see kvUpdate).
+ * Three O(1) facts let the packer skip walks that cannot succeed: a
+ * lower bound on every pod size this pack can see (no pod can move
+ * once the emptiest node is below it, so a repack succeeds only where
+ * a node has room already), a per-node count of active pods not
+ * committed (a node at zero holds no deletion victim), and what the
+ * last failed targeted delete saw (a later one over the same index,
+ * with no new victim, for a pod no smaller and ranked no higher,
+ * fails too; see clearFutile). A second bit per slot marks the start
+ * placement, from which the deletion order is built by a row walk when
+ * a pack first needs it. Every buffer persists across runs;
+ * steady-state packing allocates nothing for bookkeeping. The packer
+ * indexes its state from apps before init(), so every pod it can name
+ * has a slot.
  */
 class FlatBook
 {
     static constexpr uint8_t kCommitted = 1;
     static constexpr uint8_t kPlacedAtStart = 2;
+    using Pair = std::pair<double, NodeId>;
 
   public:
     void
@@ -94,24 +104,49 @@ class FlatBook
         std::sort(loadPairs_.begin(), loadPairs_.end());
         index_.loadSorted(loadPairs_);
         ops_->kvOps += loadPairs_.size();
+        ++writes_;
+        pendingNode_ = sim::kNoNode;
+        failedClear_.reset();
 
         parked_.assign(node_count, 0.0);
         parkedTouched_.clear();
     }
 
+    /**
+     * Record that @p node's key moved from @p before (what an eager
+     * index would hold) to @p after. Only a different node's update
+     * writes the index: consecutive placements and evictions on one
+     * node (a service's replicas filling it, a targeted delete and the
+     * placement it made room for) cost one write-back at most.
+     */
     void
     kvUpdate(double before, double after, NodeId node)
     {
-        index_.erase(before, node);
-        index_.insert(after, node);
-        ops_->kvOps += 2;
+        if (node != pendingNode_) {
+            flush();
+            pendingNode_ = node;
+            pendingIndexed_ = before;
+        }
+        pendingKey_ = after;
     }
 
+    /** The eager index's best fit: the index's first pair at or above
+     * @p size other than the pending node's stale one, or the pending
+     * node's current pair, whichever orders first. */
     std::optional<NodeId>
     bestFit(double size) const
     {
         ++ops_->bestFitProbes;
-        const auto hit = index_.firstAtLeast(size);
+        std::optional<Pair> hit;
+        index_.scanAtLeast(size, [&](const Pair &entry) {
+            if (entry.second == pendingNode_)
+                return true;
+            hit = entry;
+            return false;
+        });
+        if (pendingNode_ != sim::kNoNode && pendingKey_ >= size &&
+            (!hit || Pair(pendingKey_, pendingNode_) < *hit))
+            return pendingNode_;
         if (!hit)
             return std::nullopt;
         return hit->second;
@@ -119,8 +154,9 @@ class FlatBook
 
     template <typename Visit>
     void
-    forEachDescending(Visit visit) const
+    forEachDescending(Visit visit)
     {
+        flush();
         index_.scanDescending([&](const auto &entry) {
             return visit(entry.first, entry.second);
         });
@@ -128,8 +164,9 @@ class FlatBook
 
     template <typename Visit>
     void
-    forEachAtLeast(double bound, Visit visit) const
+    forEachAtLeast(double bound, Visit visit)
     {
+        flush();
         index_.scanAtLeast(bound, [&](const auto &entry) {
             return visit(entry.first, entry.second);
         });
@@ -158,8 +195,10 @@ class FlatBook
         if (!committed(slot))
             return;
         const NodeId node = state_->slotNode(slot);
-        if (node != sim::kNoNode)
+        if (node != sim::kNoNode) {
             ++uncommittedOn_[node];
+            ++victimsAdded_;
+        }
         slotBits_[slot] &= static_cast<uint8_t>(~kCommitted);
     }
 
@@ -168,8 +207,10 @@ class FlatBook
     void
     onPlaced(Slot slot, NodeId node)
     {
-        if (!committed(slot))
+        if (!committed(slot)) {
             ++uncommittedOn_[node];
+            ++victimsAdded_;
+        }
     }
 
     /** Called after the state evicted @p slot's pod from @p node. */
@@ -184,8 +225,9 @@ class FlatBook
      * this pack can see, so no forEachAtLeast(cpu) for a pod's cpu
      * can visit an entry: nothing can migrate anywhere. */
     bool
-    migrationImpossible() const
+    migrationImpossible()
     {
+        flush();
         const auto top = index_.largest();
         return !top || top->first < minPodCpu_;
     }
@@ -194,10 +236,12 @@ class FlatBook
      * move, and no healthy node has room for it already (its key plus
      * the packer's 1e-9 slack falls short). */
     bool
-    repackFutile(double size) const
+    repackFutile(double size)
     {
+        if (!migrationImpossible())
+            return false;
         const auto top = index_.largest();
-        return migrationImpossible() && (!top || top->first + 1e-9 < size);
+        return !top || top->first + 1e-9 < size;
     }
 
     /** False when every pod on @p node is committed: it holds no
@@ -206,6 +250,30 @@ class FlatBook
     mayHoldVictims(NodeId node) const
     {
         return uncommittedOn_[node] != 0;
+    }
+
+    /** True when a targeted delete for a pod of @p size at @p rank
+     * must fail as the last failed one did: the pack is @p
+     * unconstrained, the index has not been written since (the same
+     * candidates hold the same keys), no pod has been placed
+     * uncommitted or uncommitted in place since (each candidate's
+     * victims are a subset of its victims then; pass 1 commits a pod
+     * before it places it), and the pod is no smaller and ranked no
+     * higher. */
+    bool
+    clearFutile(double size, size_t rank, bool unconstrained)
+    {
+        flush();
+        return unconstrained && failedClear_ &&
+               writes_ == failedClear_->writes &&
+               victimsAdded_ == failedClear_->victimsAdded &&
+               size >= failedClear_->size && rank >= failedClear_->rank;
+    }
+
+    void
+    onClearFailed(double size, size_t rank)
+    {
+        failedClear_ = FailedClear{writes_, victimsAdded_, size, rank};
     }
 
     void
@@ -246,6 +314,24 @@ class FlatBook
     }
 
   private:
+    /** Write the pending node's key back, unless it has come back to
+     * the key the index holds. */
+    void
+    flush()
+    {
+        if (pendingNode_ == sim::kNoNode)
+            return;
+        if (pendingKey_ != pendingIndexed_) {
+            const bool found = index_.erase(pendingIndexed_, pendingNode_);
+            assert(found && "the index holds the pending node's old key");
+            (void)found;
+            index_.insert(pendingKey_, pendingNode_);
+            ops_->kvOps += 2;
+            ++writes_;
+        }
+        pendingNode_ = sim::kNoNode;
+    }
+
     void
     appendPlacedAtStart(size_t row, std::vector<Slot> &out) const
     {
@@ -256,8 +342,27 @@ class FlatBook
         }
     }
 
-    /** Capacity index: healthy nodes keyed by remaining capacity. */
+    /** Capacity index: healthy nodes keyed by remaining capacity, as
+     * of the last write-back for the pending node. */
     util::BucketedKv<NodeId> index_;
+    /** The node whose key may differ from the index's (kNoNode: none),
+     * the key the index holds for it, and its current key. */
+    NodeId pendingNode_ = sim::kNoNode;
+    double pendingIndexed_ = 0.0;
+    double pendingKey_ = 0.0;
+    /** Index writes (loads and write-backs) so far. */
+    uint64_t writes_ = 0;
+    /** Pods placed uncommitted or uncommitted in place so far. */
+    uint64_t victimsAdded_ = 0;
+    /** What the pack's last failed targeted delete saw and asked for. */
+    struct FailedClear
+    {
+        uint64_t writes = 0;
+        uint64_t victimsAdded = 0;
+        double size = 0.0;
+        size_t rank = 0;
+    };
+    std::optional<FailedClear> failedClear_;
     std::vector<std::pair<double, NodeId>> loadPairs_;
     const ClusterState *state_ = nullptr;
     const sim::PodIndex *podIndex_ = nullptr;

@@ -87,7 +87,7 @@ aggregateGrid(const SweepGridSpec &spec,
             batch.reserve(static_cast<size_t>(spec.trials));
             std::vector<double> availability, strict, revenue, fair_pos,
                 fair_neg, planner_util, util, plan_s, pack_s, served,
-                ops_push, ops_probe, ops_scan;
+                ops_push, ops_probe, ops_scan, ops_kv;
             for (int t = 0; t < spec.trials; ++t, ++index) {
                 const CellResult &cell = results[index];
                 agg.wallSeconds += cell.wallSeconds;
@@ -111,6 +111,7 @@ aggregateGrid(const SweepGridSpec &spec,
                 ops_push.push_back(cell.metrics.opsHeapPushes);
                 ops_probe.push_back(cell.metrics.opsBestFitProbes);
                 ops_scan.push_back(cell.metrics.opsPodScans);
+                ops_kv.push_back(cell.metrics.opsKvOps);
             }
             // Same fold as the serial path, in the same trial order.
             agg.mean = adaptlab::averageTrials(batch);
@@ -127,6 +128,7 @@ aggregateGrid(const SweepGridSpec &spec,
             agg.opsHeapPushes = statsOf(ops_push);
             agg.opsBestFitProbes = statsOf(ops_probe);
             agg.opsPodScans = statsOf(ops_scan);
+            agg.opsKvOps = statsOf(ops_kv);
             agg.obs.assign(obs_sums.begin(), obs_sums.end());
             aggregates.push_back(std::move(agg));
         }

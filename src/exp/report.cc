@@ -109,6 +109,8 @@ writeAggregate(std::ostream &os, const SweepAggregate &agg)
     writeStats(os, "ops_best_fit_probes", agg.opsBestFitProbes);
     os << ",";
     writeStats(os, "ops_pod_scans", agg.opsPodScans);
+    os << ",";
+    writeStats(os, "ops_kv_ops", agg.opsKvOps);
     if (!agg.obs.empty()) {
         os << ",\"obs\":{";
         for (size_t i = 0; i < agg.obs.size(); ++i) {

@@ -10,9 +10,11 @@
 #include <map>
 #include <set>
 
+#include "adaptlab/environment.h"
 #include "check/reference.h"
 #include "core/packing.h"
 #include "core/planner.h"
+#include "sim/failure.h"
 #include "util/rng.h"
 
 using namespace phoenix;
@@ -68,9 +70,10 @@ checkInvariants(const std::vector<Application> &apps,
             break;
           }
           case ActionKind::Restart:
+            // One replica: the service's per-replica size.
             EXPECT_TRUE(replay.place(
                 action.pod, action.to,
-                apps[action.pod.app].services[action.pod.ms].totalCpu()));
+                apps[action.pod.app].services[action.pod.ms].cpu));
             break;
         }
     }
@@ -80,8 +83,9 @@ checkInvariants(const std::vector<Application> &apps,
 /**
  * Pack with the packer's flat bookkeeping and with the reference
  * (check::referencePack). The flat book's futility bounds may skip pod
- * walks but nothing else: actions, final assignment and best-fit
- * probes must match the reference. Returns both results (flat first).
+ * walks and its write-back index may skip index writes, but nothing
+ * else: actions, final assignment and best-fit probes must match the
+ * reference. Returns both results (flat first).
  */
 std::pair<PackResult, PackResult>
 packBothBooks(const std::vector<Application> &apps,
@@ -101,6 +105,7 @@ packBothBooks(const std::vector<Application> &apps,
     EXPECT_EQ(flat.state.assignment(), ref.state.assignment());
     EXPECT_EQ(flat.ops.bestFitProbes, ref.ops.bestFitProbes);
     EXPECT_LE(flat.ops.podScans, ref.ops.podScans);
+    EXPECT_LE(flat.ops.kvOps, ref.ops.kvOps);
     return {std::move(flat), std::move(ref)};
 }
 
@@ -478,6 +483,344 @@ TEST(PackingBounds, DeletionOrderIsBuiltFromTheStartPlacement)
     EXPECT_FALSE(flat.state.isActive(PodRef{0, 2, 1}));
     EXPECT_FALSE(flat.complete);
     checkInvariants(apps, cluster, flat);
+}
+
+// The flat book writes a node's key back to its capacity index only
+// when another node is touched or a scan needs the whole index, so the
+// index lags the state by one node. Replica 0 and 1 of S fill node 0
+// while it is pending; replica 2 must see node 0 full and spill to the
+// next best fit, node 2, which writes node 0 back. T then needs the
+// emptiest node: node 0's old key must be gone from the index.
+TEST(PackingBounds, ReplicasFillThePendingNodeThenSpill)
+{
+    Application app0 = makeApp(0, {2.0});
+    app0.services[0].replicas = 3;
+    auto apps = std::vector<Application>{app0, makeApp(1, {4.0})};
+    ClusterState cluster;
+    cluster.addNode(4.0);
+    cluster.addNode(6.0);
+    cluster.addNode(5.0);
+    const GlobalRank ranked{PodRef{0, 0}, PodRef{1, 0}};
+
+    const auto [flat, ref] = packBothBooks(apps, cluster, ranked);
+    ASSERT_TRUE(flat.complete);
+    ASSERT_EQ(flat.actions.size(), 4u);
+    EXPECT_EQ(flat.actions[0].to, NodeId{0});
+    EXPECT_EQ(flat.actions[1].to, NodeId{0});
+    EXPECT_EQ(flat.actions[2].to, NodeId{2});
+    EXPECT_EQ(flat.actions[3].pod, (PodRef{1, 0}));
+    EXPECT_EQ(flat.actions[3].to, NodeId{1});
+    // Three loaded keys, then two write-backs (node 0 when S spills,
+    // node 2 when T lands); T's node stays pending. The reference
+    // erases and inserts for each of the four placements.
+    EXPECT_EQ(flat.ops.kvOps, 3u + 4u);
+    EXPECT_EQ(ref.ops.kvOps, 3u + 8u);
+    checkInvariants(apps, cluster, flat);
+}
+
+// A probe compares the pending node's current key with the index's
+// best other pair in (key, node) order, so on a key tie the lower node
+// id wins whether or not it is the pending one.
+TEST(PackingBounds, PendingNodeTiesBreakByNodeId)
+{
+    {
+        // A lands on node 0 (pending, 5 -> 2) and ties nodes 1 and 2:
+        // B takes node 0 again, C and D take nodes 1 and 2.
+        auto apps = std::vector<Application>{
+            makeApp(0, {3.0}), makeApp(1, {2.0, 2.0, 2.0})};
+        ClusterState cluster;
+        cluster.addNode(5.0);
+        cluster.addNode(2.0);
+        cluster.addNode(2.0);
+        const GlobalRank ranked{PodRef{0, 0}, PodRef{1, 0}, PodRef{1, 1},
+                                PodRef{1, 2}};
+        const auto [flat, ref] = packBothBooks(apps, cluster, ranked);
+        ASSERT_EQ(flat.actions.size(), 4u);
+        EXPECT_EQ(flat.actions[0].to, NodeId{0});
+        EXPECT_EQ(flat.actions[1].to, NodeId{0});
+        EXPECT_EQ(flat.actions[2].to, NodeId{1});
+        EXPECT_EQ(flat.actions[3].to, NodeId{2});
+    }
+    {
+        // A lands on node 1 (pending, 5 -> 2) and ties node 0: B takes
+        // node 0, the lower id, not the pending node.
+        auto apps = std::vector<Application>{makeApp(0, {3.0}),
+                                             makeApp(1, {2.0})};
+        ClusterState cluster;
+        cluster.addNode(2.0);
+        cluster.addNode(5.0);
+        const GlobalRank ranked{PodRef{0, 0}, PodRef{1, 0}};
+        const auto [flat, ref] = packBothBooks(apps, cluster, ranked);
+        ASSERT_EQ(flat.actions.size(), 2u);
+        EXPECT_EQ(flat.actions[0].to, NodeId{1});
+        EXPECT_EQ(flat.actions[1].to, NodeId{0});
+    }
+}
+
+// A targeted delete that evicts a pod and places one of the same size
+// on the same node leaves the node's key where the index has it, so
+// nothing is written, neither when the next probe merges the node nor
+// when the next scan would write it back. Q's repack scan and targeted
+// delete then run over an index that holds every key as loaded.
+TEST(PackingBounds, KeyThatComesBackIsNeverWritten)
+{
+    // P and Q are ranked; V, Y and the 1-CPU R are not. R is placed
+    // nowhere, but it lowers the smallest pod size to 1, so node 2's
+    // free CPU keeps repack from being futile.
+    auto apps =
+        std::vector<Application>{makeApp(0, {2.0, 2.0, 2.0, 2.0, 1.0})};
+    const PodRef P{0, 0}, Q{0, 1}, V{0, 2}, Y{0, 3};
+    ClusterState cluster;
+    cluster.addNode(2.0); // node 0: V
+    cluster.addNode(2.0); // node 1: Y
+    cluster.addNode(1.0); // node 2: empty
+    cluster.place(V, 0, 2.0);
+    cluster.place(Y, 1, 2.0);
+    const GlobalRank ranked{P, Q};
+
+    const auto [flat, ref] = packBothBooks(apps, cluster, ranked);
+    const std::vector<Action> expect{
+        {ActionKind::Delete, Y, 1, 0},
+        {ActionKind::Restart, P, 0, 1},
+        {ActionKind::Delete, V, 0, 0},
+        {ActionKind::Restart, Q, 0, 0},
+    };
+    ASSERT_EQ(flat.actions.size(), expect.size());
+    for (size_t i = 0; i < expect.size(); ++i) {
+        EXPECT_EQ(flat.actions[i].kind, expect[i].kind) << i;
+        EXPECT_EQ(flat.actions[i].pod, expect[i].pod) << i;
+        EXPECT_EQ(flat.actions[i].from, expect[i].from) << i;
+        EXPECT_EQ(flat.actions[i].to, expect[i].to) << i;
+    }
+    EXPECT_TRUE(flat.complete);
+    // P's and Q's repacks walked nodes 1 and 0 over the index as
+    // loaded.
+    EXPECT_GT(flat.ops.podScans, 0u);
+    EXPECT_EQ(flat.ops.kvOps, 3u);
+    EXPECT_EQ(ref.ops.kvOps, 3u + 8u);
+    checkInvariants(apps, cluster, flat);
+}
+
+// A below-quorum rollback replays its journal through the book while
+// a node is pending: S's replicas land on nodes 0 and 1, the third
+// fits nowhere, and the rollback evicts both, leaving node 0 pending
+// with its key back at 2. T's probe must merge that key.
+TEST(PackingBounds, RollbackWhileANodeIsPending)
+{
+    Application app0 = makeApp(0, {2.0});
+    app0.services[0].replicas = 3;
+    auto apps = std::vector<Application>{app0, makeApp(1, {2.0})};
+    ClusterState cluster;
+    cluster.addNode(2.0);
+    cluster.addNode(3.0);
+    const GlobalRank ranked{PodRef{0, 0}, PodRef{1, 0}};
+
+    const auto [flat, ref] = packBothBooks(apps, cluster, ranked);
+    ASSERT_EQ(flat.actions.size(), 1u);
+    EXPECT_EQ(flat.actions[0].kind, ActionKind::Restart);
+    EXPECT_EQ(flat.actions[0].pod, (PodRef{1, 0}));
+    EXPECT_EQ(flat.actions[0].to, NodeId{0});
+    EXPECT_FALSE(flat.complete);
+    EXPECT_FALSE(flat.state.isActive(PodRef{0, 0, 0}));
+    checkInvariants(apps, cluster, flat);
+}
+
+// A constrained pod's best fit walks the index instead of probing it,
+// and the walk must see the key an unconstrained placement just left
+// on the pending node: U takes node 0 (3 -> 1), so C, which allows one
+// replica per node, must go to node 1.
+TEST(PackingBounds, ConstrainedWalkAfterAnUnconstrainedPlacement)
+{
+    Application app1 = makeApp(1, {2.0});
+    app1.services[0].maxPerNode = 1;
+    auto apps = std::vector<Application>{makeApp(0, {2.0}), app1};
+    ClusterState cluster;
+    cluster.addNode(3.0);
+    cluster.addNode(4.0);
+    const GlobalRank ranked{PodRef{0, 0}, PodRef{1, 0}};
+
+    const auto [flat, ref] = packBothBooks(apps, cluster, ranked);
+    ASSERT_EQ(flat.actions.size(), 2u);
+    EXPECT_EQ(flat.actions[0].to, NodeId{0});
+    EXPECT_EQ(flat.actions[1].pod, (PodRef{1, 0}));
+    EXPECT_EQ(flat.actions[1].to, NodeId{1});
+    EXPECT_TRUE(flat.complete);
+    checkInvariants(apps, cluster, flat);
+}
+
+// The flat book skips a targeted delete that must fail as the last
+// failed one did (clearFutile). S's fails: the 16 emptiest nodes have
+// 1 CPU free each, and node 0's 1-CPU victim u is not enough. The
+// cascade then deletes v, outside those 16, and S takes its place, so
+// the index holds the same keys again. T is smaller: its targeted
+// delete must run and take u, where a skipped one would fall through
+// to the cascade and delete z first.
+TEST(PackingBounds, FailedTargetedDeleteBoundsOnlyLargerPods)
+{
+    auto apps = std::vector<Application>{
+        makeApp(0, {3.0}), makeApp(1, {2.0}), makeApp(2, {1.0, 1.0, 3.0})};
+    const PodRef S{0, 0}, T{1, 0}, U{2, 0}, Z{2, 1}, V{2, 2};
+    ClusterState cluster;
+    cluster.addNode(2.0); // node 0: u
+    for (int n = 1; n < 16; ++n)
+        cluster.addNode(1.0);
+    cluster.addNode(3.0); // node 16: v
+    cluster.addNode(1.0); // node 17: z
+    cluster.place(U, 0, 1.0);
+    cluster.place(V, 16, 3.0);
+    cluster.place(Z, 17, 1.0);
+    PackingOptions options;
+    options.allowMigrations = false;
+
+    const auto [flat, ref] =
+        packBothBooks(apps, cluster, GlobalRank{S, T}, options);
+    const std::vector<Action> expect{
+        {ActionKind::Delete, V, 16, 0},
+        {ActionKind::Restart, S, 0, 16},
+        {ActionKind::Delete, U, 0, 0},
+        {ActionKind::Restart, T, 0, 0},
+    };
+    ASSERT_EQ(flat.actions.size(), expect.size());
+    for (size_t i = 0; i < expect.size(); ++i) {
+        EXPECT_EQ(flat.actions[i].kind, expect[i].kind) << i;
+        EXPECT_EQ(flat.actions[i].pod, expect[i].pod) << i;
+        EXPECT_EQ(flat.actions[i].to, expect[i].to) << i;
+    }
+    EXPECT_TRUE(flat.complete);
+    checkInvariants(apps, cluster, flat);
+}
+
+// The bound reads the index after the pending node's write-back. S's
+// targeted delete fails on the 16 emptiest nodes; its cascade deletes
+// v from node 16, outside them, and S lands there, raising node 16's
+// key into the 16 while it is still pending. T's targeted delete must
+// run and take u1 there; a skipped one would leave T to the cascade,
+// which deletes u2.
+TEST(PackingBounds, FailedTargetedDeleteSeesThePendingWriteBack)
+{
+    auto apps = std::vector<Application>{
+        makeApp(0, {2.0}), makeApp(1, {2.0}), makeApp(2, {1.0, 1.0, 3.0})};
+    const PodRef S{0, 0}, T{1, 0}, U1{2, 0}, U2{2, 1}, V{2, 2};
+    ClusterState cluster;
+    for (int n = 0; n < 16; ++n)
+        cluster.addNode(1.0);
+    cluster.addNode(5.0); // node 16: u1, u2, v
+    cluster.place(U1, 16, 1.0);
+    cluster.place(U2, 16, 1.0);
+    cluster.place(V, 16, 3.0);
+    PackingOptions options;
+    options.allowMigrations = false;
+
+    const auto [flat, ref] =
+        packBothBooks(apps, cluster, GlobalRank{S, T}, options);
+    const std::vector<Action> expect{
+        {ActionKind::Delete, V, 16, 0},
+        {ActionKind::Restart, S, 0, 16},
+        {ActionKind::Delete, U1, 16, 0},
+        {ActionKind::Restart, T, 0, 16},
+    };
+    ASSERT_EQ(flat.actions.size(), expect.size());
+    for (size_t i = 0; i < expect.size(); ++i) {
+        EXPECT_EQ(flat.actions[i].kind, expect[i].kind) << i;
+        EXPECT_EQ(flat.actions[i].pod, expect[i].pod) << i;
+        EXPECT_EQ(flat.actions[i].to, expect[i].to) << i;
+    }
+    checkInvariants(apps, cluster, flat);
+}
+
+// A rollback puts victims back without writing the index: S's replica
+// 0 deletes v and takes node 0, replica 1's targeted delete fails, its
+// cascade deletes w and fails too, and the rollback restores v and w,
+// each node's key coming back to what the index holds. T must still
+// find v by a targeted delete; a skipped one would leave T to the
+// cascade, which no longer holds v.
+TEST(PackingBounds, VictimsPutBackByARollbackAreSeen)
+{
+    Application app0 = makeApp(0, {2.0});
+    app0.services[0].replicas = 2;
+    auto apps = std::vector<Application>{app0, makeApp(1, {2.0}),
+                                         makeApp(2, {2.0, 1.0})};
+    const PodRef T{1, 0}, V{2, 0}, W{2, 1};
+    ClusterState cluster;
+    cluster.addNode(2.0); // node 0: v
+    cluster.addNode(1.0); // node 1: w
+    cluster.place(V, 0, 2.0);
+    cluster.place(W, 1, 1.0);
+    PackingOptions options;
+    options.allowMigrations = false;
+
+    const auto [flat, ref] =
+        packBothBooks(apps, cluster, GlobalRank{PodRef{0, 0}, T}, options);
+    ASSERT_EQ(flat.actions.size(), 2u);
+    EXPECT_EQ(flat.actions[0].kind, ActionKind::Delete);
+    EXPECT_EQ(flat.actions[0].pod, V);
+    EXPECT_EQ(flat.actions[1].pod, T);
+    EXPECT_EQ(flat.actions[1].to, NodeId{0});
+    EXPECT_TRUE(flat.state.isActive(W));
+    EXPECT_FALSE(flat.complete);
+    checkInvariants(apps, cluster, flat);
+}
+
+// A service ranked twice sorts at its last rank, so ranks can fall
+// along pass 1. X (last ranked 3) fails with nothing to delete, its
+// cascade dropping y (rank 2) from the deletion order. S (rank 1) may
+// delete y: its targeted delete must run, though nothing changed
+// since X's failed.
+TEST(PackingBounds, FailedTargetedDeleteBoundsOnlyLowerRanks)
+{
+    auto apps = std::vector<Application>{makeApp(0, {2.0}),
+                                         makeApp(1, {2.0}),
+                                         makeApp(2, {2.0})};
+    const PodRef X{0, 0}, S{1, 0}, Y{2, 0};
+    ClusterState cluster;
+    cluster.addNode(2.0);
+    cluster.place(Y, 0, 2.0);
+    PackingOptions options;
+    options.allowMigrations = false;
+
+    const auto [flat, ref] =
+        packBothBooks(apps, cluster, GlobalRank{X, S, Y, X}, options);
+    ASSERT_EQ(flat.actions.size(), 2u);
+    EXPECT_EQ(flat.actions[0].kind, ActionKind::Delete);
+    EXPECT_EQ(flat.actions[0].pod, Y);
+    EXPECT_EQ(flat.actions[1].pod, S);
+    EXPECT_EQ(flat.actions[1].to, NodeId{0});
+    checkInvariants(apps, cluster, flat);
+}
+
+// The write-back index is written per node visit, not per pod: at the
+// Fig 8(b) scale point's settings (18 apps, 16-CPU nodes, 0.5-8 CPU
+// pods, demand 0.8) on 1,000 nodes at 50% failure, the flat book must
+// write at most half the index operations of the reference, which
+// erases and inserts on every placement and eviction (an eager index
+// reads 1.0).
+TEST(PackingBounds, IndexWritesFollowNodesNotPods)
+{
+    adaptlab::EnvironmentConfig config;
+    config.nodeCount = 1000;
+    config.seed = 1;
+    config.demandFraction = 0.8;
+    config.nodeCapacity = 16.0;
+    config.alibaba.appCount = 18;
+    config.alibaba.sizeScale = 0.05;
+    config.resources.model = workloads::ResourceModel::CallsPerMinute;
+    config.resources.minCpu = 0.5;
+    config.resources.maxCpu = 8.0;
+    config.tagging.scheme = workloads::TaggingScheme::ServiceLevel;
+    config.tagging.percentile = 0.9;
+    const adaptlab::Environment env = adaptlab::buildEnvironment(config);
+    ClusterState failed = env.cluster;
+    sim::FailureInjector injector{util::Rng(3)};
+    injector.failCapacityFraction(failed, 0.5);
+
+    Planner planner;
+    CostObjective cost;
+    const GlobalRank ranked =
+        planner.plan(env.apps, cost, failed.healthyCapacity());
+    const auto [flat, ref] = packBothBooks(env.apps, failed, ranked);
+    ASSERT_GT(flat.actions.size(), 100u);
+    EXPECT_LE(2 * flat.ops.kvOps, ref.ops.kvOps)
+        << flat.ops.kvOps << " against " << ref.ops.kvOps;
 }
 
 class PackingRandomized : public ::testing::TestWithParam<int>

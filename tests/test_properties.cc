@@ -279,12 +279,14 @@ TEST_P(BitIdentity, FlatMatchesReferenceImplementation)
 
         // Algorithm identity: same queue traffic and probe counts,
         // while the flat book's futility bounds only ever skip pod
-        // walks.
+        // walks and its write-back index only ever skips index
+        // writes.
         EXPECT_EQ(a.planOps.heapPushes, b.planOps.heapPushes) << what;
         EXPECT_EQ(a.planOps.heapPops, b.planOps.heapPops) << what;
         EXPECT_EQ(a.pack.ops.bestFitProbes, b.pack.ops.bestFitProbes)
             << what;
         EXPECT_LE(a.pack.ops.podScans, b.pack.ops.podScans) << what;
+        EXPECT_LE(a.pack.ops.kvOps, b.pack.ops.kvOps) << what;
     }
 }
 
@@ -346,6 +348,7 @@ TEST_P(ConstrainedBitIdentity, ConstrainedPackingIsBitIdentical)
         EXPECT_EQ(a.pack.ops.bestFitProbes, b.pack.ops.bestFitProbes)
             << what;
         EXPECT_LE(a.pack.ops.podScans, b.pack.ops.podScans) << what;
+        EXPECT_LE(a.pack.ops.kvOps, b.pack.ops.kvOps) << what;
     }
 }
 
